@@ -2,16 +2,16 @@
 
 :func:`simulate` dispatches one trace replay to either the reference
 per-access simulators (:mod:`repro.cache.lru`,
-:mod:`repro.cache.belady`) or the vectorized engines
+:mod:`repro.cache.belady`) or the bucketed engines
 (:mod:`repro.cache.fast`), which produce bit-identical
 :class:`~repro.cache.stats.CacheStats`.
 
 Implementation selection (``impl`` argument):
 
 * ``"fast"`` / ``"reference"`` — force one engine.
-* ``"auto"`` (default) — pick the fast engine when the geometry is
-  wide enough for round-parallel replay to win (the reference loop is
-  faster on tiny caches where a few sets serialize the rounds).
+* ``"auto"`` (default) — pick the fast engine unless the trace is
+  short; for Belady, also unless the cache has so few sets that they
+  serialize its rounds.
 * ``None`` — read ``$REPRO_SIM_IMPL`` (same three values), falling
   back to ``"auto"``; this is how an entire experiment run is steered
   without code changes.
@@ -44,10 +44,11 @@ IMPL_ENV_VAR = "REPRO_SIM_IMPL"
 IMPLS = ("auto", "fast", "reference")
 POLICIES = ("lru", "belady")
 
-#: Below either bound the reference loop beats the vectorized engine:
-#: few sets means long sequential per-set chains, and tiny traces are
-#: dominated by the bucketing overhead.
-_FAST_MIN_SETS = {"lru": 32, "belady": 16}
+#: Below either bound the reference loop beats the fast engine: few
+#: sets means long sequential per-set chains for the Belady rounds, and
+#: tiny traces are dominated by the bucketing overhead.  Fast LRU has no
+#: set floor: it replays narrow plans on its serial schedule.
+_FAST_MIN_SETS = {"belady": 16}
 _FAST_MIN_ACCESSES = 8192
 
 
@@ -63,7 +64,7 @@ def resolve_impl(impl: Optional[str] = None) -> str:
 def _choose_impl(n_accesses: int, config: CacheConfig, policy: str) -> str:
     if n_accesses < _FAST_MIN_ACCESSES:
         return "reference"
-    if config.n_sets < _FAST_MIN_SETS[policy]:
+    if config.n_sets < _FAST_MIN_SETS.get(policy, 0):
         return "reference"
     return "fast"
 

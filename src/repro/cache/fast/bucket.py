@@ -4,7 +4,9 @@ Set-associative replacement is sequential *within* a set but
 independent *across* sets, so the trace is grouped by cache set and
 replayed in rounds: round ``r`` performs the ``r``-th access of every
 set that still has one, each round a handful of numpy array
-operations over the active sets.  Two observations make this fast:
+operations over the active sets.  (Narrow LRU plans replay set by set
+instead; see :mod:`repro.cache.fast.lru`.)  Two observations make this
+fast:
 
 * **Run collapse.**  Within one set's sub-trace, consecutive accesses
   to the same line are guaranteed hits under both LRU and Belady (no
@@ -55,16 +57,20 @@ def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
     """Group ``trace`` by cache set and collapse within-set runs."""
     n = trace.size
     shift = max(1, int(n - 1).bit_length())
-    if (n_sets - 1).bit_length() + shift <= 62:
+    key_bits = (n_sets - 1).bit_length() + shift
+    if key_bits <= 62:
         # Stable counting sort via packed keys: the position in the low
         # bits makes equal-set keys compare by position, i.e. stable.
-        key = trace % n_sets
+        # Keys are built in place, in 32 bits when they fit, to keep the
+        # peak memory of large traces down.
+        key = np.empty(n, dtype=np.uint32 if key_bits <= 32 else np.int64)
+        np.remainder(trace, n_sets, out=key, casting="unsafe")
         key <<= shift
-        key += np.arange(n, dtype=np.int64)
+        key |= np.arange(n, dtype=key.dtype)
         key.sort()
-        order = key & ((1 << shift) - 1)
-        key >>= shift
-        bucketed_sets = key
+        bucketed_sets = key >> shift
+        key &= (1 << shift) - 1
+        order = key
     else:  # pragma: no cover - needs a trace too large to allocate here
         set_ids = trace % n_sets
         order = np.argsort(set_ids, kind="stable")
@@ -86,8 +92,8 @@ def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
     run_len[-1] = n - idx_start[-1]
 
     lines = bucketed[idx_start]
-    pos_first = order[idx_start]
-    pos_last = order[idx_start + run_len - 1]
+    pos_first = order[idx_start].astype(np.int64)
+    pos_last = order[idx_start + run_len - 1].astype(np.int64)
     multi = run_len > 1
 
     counts = np.bincount(bucketed_sets[idx_start], minlength=n_sets)

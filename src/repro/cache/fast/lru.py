@@ -1,14 +1,25 @@
-"""Vectorized set-associative LRU simulation.
+"""Set-associative LRU simulation over a bucketed trace.
 
-State lives in flat ``(n_sets * ways)`` arrays: the resident line per
-way (``tags``), its last-touch round (``age``, ``-1`` for empty ways,
-which doubles as the fill-before-evict rule since ``argmin`` picks
-empty ways first) and a re-reference bitmap (``reused``) backing the
-dead-line counters of paper Table III.  Hits are detected through a
-presence table mapping line id to its way — each line belongs to
-exactly one set, so one gather replaces a ``ways``-wide tag compare.
+The trace is grouped by cache set and collapsed into same-line runs
+(:func:`repro.cache.fast.bucket.bucket_trace`), then replayed on one of
+two schedules:
 
-Produces counters bit-identical to :func:`repro.cache.lru.simulate_lru`
+* **rounds** — the per-set replays advance in lockstep, one numpy step
+  per round over all active sets.  State lives in flat
+  ``(n_sets * ways)`` arrays: the resident line per way (``tags``), its
+  last-touch round (``age``, ``-1`` for empty ways, which doubles as
+  the fill-before-evict rule since ``argmin`` picks empty ways first)
+  and a re-reference bitmap (``reused``) backing the dead-line counters
+  of paper Table III.  Hits are detected through a presence table
+  mapping line id to its way — each line belongs to exactly one set,
+  so one gather replaces a ``ways``-wide tag compare.
+* **serial** — each set's runs are replayed in a plain Python loop
+  with a dict as the LRU list (insertion order = recency, values = the
+  reused bit).  It costs per run rather than per round, so it wins
+  when few sets carry the runs and the rounds are long and narrow.
+
+:func:`lru_schedule` picks between them from the plan's width.  Both
+produce counters bit-identical to :func:`repro.cache.lru.simulate_lru`
 (see ``tests/test_cache_fast_differential.py``).
 """
 
@@ -19,9 +30,14 @@ from typing import Optional
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import bucket_trace, compact_line_ids
+from repro.cache.fast.bucket import BucketPlan, bucket_trace, compact_line_ids
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
+
+#: Average runs per round below which the serial schedule beats the
+#: rounds loop.  A round costs a fixed ~20 numpy calls however many sets
+#: it touches, a serial run a few dict operations.
+SERIAL_WIDTH = 64
 
 
 def simulate_lru_fast(
@@ -29,15 +45,19 @@ def simulate_lru_fast(
     config: CacheConfig,
     regions: Optional[RegionBounds] = None,
 ) -> CacheStats:
-    """Vectorized equivalent of :func:`repro.cache.lru.simulate_lru`."""
+    """Bucketed equivalent of :func:`repro.cache.lru.simulate_lru`."""
     trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
     if trace.size == 0:
         miss_positions = np.empty(0, dtype=np.int64)
         hits = evictions = dead_evictions = dead_at_end = 0
     else:
-        hits, evictions, dead_evictions, dead_at_end, miss_positions = _lru_core(
-            trace, config.n_sets, config.ways
-        )
+        plan = bucket_trace(trace, config.n_sets)
+        if lru_schedule(plan) == "serial":
+            result = _lru_serial(plan, config.ways)
+        else:
+            result = _lru_rounds(plan, config.n_sets, config.ways)
+        evictions, dead_evictions, dead_at_end, miss_positions = result
+        hits = int(trace.size) - int(miss_positions.size)
     stats = CacheStats(
         accesses=int(trace.size),
         hits=hits,
@@ -52,8 +72,41 @@ def simulate_lru_fast(
     return stats
 
 
-def _lru_core(trace: np.ndarray, n_sets: int, ways: int):
-    plan = bucket_trace(trace, n_sets)
+def lru_schedule(plan: BucketPlan) -> str:
+    """``"serial"`` for narrow plans, ``"rounds"`` for wide ones."""
+    return "serial" if plan.lines.size < SERIAL_WIDTH * plan.rounds else "rounds"
+
+
+def _lru_serial(plan: BucketPlan, ways: int):
+    missed = bytearray(plan.lines.size)
+    evictions = 0
+    dead_evictions = 0
+    dead_at_end = 0
+    ends = np.append(plan.set_offsets[1:], plan.lines.size)
+    for lo, hi in zip(plan.set_offsets.tolist(), ends.tolist()):
+        if lo == hi:
+            continue
+        resident: dict = {}
+        runs = zip(
+            range(lo, hi), plan.lines[lo:hi].tolist(), plan.multi[lo:hi].tolist()
+        )
+        for i, line, multi in runs:
+            if line in resident:
+                del resident[line]
+                resident[line] = True
+            else:
+                missed[i] = 1
+                resident[line] = multi
+                if len(resident) > ways:
+                    evictions += 1
+                    if not resident.pop(next(iter(resident))):
+                        dead_evictions += 1
+        dead_at_end += sum(not reused for reused in resident.values())
+    miss_positions = plan.pos_first[np.frombuffer(missed, dtype=bool)]
+    return evictions, dead_evictions, dead_at_end, miss_positions
+
+
+def _lru_rounds(plan: BucketPlan, n_sets: int, ways: int):
     ids, table_size = compact_line_ids(plan.lines)
     pos_first = plan.pos_first
     multi = plan.multi
@@ -103,10 +156,4 @@ def _lru_core(trace: np.ndarray, n_sets: int, ways: int):
             reused[flat_victim] = multi[miss_idx]
             way_of_line[miss_line] = victim
     dead_at_end = int(np.count_nonzero((age >= 0) & ~reused))
-    return (
-        int(trace.size) - n_miss,
-        evictions,
-        dead_evictions,
-        dead_at_end,
-        miss_positions[:n_miss],
-    )
+    return evictions, dead_evictions, dead_at_end, miss_positions[:n_miss]

@@ -130,7 +130,23 @@ def classify_misses(
 
 
 def compulsory_misses(trace: np.ndarray) -> int:
-    """Distinct lines in the trace — the compulsory-miss floor."""
-    if len(trace) == 0:
+    """Distinct lines in the trace — the compulsory-miss floor.
+
+    Marks a boolean table over ``[min, max]``; when that span is much
+    larger than the trace (sparse address spaces) it counts the
+    distinct values of the sorted trace instead, with the same bound
+    as :func:`repro.cache.fast.bucket.compact_line_ids`.
+    """
+    trace = np.asarray(trace, dtype=np.int64)
+    if trace.size == 0:
         return 0
-    return int(np.unique(np.asarray(trace, dtype=np.int64)).size)
+    # Neither branch uses np.unique: on NumPy 2.4 values-only np.unique
+    # on integers measured ~50x slower than a mark table or a sort.
+    lo = int(trace.min())
+    span = int(trace.max()) - lo + 1
+    if span <= max(1 << 20, 8 * trace.size):
+        seen = np.zeros(span, dtype=bool)
+        seen[trace - lo if lo else trace] = True
+        return int(np.count_nonzero(seen))
+    ordered = np.sort(trace)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))

@@ -317,7 +317,7 @@ def spgemm_csr_structure(matrix: CSRMatrix) -> Tuple[np.ndarray, int]:
     ``flops`` counts multiply-accumulates, i.e. for every non-zero
     ``(i, k)`` of A the length of B's row ``k`` — the standard SpGEMM
     work measure.  Fully vectorized: the expanded (row, col) candidate
-    pairs are deduplicated with one ``np.unique`` over packed keys.
+    pairs are deduplicated with one in-place sort over packed keys.
     """
     if matrix.n_rows != matrix.n_cols:
         raise ValidationError(
@@ -337,8 +337,13 @@ def spgemm_csr_structure(matrix: CSRMatrix) -> Tuple[np.ndarray, int]:
     inner_local = _local_indices(b_deg)
     b_entry = matrix.row_offsets[matrix.col_indices[parent]] + inner_local
     keys = row_of_entry[parent] * np.int64(n) + matrix.col_indices[b_entry]
-    unique = np.unique(keys)
-    c_row_nnz = np.bincount(unique // n, minlength=n).astype(np.int64)
+    # Sort + adjacent diff, not np.unique: on NumPy 2.4 values-only
+    # np.unique on integers measured ~50x slower than sorting.
+    keys.sort()
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    c_row_nnz = np.bincount(keys[distinct] // n, minlength=n).astype(np.int64)
     return c_row_nnz, flops
 
 

@@ -6,7 +6,11 @@ the reference per-access simulators and the numpy engines in
 field-by-field (dataclass equality covers accesses, hits, misses,
 evictions, dead-line counters and the per-region miss split).  The
 geometry grid includes the direct-mapped (``ways=1``) and
-fully-associative (``n_sets=1``) edge cases.
+fully-associative (``n_sets=1``) edge cases.  The fast LRU engine has
+two schedules (serial per-set replay for narrow plans, lockstep rounds
+for wide ones); the small grid geometries take the serial one, the
+512-set geometry keeps the rounds loop covered, and
+``test_lru_schedule_crossover`` pins which side each takes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import pytest
 
 from repro.cache import CacheConfig, simulate
 from repro.cache.belady import _simulate_belady
+from repro.cache.fast import lru as fast_lru
 from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
+from repro.cache.fast.bucket import bucket_trace
 from repro.cache.lru import _simulate_lru
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import load_graph
@@ -35,6 +41,7 @@ GEOMETRIES = [
     (16, 4),
     (8, 2),
     (64, 16),
+    (512, 4),
 ]
 
 REFERENCE = {"lru": _simulate_lru, "belady": _simulate_belady}
@@ -105,7 +112,9 @@ def test_sparse_line_ids(policy):
 
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])
-@pytest.mark.parametrize("kernel", ["spmv-csr", "spmv-coo", "spmm-csr-4"])
+@pytest.mark.parametrize(
+    "kernel", ["spmv-csr", "spmv-coo", "spmm-csr-4", "spgemm-csr"]
+)
 @pytest.mark.parametrize("matrix", ["test-comm", "test-rmat"])
 def test_real_kernel_traces(policy, kernel, matrix):
     """Real kernel traces with region splits, on two cache geometries."""
@@ -120,6 +129,33 @@ def test_real_kernel_traces(policy, kernel, matrix):
             reference, fast, f"{policy} {kernel} {matrix} {n_sets}x{ways}"
         )
         assert reference.region_misses  # the split actually exercised
+
+
+@pytest.mark.parametrize(
+    "geometry, schedule", [((4, 4), "serial"), ((512, 4), "rounds")]
+)
+def test_lru_schedule_crossover(geometry, schedule, monkeypatch):
+    """A narrow plan replays serially, a wide one in rounds; both agree.
+
+    Each geometry is also replayed with the width rule forced to the
+    other schedule, so both schedules are checked on both sides.
+    """
+    n_sets, ways = geometry
+    config = config_for(n_sets, ways)
+    rng = np.random.default_rng(7)
+    trace = rng.integers(0, 4096, size=20000)
+    regions = [("low", 0, 1024), ("mid", 1024, 3000)]
+    assert fast_lru.lru_schedule(bucket_trace(trace, n_sets)) == schedule
+    reference = _simulate_lru(trace, config, regions)
+    assert_identical_stats(
+        reference, simulate_lru_fast(trace, config, regions), schedule
+    )
+    forced = {"serial": 0, "rounds": 2**62}[schedule]
+    monkeypatch.setattr(fast_lru, "SERIAL_WIDTH", forced)
+    assert fast_lru.lru_schedule(bucket_trace(trace, n_sets)) != schedule
+    assert_identical_stats(
+        reference, simulate_lru_fast(trace, config, regions), f"not {schedule}"
+    )
 
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])

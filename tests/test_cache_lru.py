@@ -100,6 +100,25 @@ class TestAccounting:
         assert huge.misses == compulsory_misses(trace)
 
 
+class TestCompulsoryMisses:
+    def test_empty_trace(self):
+        assert compulsory_misses(np.asarray([], dtype=np.int64)) == 0
+        assert compulsory_misses([]) == 0
+
+    def test_dense_ids(self):
+        rng = np.random.default_rng(4)
+        for lo in (0, 7, 1 << 40):
+            trace = lo + rng.integers(0, 300, 2000)
+            assert compulsory_misses(trace) == np.unique(trace).size
+
+    def test_sparse_ids_take_the_sort_branch(self):
+        # The id span is far beyond max(1 << 20, 8 * len(trace)).
+        rng = np.random.default_rng(5)
+        trace = rng.integers(0, 50, 3000) * (1 << 30) + rng.integers(0, 3, 3000)
+        assert int(trace.max() - trace.min()) > max(1 << 20, 8 * trace.size)
+        assert compulsory_misses(trace) == np.unique(trace).size
+
+
 class TestRegionClassification:
     def test_split_sums_to_misses(self):
         trace = np.asarray([0, 10, 20, 0, 10, 20])

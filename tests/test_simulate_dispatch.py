@@ -66,10 +66,16 @@ class TestResolution:
         big_cache = CacheConfig(capacity_bytes=64 * 16 * 32, ways=16)  # 64 sets
         big_n = 10 * _FAST_MIN_ACCESSES
         for policy in ("lru", "belady"):
-            assert _choose_impl(big_n, small_cache, policy) == "reference"
             assert _choose_impl(100, big_cache, policy) == "reference"
+            assert _choose_impl(_FAST_MIN_ACCESSES - 1, small_cache, policy) == (
+                "reference"
+            )
             assert _choose_impl(big_n, big_cache, policy) == "fast"
-            assert big_cache.n_sets >= _FAST_MIN_SETS[policy]
+        # LRU has no set floor (narrow plans replay serially); Belady does.
+        assert "lru" not in _FAST_MIN_SETS
+        assert _choose_impl(_FAST_MIN_ACCESSES, small_cache, "lru") == "fast"
+        assert small_cache.n_sets < _FAST_MIN_SETS["belady"] == 16
+        assert _choose_impl(big_n, small_cache, "belady") == "reference"
 
 
 class TestInputs:
