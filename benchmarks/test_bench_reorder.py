@@ -1,16 +1,16 @@
 """Benchmark-harness entry for the reordering engines (BENCH_reorder.json).
 
-Times the reference and vectorized reordering engines — RABBIT
-detection plus every fast-path technique end-to-end — on the seeded
-smoke workload, asserts the implementations produce identical outputs,
+Times the vectorized reordering engines against their per-node loop
+oracles — RABBIT detection plus every benchmarked technique end-to-end
+— on the seeded smoke workload, asserts they produce identical outputs,
 and writes the throughput comparison to ``BENCH_reorder.json``
 (override the location with ``REPRO_BENCH_REORDER_OUT``).  The
 full-size comparison — detection on the scale-16 ``soc-rmat`` corpus
 matrix — runs via ``repro bench-reorder`` without ``--smoke``.
 
-The smoke graphs sit below the ``impl="auto"`` payoff size, so no
-speedup floor is asserted here; the smoke run checks schema and
-correctness, the full run checks performance.
+The smoke graphs are too small for stable speedups, so no speedup
+floor is asserted here; the smoke run checks schema and correctness,
+the full run checks performance.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ the artifact-level experiments.
 import numpy as np
 import pytest
 
-from repro.cache import simulate
+from repro.cache.belady import _simulate_belady
+from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
+from repro.cache.lru import _simulate_lru
 from repro.community.rabbit import rabbit_communities
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import load_graph
@@ -38,25 +40,25 @@ def test_trace_generation(benchmark, graph):
 
 def test_lru_simulation(benchmark, trace):
     config = scaled_platform("bench").cache_config()
-    stats = benchmark(lambda: simulate(trace.lines, config, policy="lru", impl="reference"))
+    stats = benchmark(lambda: _simulate_lru(trace.lines, config))
     assert stats.accesses == trace.n_accesses
 
 
 def test_lru_simulation_fast(benchmark, trace):
     config = scaled_platform("bench").cache_config()
-    stats = benchmark(lambda: simulate(trace.lines, config, policy="lru", impl="fast"))
+    stats = benchmark(lambda: simulate_lru_fast(trace.lines, config))
     assert stats.accesses == trace.n_accesses
 
 
 def test_belady_simulation(benchmark, trace):
     config = scaled_platform("bench").cache_config()
-    stats = benchmark(lambda: simulate(trace.lines, config, policy="belady", impl="reference"))
+    stats = benchmark(lambda: _simulate_belady(trace.lines, config))
     assert stats.accesses == trace.n_accesses
 
 
 def test_belady_simulation_fast(benchmark, trace):
     config = scaled_platform("bench").cache_config()
-    stats = benchmark(lambda: simulate(trace.lines, config, policy="belady", impl="fast"))
+    stats = benchmark(lambda: simulate_belady_fast(trace.lines, config))
     assert stats.accesses == trace.n_accesses
 
 

@@ -38,13 +38,7 @@ from repro.api import (
     reorder_and_evaluate,
     reorder_matrix,
 )
-from repro.cache import (
-    CacheConfig,
-    CacheStats,
-    simulate,
-    simulate_belady,
-    simulate_lru,
-)
+from repro.cache import CacheConfig, CacheStats, simulate
 from repro.community import (
     CommunityAssignment,
     louvain,
@@ -107,8 +101,6 @@ __all__ = [
     "reorder_matrix",
     "scaled_platform",
     "simulate",
-    "simulate_belady",
-    "simulate_lru",
     "spgemm_csr_trace",
     "spmm_csr",
     "spmm_csr_trace",

@@ -58,7 +58,6 @@ def evaluate_ordering(
     kernel: Union[str, KernelSpec] = "spmv-csr",
     platform: PlatformSpec = SCALED_A6000,
     policy: str = "lru",
-    impl: Optional[str] = None,
 ) -> KernelRunModel:
     """Model one kernel run of (optionally permuted) ``matrix``.
 
@@ -66,9 +65,8 @@ def evaluate_ordering(
     name (or :class:`ReorderingTechnique`) whose permutation is
     computed here, or ``None`` to evaluate the matrix as-is.
     ``kernel`` is a :class:`KernelSpec` or a canonical kernel name
-    (validated by :meth:`KernelSpec.parse`); ``impl`` selects the
-    simulator engine (see :func:`repro.cache.simulate`).  Returns the
-    full :class:`KernelRunModel`, whose ``normalized_traffic`` /
+    (validated by :meth:`KernelSpec.parse`).  Returns the full
+    :class:`KernelRunModel`, whose ``normalized_traffic`` /
     ``normalized_runtime`` properties correspond to the paper's
     headline metrics.
     """
@@ -85,7 +83,7 @@ def evaluate_ordering(
     if permutation is not None:
         csr = permute_symmetric(csr, permutation)
     trace = spec.build_trace(csr, platform)
-    return model_run(trace, platform, policy=policy, impl=impl)
+    return model_run(trace, platform, policy=policy)
 
 
 @dataclass
@@ -128,7 +126,6 @@ def reorder_and_evaluate(
     kernel: Union[str, KernelSpec] = "spmv-csr",
     platform: PlatformSpec = SCALED_A6000,
     policy: str = "lru",
-    impl: Optional[str] = None,
     compare_baseline: bool = True,
 ) -> ReorderEvaluation:
     """Reorder ``matrix`` with ``technique`` and model the result.
@@ -145,14 +142,10 @@ def reorder_and_evaluate(
     perm = technique.compute(graph)
     reorder_seconds = time.perf_counter() - start
     reordered = permute_symmetric(graph.adjacency, perm)
-    model = evaluate_ordering(
-        reordered, kernel=kernel, platform=platform, policy=policy, impl=impl
-    )
+    model = evaluate_ordering(reordered, kernel=kernel, platform=platform, policy=policy)
     baseline = None
     if compare_baseline:
-        baseline = evaluate_ordering(
-            graph, kernel=kernel, platform=platform, policy=policy, impl=impl
-        )
+        baseline = evaluate_ordering(graph, kernel=kernel, platform=platform, policy=policy)
     return ReorderEvaluation(
         technique=name,
         permutation=perm,

@@ -9,22 +9,21 @@ splits, and dead-line statistics (Table III).
 
 This module is the public simulator surface:
 
-* :func:`simulate` — the single entry point; dispatches between the
-  reference per-access implementations and the numpy-vectorized
-  engines in :mod:`repro.cache.fast` (``impl="fast"|"reference"|
-  "auto"``, env override ``REPRO_SIM_IMPL``).
+* :func:`simulate` — the single entry point; runs the numpy-vectorized
+  engines in :mod:`repro.cache.fast`, except that Belady on a cache
+  with few sets or a short trace takes its faster per-access loop.
 * :class:`CacheConfig` / :class:`CacheStats` — geometry in, counters
   out.
 
-``simulate_lru`` / ``simulate_belady`` remain importable as deprecated
-aliases for the reference implementations; new code should call
-``simulate(trace, config, policy=...)`` instead.
+The per-access loops in :mod:`repro.cache.lru` and
+:mod:`repro.cache.belady` stay in-tree as the oracles the differential
+tests and ``repro bench-sim`` compare the vectorized engines against.
 """
 
 from repro.cache.config import CacheConfig
-from repro.cache.dispatch import IMPLS, POLICIES, resolve_impl, simulate
-from repro.cache.lru import classify_misses, compulsory_misses, simulate_lru
-from repro.cache.belady import next_use_index, simulate_belady
+from repro.cache.dispatch import POLICIES, simulate
+from repro.cache.lru import classify_misses, compulsory_misses
+from repro.cache.belady import next_use_index
 from repro.cache.hierarchy import HierarchyStats, simulate_hierarchy
 from repro.cache.stats import CacheStats
 
@@ -32,14 +31,10 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "HierarchyStats",
-    "IMPLS",
     "POLICIES",
     "classify_misses",
     "compulsory_misses",
     "next_use_index",
-    "resolve_impl",
     "simulate",
-    "simulate_belady",
     "simulate_hierarchy",
-    "simulate_lru",
 ]

@@ -9,12 +9,15 @@ RABBIT++ ordered matrices.
 The offline next-use index is computed vectorially (lexsort by line
 then position); the simulation keeps, per set, a dict of resident
 lines with their next-use time plus a lazy max-heap for eviction.
+
+This per-access loop is the oracle for the vectorized engine in
+:mod:`repro.cache.fast.belady`; :func:`repro.cache.simulate` also runs
+it on caches with few sets or short traces, where it is faster.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -39,28 +42,6 @@ def next_use_index(trace: np.ndarray) -> np.ndarray:
     same_line = trace[order][1:] == trace[order][:-1]
     next_use[order[:-1][same_line]] = order[1:][same_line]
     return next_use
-
-
-def simulate_belady(
-    trace: np.ndarray,
-    config: CacheConfig,
-    regions: Optional[RegionBounds] = None,
-) -> CacheStats:
-    """Simulate a cache with Belady's optimal replacement.
-
-    .. deprecated::
-        Call :func:`repro.cache.simulate` with ``policy="belady"``
-        instead; it adds engine dispatch and the observability span.
-    """
-    warnings.warn(
-        "simulate_belady is deprecated; use "
-        "repro.cache.simulate(trace, config, policy='belady') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.cache.dispatch import simulate
-
-    return simulate(trace, config, policy="belady", regions=regions, impl="reference")
 
 
 def _simulate_belady(

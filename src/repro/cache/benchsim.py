@@ -1,12 +1,13 @@
-"""Reference-vs-fast simulator micro-benchmark (``repro bench-sim``).
+"""Fast-vs-oracle simulator micro-benchmark (``repro bench-sim``).
 
 Builds a fixed, seeded benchmark workload — an RMAT graph traced with
 the SpMV-CSR kernel against the *unscaled* A6000 L2 geometry (6 MB,
 12288 sets, the configuration the paper simulates) — and times each
-replacement policy under both simulator implementations.  Every fast
-run is also checked for ``CacheStats`` equality against its reference
-run, so the benchmark doubles as an end-to-end differential test on a
-realistic trace.
+replacement policy on its vectorized engine and on its per-access
+reference oracle, calling both directly.  Every fast run is also
+checked for ``CacheStats`` equality against its reference run, so the
+benchmark doubles as an end-to-end differential test on a realistic
+trace.
 
 The ``smoke`` variant (CI) shrinks the graph and the cache so the
 whole comparison completes in seconds.  Results serialize to the
@@ -20,8 +21,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache.belady import _simulate_belady
 from repro.cache.config import CacheConfig
-from repro.cache.dispatch import POLICIES, simulate
+from repro.cache.dispatch import POLICIES
+from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
+from repro.cache.lru import _simulate_lru
 from repro.errors import ValidationError
 from repro.obs import get_obs
 from repro.trace.kernel_traces import KernelTrace
@@ -40,6 +44,14 @@ SPGEMM_SMOKE_GRAPH = {"scale": 9, "edge_factor": 8, "seed": 7}
 
 #: Smoke cache: 256 KiB / 32 B lines / 16 ways -> 512 sets.
 SMOKE_CACHE = {"capacity_bytes": 256 * 1024, "line_bytes": 32, "ways": 16}
+
+#: (policy, impl) -> engine; ``impl`` names the BENCH row.
+ENGINES = {
+    ("lru", "reference"): _simulate_lru,
+    ("lru", "fast"): simulate_lru_fast,
+    ("belady", "reference"): _simulate_belady,
+    ("belady", "fast"): simulate_belady_fast,
+}
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ def run_bench(
             stats = None
             for _ in range(repeats):
                 start = clock()
-                stats = simulate(trace, config, policy=policy, impl=impl)
+                stats = ENGINES[policy, impl](trace.lines, config, trace.regions)
                 elapsed = clock() - start
                 best = elapsed if best is None else min(best, elapsed)
             by_impl[impl] = (best, stats)

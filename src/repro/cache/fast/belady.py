@@ -11,7 +11,7 @@ Runs of length > 1 are never bypassed — their in-run re-reference is
 the nearest possible future in the set.
 
 Produces counters bit-identical to
-:func:`repro.cache.belady.simulate_belady`.
+:func:`repro.cache.belady._simulate_belady`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def simulate_belady_fast(
     config: CacheConfig,
     regions: Optional[RegionBounds] = None,
 ) -> CacheStats:
-    """Vectorized equivalent of :func:`repro.cache.belady.simulate_belady`."""
+    """Vectorized equivalent of :func:`repro.cache.belady._simulate_belady`."""
     trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
     if trace.size == 0:
         miss_positions = np.empty(0, dtype=np.int64)

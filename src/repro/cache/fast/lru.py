@@ -19,8 +19,9 @@ two schedules:
   when few sets carry the runs and the rounds are long and narrow.
 
 :func:`lru_schedule` picks between them from the plan's width.  Both
-produce counters bit-identical to :func:`repro.cache.lru.simulate_lru`
-(see ``tests/test_cache_fast_differential.py``).
+produce counters bit-identical to the oracle
+:func:`repro.cache.lru._simulate_lru` (see
+``tests/test_cache_fast_differential.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def simulate_lru_fast(
     config: CacheConfig,
     regions: Optional[RegionBounds] = None,
 ) -> CacheStats:
-    """Bucketed equivalent of :func:`repro.cache.lru.simulate_lru`."""
+    """Bucketed equivalent of :func:`repro.cache.lru._simulate_lru`."""
     trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
     if trace.size == 0:
         miss_positions = np.empty(0, dtype=np.int64)

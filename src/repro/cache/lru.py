@@ -10,11 +10,14 @@ LRU list (``move_to_end`` on hit, ``popitem(last=False)`` to evict),
 whose values record whether the resident line was ever re-referenced —
 the dead-line predicate of paper Table III.  The trace is walked in
 chunks converted via ``tolist`` so the hot loop handles native ints.
+
+This per-access loop is the oracle for the bucketed engine in
+:mod:`repro.cache.fast.lru`, which :func:`repro.cache.simulate` runs;
+only the differential tests and ``repro bench-sim`` call it.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,28 +30,6 @@ from repro.cache.stats import CacheStats
 RegionBounds = Sequence[Tuple[str, int, int]]
 
 _CHUNK = 1 << 20
-
-
-def simulate_lru(
-    trace: np.ndarray,
-    config: CacheConfig,
-    regions: Optional[RegionBounds] = None,
-) -> CacheStats:
-    """Simulate an LRU cache over ``trace`` (array of line IDs).
-
-    .. deprecated::
-        Call :func:`repro.cache.simulate` with ``policy="lru"``
-        instead; it adds engine dispatch and the observability span.
-    """
-    warnings.warn(
-        "simulate_lru is deprecated; use "
-        "repro.cache.simulate(trace, config, policy='lru') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.cache.dispatch import simulate
-
-    return simulate(trace, config, policy="lru", regions=regions, impl="reference")
 
 
 def _simulate_lru(

@@ -1,14 +1,13 @@
-"""Vectorized community-detection engines.
+"""Vectorized community-detection engine.
 
-Array-backed implementations of the detectors in
-:mod:`repro.community`, selected through the reorder dispatch layer
-(:mod:`repro.reorder.dispatch`).  Each fast engine reproduces its
-reference counterpart bit-for-bit — same float accumulation order,
-same tie-breaking, same merge bookkeeping — so permutations and memo
-caches are byte-identical across implementations.
+The array-backed RABBIT detector that
+:func:`repro.community.rabbit_communities` runs.  It reproduces the
+dict-per-root oracle ``repro.community.rabbit._rabbit_reference``
+bit-for-bit — same float accumulation order, same tie-breaking, same
+merge bookkeeping — as the differential suite
+(``tests/test_reorder_fast.py``) and ``repro bench-reorder`` check.
 """
 
-from repro.community.fast.louvain import louvain_fast
 from repro.community.fast.rabbit import rabbit_communities_fast
 
-__all__ = ["louvain_fast", "rabbit_communities_fast"]
+__all__ = ["rabbit_communities_fast"]

@@ -1,7 +1,7 @@
 """Vectorized Rabbit incremental aggregation.
 
-Bit-identical to :func:`repro.community.rabbit.rabbit_communities`: the
-reference keeps one Python dict per community root and resolves stale
+Bit-identical to the oracle :func:`repro.community.rabbit._rabbit_reference`,
+which keeps one Python dict per community root and resolves stale
 keys through a scalar union-find; this engine keeps each live row as a
 growable (keys, weights) *append buffer* and batches row folding with
 numpy.  A merge copies the loser's compacted row onto the end of the

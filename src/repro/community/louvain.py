@@ -1,4 +1,4 @@
-"""Reference Louvain community detection.
+"""Louvain community detection.
 
 The classic two-phase method Rabbit's incremental aggregation was
 derived from: repeat (1) local moving — each node greedily moves to the
@@ -6,12 +6,17 @@ neighboring community with the highest modularity gain until no move
 improves — and (2) aggregation — contract each community to a single
 node — until the partition stops changing.  Used to cross-validate the
 Rabbit detector's modularity and in detector ablations.
+
+The per-node dict loop below is the only engine: the epsilon-gated
+gain scan is sequential per node, and a vectorized version lost to it
+below multi-million-edge graphs (0.47x-0.62x on the bench-reorder
+graphs, ~1.1x only at R-MAT scale 16).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -30,48 +35,18 @@ class LouvainResult:
     level_modularities: List[float]
 
 
-def louvain(
-    graph: Graph,
-    max_levels: int = 10,
-    min_gain: float = 1e-9,
-    impl: Optional[str] = None,
-) -> LouvainResult:
+def louvain(graph: Graph, max_levels: int = 10, min_gain: float = 1e-9) -> LouvainResult:
     """Run Louvain on the undirected view of ``graph``.
 
     Deterministic: nodes are visited in ascending ID order within each
-    local-moving sweep.  ``impl`` selects the engine (``"auto"`` —
-    default, also via ``$REPRO_REORDER_IMPL`` — ``"fast"``, or
-    ``"reference"``); both produce bit-identical results.
-
-    Unlike the other fast paths, ``"auto"`` resolves to the reference
-    here: Louvain's epsilon-gated gain scan is inherently sequential
-    per node, so the vectorized engine only breaks even on multi-million
-    edge graphs (~1.1x at R-MAT scale 16) and loses below that.  The
-    fast engine remains available explicitly — it exists for the
-    bit-identity guarantee, not throughput.
+    local-moving sweep.
     """
-    # Deferred import: repro.reorder pulls this module back in.
-    from repro.reorder.dispatch import resolve_impl
-
     undirected = graph.to_undirected()
-    adjacency = undirected.adjacency
-    resolved = resolve_impl(impl)
-    if resolved == "auto":
-        resolved = "reference"
-    with get_obs().span(
-        "reorder-detect", detector="louvain", impl=resolved, n_nodes=adjacency.n_rows
-    ):
-        if resolved == "fast":
-            from repro.community.fast.louvain import louvain_fast
-
-            return louvain_fast(undirected, max_levels=max_levels, min_gain=min_gain)
-        return _louvain_reference(undirected, max_levels, min_gain)
+    with get_obs().span("reorder-detect", detector="louvain", n_nodes=undirected.n_nodes):
+        return _louvain(undirected, max_levels, min_gain)
 
 
-def _louvain_reference(
-    undirected: Graph, max_levels: int, min_gain: float
-) -> LouvainResult:
-    """The original dict-per-node implementation (ground truth)."""
+def _louvain(undirected: Graph, max_levels: int, min_gain: float) -> LouvainResult:
     adjacency = undirected.adjacency
     n = adjacency.n_rows
     if n == 0:

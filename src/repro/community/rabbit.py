@@ -17,12 +17,13 @@ consecutive IDs", with the hierarchy preserved by the DFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.community.assignment import CommunityAssignment
 from repro.community.dendrogram import Dendrogram
+from repro.community.fast.rabbit import rabbit_communities_fast
 from repro.graphs.graph import Graph
 from repro.obs import get_obs
 
@@ -47,9 +48,7 @@ class RabbitResult:
     n_merges: int
 
 
-def rabbit_communities(
-    graph: Graph, n_passes: int = 1, impl: Optional[str] = None
-) -> RabbitResult:
+def rabbit_communities(graph: Graph, n_passes: int = 1) -> RabbitResult:
     """Run incremental aggregation on the undirected view of ``graph``.
 
     Parameters
@@ -60,29 +59,19 @@ def rabbit_communities(
         Number of sweeps over the (surviving) vertices.  Rabbit proper
         is single-pass; extra passes trade pre-processing time for
         slightly higher modularity and are exposed for ablations.
-    impl:
-        ``"auto"`` (default; also via ``$REPRO_REORDER_IMPL``),
-        ``"fast"`` for the vectorized engine, or ``"reference"``.
-        Both engines return bit-identical results.
+
+    Runs the vectorized engine (:mod:`repro.community.fast.rabbit`),
+    which is bit-identical to the :func:`_rabbit_reference` oracle.
     """
-    # Deferred import: repro.reorder pulls this module back in.
-    from repro.reorder.dispatch import resolve_for_graph
-
     undirected = graph.to_undirected()
-    adjacency = undirected.adjacency
-    resolved = resolve_for_graph(impl, adjacency.n_rows, int(adjacency.nnz))
-    with get_obs().span(
-        "reorder-detect", detector="rabbit", impl=resolved, n_nodes=adjacency.n_rows
-    ):
-        if resolved == "fast":
-            from repro.community.fast.rabbit import rabbit_communities_fast
-
-            return rabbit_communities_fast(undirected, n_passes=n_passes)
-        return _rabbit_reference(undirected, n_passes)
+    with get_obs().span("reorder-detect", detector="rabbit", n_nodes=undirected.n_nodes):
+        return rabbit_communities_fast(undirected, n_passes=n_passes)
 
 
 def _rabbit_reference(undirected: Graph, n_passes: int) -> RabbitResult:
-    """The original dict-per-root implementation (ground truth)."""
+    """The original dict-per-root implementation: the oracle for the
+    vectorized engine, called by the differential tests and
+    ``repro bench-reorder``."""
     adjacency = undirected.adjacency
     n = adjacency.n_rows
     dendrogram = Dendrogram(n)

@@ -37,7 +37,7 @@ bounded in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -131,16 +131,14 @@ def _extract_shard(adjacency: CSRMatrix, lo: int, hi: int) -> CSRMatrix:
     return CSRMatrix(hi - lo, hi - lo, offsets, local_cols, values)
 
 
-def _detect_shard(
-    payload: Tuple[int, CSRMatrix, int, Optional[str]]
-) -> RabbitResult:
+def _detect_shard(payload: Tuple[int, CSRMatrix, int]) -> RabbitResult:
     """Pool worker: run plain Rabbit on one shard's induced subgraph."""
-    _, local_csr, n_passes, impl = payload
+    _, local_csr, n_passes = payload
     local_graph = Graph(local_csr, directed=False)
     # The induced slice of a symmetric, loop-free adjacency is itself
     # symmetric and loop-free; skip re-symmetrization.
     local_graph._undirected_cache = local_graph
-    return rabbit_communities(local_graph, n_passes=n_passes, impl=impl)
+    return rabbit_communities(local_graph, n_passes=n_passes)
 
 
 def _leaf_roots(dendrogram: Dendrogram) -> np.ndarray:
@@ -215,7 +213,6 @@ def sharded_rabbit_communities(
     n_shards: int,
     jobs: int = 1,
     n_passes: int = 1,
-    impl: Optional[str] = None,
 ) -> ShardedRabbitResult:
     """Two-level (local shards + coarse stitch) Rabbit detection.
 
@@ -229,7 +226,7 @@ def sharded_rabbit_communities(
         short-circuits to plain single-shard detection (bit-identical).
     jobs:
         Worker processes for the local pass.  Never affects the result.
-    n_passes / impl:
+    n_passes:
         Forwarded to the underlying Rabbit passes.
     """
     if n_shards < 1:
@@ -239,7 +236,7 @@ def sharded_rabbit_communities(
     undirected = graph.to_undirected()
     n = undirected.n_nodes
     if n_shards == 1 or n <= 1:
-        base = rabbit_communities(graph, n_passes=n_passes, impl=impl)
+        base = rabbit_communities(graph, n_passes=n_passes)
         return ShardedRabbitResult(
             assignment=base.assignment,
             dendrogram=base.dendrogram,
@@ -263,7 +260,7 @@ def sharded_rabbit_communities(
 
         with get_obs().span("detect-shards", n_shards=len(bounds)):
             payloads = [
-                (lo, _extract_shard(adjacency, lo, hi), n_passes, impl)
+                (lo, _extract_shard(adjacency, lo, hi), n_passes)
                 for lo, hi in bounds
             ]
             local_results = map_in_pool(_detect_shard, payloads, jobs=jobs)
@@ -288,7 +285,7 @@ def sharded_rabbit_communities(
 
         coarse_graph = Graph(coarse_csr, directed=False)
         coarse_graph._undirected_cache = coarse_graph  # loop-free + symmetric
-        coarse = rabbit_communities(coarse_graph, n_passes=n_passes, impl=impl)
+        coarse = rabbit_communities(coarse_graph, n_passes=n_passes)
 
         with get_obs().span("compose-dendrogram"):
             for vertex, kids in enumerate(coarse.dendrogram._children):

@@ -145,18 +145,12 @@ class ExperimentRunner:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         schedule: str = "sequential",
-        reorder_impl: Optional[str] = None,
     ) -> None:
         self.profile = profile
         self.platform = platform if platform is not None else scaled_platform(profile)
         self.cache_dir = resolve_cache_dir(cache_dir)
         self.use_cache = bool(use_cache)
         self.schedule = schedule
-        #: Engine for techniques with a vectorized fast path
-        #: (``None``/"auto"/"fast"/"reference"); permutations — and so
-        #: memo keys and artifacts — are identical across engines, only
-        #: the measured ``reorder_seconds`` differs.
-        self.reorder_impl = reorder_impl
         self._permutations: Dict[Tuple[str, str], TimedReordering] = {}
         self._graphs: Dict[str, Graph] = {}
         self._detections: Dict[str, object] = {}
@@ -179,9 +173,7 @@ class ExperimentRunner:
         key = (matrix, technique)
         if key not in self._permutations:
             graph = self.graph(matrix)
-            self._permutations[key] = reorder_with_timing(
-                make_technique(technique, impl=self.reorder_impl), graph
-            )
+            self._permutations[key] = reorder_with_timing(make_technique(technique), graph)
             self._store_reorder_time(matrix, technique, self._permutations[key].seconds)
         return self._permutations[key]
 
@@ -204,10 +196,8 @@ class ExperimentRunner:
         """
         if matrix not in self._detections:
             graph = self.graph(matrix)
-            detector = RabbitOrder()
-            detector.impl = self.reorder_impl
             with get_obs().span("detect", matrix=matrix):
-                self._detections[matrix] = detector.detect(graph)
+                self._detections[matrix] = RabbitOrder().detect(graph)
         return self._detections[matrix]
 
     # -- metrics --------------------------------------------------------

@@ -2,12 +2,12 @@
 
 The two microbenchmarks (``repro bench-sim`` / ``repro bench-reorder``)
 emit JSON payloads whose ``speedups`` map records how much faster the
-vectorized engine is than the reference engine on a pinned workload
+vectorized engine is than its reference oracle on a pinned workload
 (e.g. ``{"lru": 12.4, "rabbit": 8.1}``).  Those *ratios* are the gated
 metric: unlike absolute seconds they are largely machine-portable, so a
 baseline committed from one machine still catches a real algorithmic
-regression (a fast path silently falling back to reference drops the
-ratio to ~1x) on another.
+regression (an engine slowing to loop speed drops the ratio to ~1x) on
+another.
 
 :func:`compare_payloads` flags a metric when::
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,12 +22,6 @@ class ReorderingTechnique(abc.ABC):
 
     #: Short display name used in tables and the registry.
     name: str = "unnamed"
-
-    #: Engine selection for techniques with a vectorized fast path
-    #: (``"auto"``, ``"fast"``, ``"reference"``, or ``None`` = auto; see
-    #: :mod:`repro.reorder.dispatch`).  Techniques without a fast path
-    #: ignore it.  Every engine produces bit-identical permutations.
-    impl: Optional[str] = None
 
     def compute(self, graph: Graph) -> np.ndarray:
         """Return a validated permutation ``perm[old_id] == new_id``."""

@@ -1,4 +1,4 @@
-"""Reference-vs-fast reordering micro-benchmark (``repro bench-reorder``).
+"""Fast-vs-oracle reordering micro-benchmark (``repro bench-reorder``).
 
 Two seeded workloads, mirroring the simulator benchmark
 (:mod:`repro.cache.benchsim`):
@@ -9,12 +9,14 @@ Two seeded workloads, mirroring the simulator benchmark
   community-based technique, and this row carries the engine's headline
   speedup target (>= 5x single-core).
 - **Technique end-to-end** — full permutation computation (detection +
-  ordering) for each technique with a fast path, on a mid-size R-MAT so
-  the slowest reference (GOrder) stays in CLI territory.
+  ordering) for each technique with a vectorized engine, on a mid-size
+  R-MAT so the slowest oracle (GOrder) stays in CLI territory.
 
-Every fast run is checked for equality against its reference run —
-permutations for techniques, labels/merge counts for detection — so the
-benchmark doubles as a large-scale differential test.  The ``smoke``
+The ``reference`` rows time the per-node loop oracles in :data:`ORACLES`
+directly; the ``fast`` rows time the product path.  Every fast run is
+checked for equality against its oracle run — permutations for
+techniques, labels/merge counts for detection — so the benchmark
+doubles as a large-scale differential test.  The ``smoke``
 variant shrinks both graphs for CI.  Results serialize to the
 ``BENCH_reorder.json`` schema written by
 ``benchmarks/test_bench_reorder.py`` and the ``--json`` CLI flag.
@@ -29,10 +31,14 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.community.rabbit import rabbit_communities
+from repro.community.rabbit import RabbitResult, _rabbit_reference, rabbit_communities
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.obs import get_obs
+from repro.reorder.boba import _boba_reference
+from repro.reorder.gorder import GOrder, _gorder_reference
+from repro.reorder.rabbitpp import RabbitPlusPlus
+from repro.reorder.rcm import _rcm_reference
 
 #: R-MAT parameters: detection benchmark == the ``soc-rmat`` corpus
 #: entry; technique benchmark sized so reference GOrder finishes in
@@ -41,8 +47,8 @@ DETECT_GRAPH = {"scale": 16, "edge_factor": 64, "seed": 7}
 TECHNIQUE_GRAPH = {"scale": 13, "edge_factor": 16, "seed": 7}
 SMOKE_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 7}
 
-#: Techniques with a dispatchable fast path, benchmarked end-to-end.
-BENCH_TECHNIQUES = ("rabbit", "rabbit++", "louvain", "rcm", "gorder")
+#: Techniques benchmarked end-to-end against their oracles.
+BENCH_TECHNIQUES = ("rabbit", "rabbit++", "rcm", "gorder")
 
 #: Name of the detection-throughput row in results/speedups.
 DETECT_ROW = "rabbit-detect"
@@ -57,6 +63,28 @@ SCALE_GRAPH = {"scale": 18, "edge_factor": 16, "seed": 7}
 #: heavyweight, the BOBA-style lightweight, and the degree-bucket
 #: baseline BOBA approximates.
 SCALE_TECHNIQUES = ("rabbit", "boba", "dbg")
+
+
+def oracle_detection(graph: Graph) -> RabbitResult:
+    """RABBIT detection by the dict-per-root oracle."""
+    return _rabbit_reference(graph.to_undirected(), n_passes=1)
+
+
+def _gorder_oracle(graph: Graph) -> np.ndarray:
+    technique = GOrder()
+    return _gorder_reference(graph, technique.window, technique.max_expand)
+
+
+#: Technique name -> the oracle permutation its product engine must
+#: reproduce bit-for-bit.  rabbit and rabbit++ run oracle detection
+#: followed by the technique's own ordering step.
+ORACLES: Dict[str, Callable[[Graph], np.ndarray]] = {
+    "rabbit": lambda graph: oracle_detection(graph).dendrogram.ordering(),
+    "rabbit++": lambda graph: RabbitPlusPlus().order(graph, oracle_detection(graph)),
+    "rcm": _rcm_reference,
+    "gorder": _gorder_oracle,
+    "boba": _boba_reference,
+}
 
 
 @dataclass(frozen=True)
@@ -81,7 +109,7 @@ def build_bench_graphs(smoke: bool = False) -> "tuple[Graph, Graph]":
     """(detection graph, technique graph), symmetrization prewarmed.
 
     Prewarming ``to_undirected()`` (cached on :class:`Graph`) keeps the
-    timed region to the engine under test: both impls symmetrize
+    timed region to the engine under test: engine and oracle symmetrize
     identically, so including it would only dilute the comparison.
     """
     from repro.graphs.generators.powerlaw import rmat
@@ -96,8 +124,8 @@ def build_bench_graphs(smoke: bool = False) -> "tuple[Graph, Graph]":
         else:
             technique_graph = Graph.from_coo(rmat(**technique_params), directed=True)
             technique_graph.to_undirected()
-        # GOrder reads the cached transpose; warm it so the reference
-        # row (timed first) does not pay the one-off build.
+        # GOrder reads the cached transpose; warm it so the oracle row
+        # (timed first) does not pay the one-off build.
         technique_graph.in_adjacency
     return detect_graph, technique_graph
 
@@ -122,7 +150,8 @@ def run_bench(
     repeats: int = 3,
     clock: Optional[Callable[[], float]] = None,
 ) -> Dict[str, object]:
-    """Time reference vs fast; verify identical outputs.
+    """Time each oracle (``reference``) vs its engine (``fast``); verify
+    identical outputs.
 
     Returns the ``BENCH_reorder.json`` payload: per-(name, impl)
     timings in nodes/sec, per-name fast-over-reference speedups, and a
@@ -159,13 +188,10 @@ def run_bench(
         )
 
     # Detection throughput (the headline row).
-    detect_runs = {}
-    for impl in ("reference", "fast"):
-        detect_runs[impl] = _timed_best(
-            lambda impl=impl: rabbit_communities(detect_graph, impl=impl),
-            repeats,
-            clock,
-        )
+    detect_runs = {
+        "reference": _timed_best(lambda: oracle_detection(detect_graph), repeats, clock),
+        "fast": _timed_best(lambda: rabbit_communities(detect_graph), repeats, clock),
+    }
     ref_result, fast_result = detect_runs["reference"][1], detect_runs["fast"][1]
     record(
         DETECT_ROW,
@@ -180,14 +206,11 @@ def run_bench(
 
     # Technique end-to-end permutations.
     for name in techniques:
-        runs = {}
-        for impl in ("reference", "fast"):
-            technique = make_technique(name, impl=impl)
-            runs[impl] = _timed_best(
-                lambda technique=technique: technique.compute(technique_graph),
-                repeats,
-                clock,
-            )
+        technique = make_technique(name)
+        runs = {
+            "reference": _timed_best(lambda: ORACLES[name](technique_graph), repeats, clock),
+            "fast": _timed_best(lambda: technique.compute(technique_graph), repeats, clock),
+        }
         record(
             name,
             technique_graph,

@@ -22,9 +22,9 @@ independent per row, so the row range shards across
 :func:`repro.parallel.pool.map_in_pool` workers, and the final
 placement is a stable sort of per-node integer keys — a pure function
 of the graph.  The permutation is therefore **identical for every
-``n_shards`` and ``jobs`` value**, and the reference engine (plain
-Python loops) is bit-identical to the vectorized fast engine; both
-facts are locked by differential tests.
+``n_shards`` and ``jobs`` value**, and the vectorized engine is
+bit-identical to the plain-Python-loop oracle ``_boba_reference``;
+both facts are locked by differential tests.
 
 The row scan touches the CSR arrays once, sequentially, in bounded
 blocks — memmap-backed matrices stream through without materializing.
@@ -40,7 +40,6 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.obs import get_obs
 from repro.reorder.base import ReorderingTechnique, stable_order_to_permutation
-from repro.reorder.dispatch import resolve_for_graph
 from repro.sparse.csr import CSRMatrix
 
 #: Max adjacency entries materialized per block in the fast anchor scan.
@@ -58,8 +57,7 @@ class BobaOrder(ReorderingTechnique):
         units.
     jobs:
         Worker processes for the anchor scan (``1`` = in-process).
-        Never affects the result.  Only the fast engine shards; the
-        reference engine is the sequential ground truth.
+        Never affects the result.
     """
 
     name = "boba"
@@ -73,17 +71,10 @@ class BobaOrder(ReorderingTechnique):
         self.jobs = int(jobs)
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        resolved = resolve_for_graph(self.impl, graph.n_nodes, graph.n_edges)
         with get_obs().span(
-            "boba-place",
-            impl=resolved,
-            n_nodes=graph.n_nodes,
-            n_shards=self.n_shards,
-            jobs=self.jobs,
+            "boba-place", n_nodes=graph.n_nodes, n_shards=self.n_shards, jobs=self.jobs
         ):
-            if resolved == "fast":
-                return _boba_fast(graph, self.n_shards, self.jobs)
-            return _boba_reference(graph)
+            return _boba_fast(graph, self.n_shards, self.jobs)
 
 
 def _hub_order(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,7 +90,8 @@ def _hub_order(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _boba_reference(graph: Graph) -> np.ndarray:
-    """Sequential ground truth: per-node loops, no vectorization."""
+    """Sequential per-node loops: the oracle for the vectorized engine,
+    called by the differential tests and ``repro bench-reorder``."""
     n = graph.n_nodes
     if n == 0:
         return np.empty(0, dtype=np.int64)

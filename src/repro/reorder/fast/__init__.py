@@ -1,9 +1,9 @@
-"""Vectorized fast engines for reordering techniques.
+"""Vectorized reordering engines.
 
-Each module here mirrors one reference technique in
-:mod:`repro.reorder` and produces **bit-identical permutations**; the
-dispatch in the technique classes (driven by
-:mod:`repro.reorder.dispatch`) picks between them.  The CSR-native
-community detectors backing rabbit/rabbit++/louvain live in
-:mod:`repro.community.fast`.
+Each module here is the engine one technique in :mod:`repro.reorder`
+runs, and produces **bit-identical permutations** to that technique's
+per-node loop oracle (``_gorder_reference``, ``_rcm_reference``), which
+only the differential suite (``tests/test_reorder_fast.py``) and
+``repro bench-reorder`` call.  The CSR-native RABBIT detector behind
+rabbit/rabbit++ lives in :mod:`repro.community.fast`.
 """

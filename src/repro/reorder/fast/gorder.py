@@ -1,7 +1,7 @@
 """Batched GOrder: array-backed priority keys, argmax selection.
 
-Bit-identical to :class:`repro.reorder.gorder.GOrder`.  The reference
-keeps a lazy max-heap of ``(-key, node)`` entries with stale-entry
+Bit-identical to the oracle :func:`repro.reorder.gorder._gorder_reference`,
+which keeps a lazy max-heap of ``(-key, node)`` entries with stale-entry
 reinsertion; a popped entry is accepted only when its key matches the
 current array value, so every accepted pop returns the unplaced node
 with the maximum current key, ties broken by smallest node id (heap

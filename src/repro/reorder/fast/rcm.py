@@ -1,7 +1,7 @@
 """Generation-batched Reverse Cuthill–McKee.
 
-Bit-identical to :class:`repro.reorder.rcm.ReverseCuthillMcKee`: the
-reference dequeues one parent at a time and appends its unvisited
+Bit-identical to the oracle :func:`repro.reorder.rcm._rcm_reference`,
+which dequeues one parent at a time and appends its unvisited
 neighbors deduplicated and sorted by ``(degree, node id)``.  Within a
 BFS level that sequential process is equivalent to
 

@@ -33,18 +33,23 @@ class RabbitOrder(ReorderingTechnique):
         #: exposed because RABBIT++ and the insularity metrics reuse the
         #: community assignment that produced the ordering.
         self.last_result: Optional[RabbitResult] = None
+        #: The graph object ``last_result`` was detected on.
+        self._last_graph: Optional[Graph] = None
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        result = rabbit_communities(graph, n_passes=self.n_passes, impl=self.impl)
-        self.last_result = result
-        return result.dendrogram.ordering()
+        self.last_result = rabbit_communities(graph, n_passes=self.n_passes)
+        self._last_graph = graph
+        return self.last_result.dendrogram.ordering()
 
     def detect(self, graph: Graph) -> RabbitResult:
-        """Run (or reuse) detection without computing the permutation."""
-        if self.last_result is None or self.last_result.assignment.n_nodes != graph.n_nodes:
-            self.last_result = rabbit_communities(
-                graph, n_passes=self.n_passes, impl=self.impl
-            )
+        """Run (or reuse) detection without computing the permutation.
+
+        Reuses the most recent result only when it came from this very
+        graph object: another graph of the same size gets its own run.
+        """
+        if self.last_result is None or self._last_graph is not graph:
+            self.last_result = rabbit_communities(graph, n_passes=self.n_passes)
+            self._last_graph = graph
         return self.last_result
 
 
@@ -74,11 +79,7 @@ class RabbitShardedOrder(ReorderingTechnique):
         from repro.community.sharded import sharded_rabbit_communities
 
         result = sharded_rabbit_communities(
-            graph,
-            n_shards=self.n_shards,
-            jobs=self.jobs,
-            n_passes=self.n_passes,
-            impl=self.impl,
+            graph, n_shards=self.n_shards, jobs=self.jobs, n_passes=self.n_passes
         )
         self.last_result = result
         return result.dendrogram.ordering()

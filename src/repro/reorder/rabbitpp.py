@@ -111,7 +111,14 @@ class RabbitPlusPlus(ReorderingTechnique):
         return label
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        rabbit = rabbit_communities(graph, n_passes=self.n_passes, impl=self.impl)
+        return self.order(graph, rabbit_communities(graph, n_passes=self.n_passes))
+
+    def order(self, graph: Graph, rabbit: RabbitResult) -> np.ndarray:
+        """The ordering step: regroup RABBIT's order from ``rabbit``.
+
+        Separate from detection so ``repro bench-reorder`` and the
+        differential tests can feed it the detection oracle's result.
+        """
         rank = rabbit.dendrogram.ordering()  # old_id -> rabbit new_id
 
         n = graph.n_nodes

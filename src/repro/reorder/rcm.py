@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.reorder.base import ReorderingTechnique, stable_order_to_permutation
-from repro.reorder.dispatch import resolve_for_graph
+from repro.reorder.fast.rcm import rcm_permutation_fast
 
 
 class ReverseCuthillMcKee(ReorderingTechnique):
@@ -25,28 +25,31 @@ class ReverseCuthillMcKee(ReorderingTechnique):
     name = "rcm"
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        if resolve_for_graph(self.impl, graph.n_nodes, graph.n_edges) == "fast":
-            from repro.reorder.fast.rcm import rcm_permutation_fast
+        return rcm_permutation_fast(graph)
 
-            return rcm_permutation_fast(graph)
-        undirected = graph.to_undirected()
-        adjacency = undirected.adjacency
-        n = adjacency.n_rows
-        offsets = adjacency.row_offsets
-        indices = adjacency.col_indices
-        degrees = np.diff(offsets)
 
-        visited = np.zeros(n, dtype=bool)
-        order: List[int] = []
-        # Process components by ascending minimum-degree start node.
-        for candidate in np.argsort(degrees, kind="stable"):
-            start = int(candidate)
-            if visited[start]:
-                continue
-            start = _pseudo_peripheral(start, offsets, indices, degrees)
-            order.extend(_component_bfs(start, offsets, indices, degrees, visited))
-        visit = np.asarray(order[::-1], dtype=np.int64)
-        return stable_order_to_permutation(visit)
+def _rcm_reference(graph: Graph) -> np.ndarray:
+    """The original per-parent BFS implementation: the oracle for the
+    vectorized engine, called by the differential tests and
+    ``repro bench-reorder``."""
+    undirected = graph.to_undirected()
+    adjacency = undirected.adjacency
+    n = adjacency.n_rows
+    offsets = adjacency.row_offsets
+    indices = adjacency.col_indices
+    degrees = np.diff(offsets)
+
+    visited = np.zeros(n, dtype=bool)
+    order: List[int] = []
+    # Process components by ascending minimum-degree start node.
+    for candidate in np.argsort(degrees, kind="stable"):
+        start = int(candidate)
+        if visited[start]:
+            continue
+        start = _pseudo_peripheral(start, offsets, indices, degrees)
+        order.extend(_component_bfs(start, offsets, indices, degrees, visited))
+    visit = np.asarray(order[::-1], dtype=np.int64)
+    return stable_order_to_permutation(visit)
 
 
 def _component_bfs(

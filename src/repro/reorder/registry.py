@@ -6,12 +6,11 @@ paper uses; this registry maps those names to configured instances.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import ValidationError
 from repro.reorder.base import ReorderingTechnique
 from repro.reorder.boba import BobaOrder
-from repro.reorder.dispatch import resolve_impl
 from repro.reorder.bisection import RecursiveBisection
 from repro.reorder.degree import DBG, DegSort, HubCluster, HubSort
 from repro.reorder.gorder import GOrder
@@ -76,22 +75,12 @@ def available_techniques() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def make_technique(name: str, impl: Optional[str] = None) -> ReorderingTechnique:
-    """Instantiate a technique by its registry name.
-
-    ``impl`` pins the engine (``"auto"``/``"fast"``/``"reference"``) for
-    techniques that have a vectorized fast path; ``None`` keeps the
-    default auto selection (still overridable via
-    ``$REPRO_REORDER_IMPL``).
-    """
+def make_technique(name: str) -> ReorderingTechnique:
+    """Instantiate a technique by its registry name."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ValidationError(
             f"unknown reordering technique {name!r}; available: {available_techniques()}"
         ) from None
-    technique = factory()
-    if impl is not None:
-        resolve_impl(impl)  # validate eagerly so typos fail at build time
-        technique.impl = impl
-    return technique
+    return factory()

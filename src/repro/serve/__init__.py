@@ -5,8 +5,8 @@ something that can absorb heavy repeat traffic by caching permutations
 instead of recomputing them:
 
 * :class:`~repro.serve.store.PermutationStore` — a content-addressed
-  on-disk store: key = SHA-256 of the CSR *structure* + technique +
-  impl, every entry wrapped in the PR 4 checksummed cache envelope, so
+  on-disk store: key = SHA-256 of the CSR *structure* + technique,
+  every entry wrapped in the PR 4 checksummed cache envelope, so
   a damaged entry quarantines and recomputes instead of poisoning the
   service;
 * :class:`~repro.serve.coalesce.SingleFlight` — request coalescing:

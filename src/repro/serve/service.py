@@ -43,7 +43,7 @@ byte-identical to the miss response that created the entry, because
 both are rendered from the same stored evaluation payload.  Wall-clock
 metadata lives in transport headers, never in the body.
 
-Concurrency: every (structure, technique, impl, kernel, policy) key is
+Concurrency: every (structure, technique, kernel, policy) key is
 computed at most once at a time (:class:`SingleFlight`), each stage
 checks the cooperative per-request deadline
 (:func:`~repro.resilience.check_deadline`), and all store writes are
@@ -129,7 +129,6 @@ class ServeConfig:
     profile: str = "bench"
     platform: Optional[PlatformSpec] = None
     store_dir: Optional[str] = None
-    reorder_impl: Optional[str] = None
     default_technique: str = "auto"
     default_kernel: str = "spmv-csr"
     default_policy: str = "lru"
@@ -311,7 +310,6 @@ class ReorderService:
             "requested_technique": requested,
             "kernel": kernel,
             "policy": policy,
-            "impl": self._impl_name(),
             "platform": self.platform.name,
             "iterations": iterations,
             "recommendation": recommendation,
@@ -363,7 +361,6 @@ class ReorderService:
             "requested_technique": "auto",
             "kernel": kernel,
             "policy": policy,
-            "impl": self._impl_name(),
             "platform": self.platform.name,
             "iterations": iterations,
             "recommendation": recommendation,
@@ -412,11 +409,6 @@ class ReorderService:
         graph = Graph(csr, directed=not is_symmetric(coo))
         return graph, structure_digest(csr)
 
-    # -- evaluation (store-backed, coalesced) ---------------------------
-
-    def _impl_name(self) -> str:
-        return self.config.reorder_impl if self.config.reorder_impl else "auto"
-
     # -- store access behind its circuit breaker -------------------------
     #
     # A sick store (failing disk, injected serve.store.* faults) must
@@ -452,12 +444,13 @@ class ReorderService:
             return
         breaker.success()
 
+    # -- evaluation (store-backed, coalesced) ---------------------------
+
     def _evaluate(
         self, graph: Graph, digest: str, technique: str, kernel: str, policy: str
     ) -> Tuple[Dict[str, object], str]:
         """Evaluated (permutation, kernel) payload plus its store state."""
-        impl = self._impl_name()
-        key = eval_key(digest, technique, impl, kernel, policy, self.platform.name)
+        key = eval_key(digest, technique, kernel, policy, self.platform.name)
         cached = self._store_get("eval", key)
         if cached is not None:
             return cached, "hit"
@@ -502,7 +495,6 @@ class ReorderService:
                         "perm_key": perm_payload["perm_key"],
                         "matrix_digest": digest,
                         "technique": technique,
-                        "impl": impl,
                         "kernel": kernel,
                         "policy": policy,
                         "platform": self.platform.name,
@@ -548,8 +540,7 @@ class ReorderService:
         self, graph: Graph, digest: str, technique: str
     ) -> Dict[str, object]:
         """Store-backed, coalesced permutation computation."""
-        impl = self._impl_name()
-        key = perm_key(digest, technique, impl)
+        key = perm_key(digest, technique)
         cached = self._store_get("perm", key)
         if cached is not None:
             return cached
@@ -562,15 +553,12 @@ class ReorderService:
                 return landed
             get_obs().counter("serve.compute.permutation")
             check_deadline()
-            timed = reorder_with_timing(
-                make_technique(technique, impl=self.config.reorder_impl), graph
-            )
+            timed = reorder_with_timing(make_technique(technique), graph)
             payload: Dict[str, object] = {
                 "schema": RESPONSE_SCHEMA,
                 "perm_key": key,
                 "matrix_digest": digest,
                 "technique": technique,
-                "impl": impl,
                 "n_nodes": graph.n_nodes,
                 "seconds": timed.seconds,
                 "permutation": timed.permutation.tolist(),

@@ -6,7 +6,7 @@ from a user-supplied name, so two uploads of the same matrix (or an
 upload that duplicates a corpus entry) share one store entry.  Two
 entry kinds live under one root:
 
-* ``perm``  — key = SHA-256(structure digest | technique | impl):
+* ``perm``  — key = SHA-256(structure digest | technique):
   the permutation and its measured pre-processing time;
 * ``eval``  — key = SHA-256(perm key | kernel | policy | platform):
   the full response payload (model outputs + permutation reference),
@@ -86,25 +86,15 @@ def structure_digest(csr) -> str:
     return h.hexdigest()
 
 
-def perm_key(digest: str, technique: str, impl: str) -> str:
-    """Content address of one permutation: structure + technique + impl."""
-    raw = f"perm-v{STORE_VERSION}|{digest}|{technique}|{impl}"
+def perm_key(digest: str, technique: str) -> str:
+    """Content address of one permutation: structure + technique."""
+    raw = f"perm-v{STORE_VERSION}|{digest}|{technique}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
-def eval_key(
-    digest: str,
-    technique: str,
-    impl: str,
-    kernel: str,
-    policy: str,
-    platform: str,
-) -> str:
+def eval_key(digest: str, technique: str, kernel: str, policy: str, platform: str) -> str:
     """Content address of one evaluated (permutation, kernel) pair."""
-    raw = (
-        f"eval-v{STORE_VERSION}|{perm_key(digest, technique, impl)}"
-        f"|{kernel}|{policy}|{platform}"
-    )
+    raw = f"eval-v{STORE_VERSION}|{perm_key(digest, technique)}|{kernel}|{policy}|{platform}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 

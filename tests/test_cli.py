@@ -243,8 +243,8 @@ class TestDoctorCli:
 
         store_dir = str(tmp_path / "serve-store")
         store = PermutationStore(store_dir)
-        store.put("perm", perm_key("d0", "rcm", "auto"), {"permutation": [0]})
-        victim = store.put("perm", perm_key("d1", "rcm", "auto"), {"permutation": [1]})
+        store.put("perm", perm_key("d0", "rcm"), {"permutation": [0]})
+        victim = store.put("perm", perm_key("d1", "rcm"), {"permutation": [1]})
         assert main(["doctor", "--store", "--cache-dir", store_dir]) == 0
         assert "store integrity: OK" in capsys.readouterr().out
 

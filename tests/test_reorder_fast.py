@@ -1,14 +1,13 @@
-"""Differential suite: vectorized reordering engines vs the reference.
+"""Differential suite: vectorized reordering engines vs their oracles.
 
-Every technique with a fast path must produce **bit-identical**
-permutations to the reference implementation on every graph — that is
-the dispatch contract (:mod:`repro.reorder.dispatch`) that lets
-``impl="auto"`` swap engines without perturbing any downstream
-artifact.  The suite crosses the fast-path techniques with seeded
-corpus generators and structural edge cases, checks the community
-detectors underneath them, and pins the dispatch plumbing itself
-(env override, validation, auto thresholds, cached transpose,
-executor config round-trip).
+Every technique with a vectorized engine must produce **bit-identical**
+permutations to its per-node loop oracle
+(:data:`repro.reorder.benchreorder.ORACLES`) on every graph, the tiny
+and degenerate ones included: the engines are the only product path, so
+nothing else keeps a technique's output from drifting.  The suite
+crosses those techniques with seeded corpus generators and structural
+edge cases, checks the RABBIT detector under rabbit and rabbit++
+against its oracle, and pins the cached transpose GOrder reads.
 """
 
 from __future__ import annotations
@@ -16,27 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.community.louvain import louvain
 from repro.community.rabbit import rabbit_communities
-from repro.errors import ValidationError
 from repro.graphs.generators.community import dcsbm, star_burst
 from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.generators.random_graphs import erdos_renyi
 from repro.graphs.graph import Graph
-from repro.reorder.dispatch import (
-    AUTO_MIN_EDGES,
-    AUTO_MIN_NODES,
-    IMPL_ENV_VAR,
-    choose_impl,
-    resolve_for_graph,
-    resolve_impl,
-)
+from repro.reorder.benchreorder import ORACLES, oracle_detection
 from repro.reorder.registry import make_technique
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
 from repro.sparse.ops import transpose
-
-FAST_TECHNIQUES = ("rabbit", "rabbit++", "louvain", "rcm", "gorder")
 
 
 def _graph_from_coo(coo: COOMatrix, directed: bool = True) -> Graph:
@@ -81,97 +69,42 @@ def graphs():
 
 class TestTechniqueDifferential:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    @pytest.mark.parametrize("technique", FAST_TECHNIQUES)
+    @pytest.mark.parametrize("technique", sorted(ORACLES))
     def test_identical_permutations(self, graphs, technique, graph_name):
         graph = graphs[graph_name]
-        reference = make_technique(technique, impl="reference").compute(graph)
-        fast = make_technique(technique, impl="fast").compute(graph)
-        assert fast.dtype == reference.dtype
-        assert np.array_equal(fast, reference)
-
-    @pytest.mark.parametrize("technique", FAST_TECHNIQUES)
-    def test_auto_matches_reference(self, graphs, technique):
-        graph = graphs["rmat10"]
-        reference = make_technique(technique, impl="reference").compute(graph)
-        auto = make_technique(technique, impl="auto").compute(graph)
-        assert np.array_equal(auto, reference)
+        oracle = ORACLES[technique](graph)
+        fast = make_technique(technique).compute(graph)
+        assert fast.dtype == oracle.dtype
+        assert np.array_equal(fast, oracle)
 
     def test_identical_cache_stats_downstream(self, graphs):
         """Same permutation => byte-identical simulated cache stats."""
-        from repro.cache.config import CacheConfig
-        from repro.cache.dispatch import simulate
+        from repro.cache import CacheConfig, simulate
         from repro.sparse.permute import permute_symmetric
         from repro.trace.kernel_traces import spmv_csr_trace
 
         graph = graphs["dcsbm"].to_undirected()
         config = CacheConfig(capacity_bytes=16 * 1024, line_bytes=64, ways=8)
-        stats = {}
-        for impl in ("reference", "fast"):
-            perm = make_technique("rabbit", impl=impl).compute(graph)
-            permuted = permute_symmetric(graph.adjacency, perm)
-            stats[impl] = simulate(spmv_csr_trace(permuted), config)
-        assert stats["reference"] == stats["fast"]
+        perms = {
+            "oracle": ORACLES["rabbit"](graph),
+            "fast": make_technique("rabbit").compute(graph),
+        }
+        stats = {
+            name: simulate(spmv_csr_trace(permute_symmetric(graph.adjacency, perm)), config)
+            for name, perm in perms.items()
+        }
+        assert stats["oracle"] == stats["fast"]
 
 
 class TestDetectorDifferential:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_rabbit_detection(self, graphs, graph_name):
         graph = graphs[graph_name]
-        ref = rabbit_communities(graph, impl="reference")
-        fast = rabbit_communities(graph, impl="fast")
+        ref = oracle_detection(graph)
+        fast = rabbit_communities(graph)
         assert np.array_equal(ref.assignment.labels, fast.assignment.labels)
         assert ref.n_merges == fast.n_merges
         assert np.array_equal(ref.dendrogram.ordering(), fast.dendrogram.ordering())
-
-    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    def test_louvain_detection(self, graphs, graph_name):
-        graph = graphs[graph_name]
-        ref = louvain(graph, impl="reference")
-        fast = louvain(graph, impl="fast")
-        assert np.array_equal(ref.assignment.labels, fast.assignment.labels)
-        assert ref.level_modularities == fast.level_modularities
-        assert ref.modularity == fast.modularity
-
-
-class TestDispatch:
-    def test_resolve_impl_validates(self):
-        assert resolve_impl("fast") == "fast"
-        assert resolve_impl(None) == "auto"
-        with pytest.raises(ValidationError, match="impl"):
-            resolve_impl("fastest")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(IMPL_ENV_VAR, "reference")
-        assert resolve_impl(None) == "reference"
-        assert resolve_for_graph(None, 10**6, 10**7) == "reference"
-        # Explicit argument beats the environment.
-        assert resolve_impl("fast") == "fast"
-        monkeypatch.setenv(IMPL_ENV_VAR, "bogus")
-        with pytest.raises(ValidationError):
-            resolve_impl(None)
-
-    def test_auto_thresholds(self):
-        assert choose_impl(AUTO_MIN_NODES, 0) == "fast"
-        assert choose_impl(0, AUTO_MIN_EDGES) == "fast"
-        assert choose_impl(AUTO_MIN_NODES - 1, AUTO_MIN_EDGES - 1) == "reference"
-
-    def test_make_technique_rejects_bad_impl(self):
-        with pytest.raises(ValidationError, match="impl"):
-            make_technique("rabbit", impl="vectorised")
-
-    def test_make_technique_sets_impl(self):
-        assert make_technique("rabbit", impl="fast").impl == "fast"
-        assert make_technique("rabbit").impl is None
-
-    def test_env_steers_whole_run(self, graphs, monkeypatch):
-        """A tiny graph defaults to the reference; the env var can force
-        the fast engine anyway, and the output must not change."""
-        graph = graphs["disconnected"]
-        assert resolve_for_graph(None, graph.n_nodes, graph.n_edges) == "reference"
-        default = make_technique("rcm").compute(graph)
-        monkeypatch.setenv(IMPL_ENV_VAR, "fast")
-        forced = make_technique("rcm").compute(graph)
-        assert np.array_equal(default, forced)
 
 
 class TestInAdjacencyCache:
@@ -186,16 +119,3 @@ class TestInAdjacencyCache:
     def test_cached_object_identity(self, graphs):
         graph = graphs["erdos"]
         assert graph.in_adjacency is graph.in_adjacency
-
-
-class TestExecutorConfigRoundTrip:
-    def test_runner_config_carries_impl(self, tmp_path):
-        from repro.experiments.runner import ExperimentRunner
-        from repro.parallel.executor import RunnerConfig
-
-        runner = ExperimentRunner(
-            profile="test", cache_dir=str(tmp_path), reorder_impl="reference"
-        )
-        config = RunnerConfig.from_runner(runner)
-        assert config.reorder_impl == "reference"
-        assert config.make_runner().reorder_impl == "reference"

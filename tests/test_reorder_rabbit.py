@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.corpus import load_graph
+from repro.graphs.generators.community import dcsbm
+from repro.graphs.graph import Graph
 from repro.metrics.locality import average_neighbor_span
 from repro.reorder.rabbit import RabbitOrder
 from repro.sparse.permute import check_permutation, permute_symmetric
@@ -36,6 +38,16 @@ class TestRabbitOrder:
         technique.compute(graph)
         first = technique.last_result
         assert technique.detect(graph) is first
+
+    def test_detect_reruns_for_another_graph_of_the_same_size(self):
+        first = Graph.from_coo(dcsbm(512, 8, 12.0, 0.15, seed=3), directed=True)
+        second = Graph.from_coo(dcsbm(512, 8, 12.0, 0.15, seed=4), directed=True)
+        technique = RabbitOrder()
+        technique.compute(first)
+        result = technique.detect(second)
+        expected = RabbitOrder().detect(second)
+        assert np.array_equal(result.assignment.labels, expected.assignment.labels)
+        assert technique.detect(second) is result
 
     def test_detect_without_compute(self):
         graph = load_graph("test-comm")

@@ -94,20 +94,20 @@ def test_structure_digest_ignores_values():
 
 def test_keys_depend_on_every_component():
     keys = {
-        perm_key("d1", "rcm", "auto"),
-        perm_key("d2", "rcm", "auto"),
-        perm_key("d1", "rabbit", "auto"),
-        perm_key("d1", "rcm", "fast"),
-        eval_key("d1", "rcm", "auto", "spmv-csr", "lru", "p"),
-        eval_key("d1", "rcm", "auto", "spmv-csr", "belady", "p"),
-        eval_key("d1", "rcm", "auto", "spmm-csr-4", "lru", "p"),
+        perm_key("d1", "rcm"),
+        perm_key("d2", "rcm"),
+        perm_key("d1", "rabbit"),
+        eval_key("d1", "rcm", "spmv-csr", "lru", "p"),
+        eval_key("d1", "rcm", "spmv-csr", "belady", "p"),
+        eval_key("d1", "rcm", "spmm-csr-4", "lru", "p"),
+        eval_key("d1", "rcm", "spmv-csr", "lru", "q"),
     }
     assert len(keys) == 7
 
 
 def test_store_roundtrip_and_quarantine(tmp_path, instr):
     store = PermutationStore(str(tmp_path / "store"))
-    key = perm_key("digest", "rcm", "auto")
+    key = perm_key("digest", "rcm")
     assert store.get("perm", key) is None
     path = store.put("perm", key, {"permutation": [0, 1, 2]})
     assert store.get("perm", key) == {"permutation": [0, 1, 2]}
@@ -955,13 +955,13 @@ def test_stats_report_admission_breakers_and_errors(service):
 
 def test_store_scan_classifies_and_quarantines(tmp_path, instr):
     store = PermutationStore(str(tmp_path / "store"))
-    store.put("perm", perm_key("d", "rcm", "auto"), {"permutation": [0]})
+    store.put("perm", perm_key("d", "rcm"), {"permutation": [0]})
     victim = store.put(
-        "eval", eval_key("d", "rcm", "auto", "spmv-csr", "lru", "p"), {"x": 1}
+        "eval", eval_key("d", "rcm", "spmv-csr", "lru", "p"), {"x": 1}
     )
     with open(victim, "r+b") as handle:
         handle.truncate(10)
-    legacy_path = store.path("perm", perm_key("d2", "rcm", "auto"))
+    legacy_path = store.path("perm", perm_key("d2", "rcm"))
     os.makedirs(os.path.dirname(legacy_path), exist_ok=True)
     with open(legacy_path, "w", encoding="utf-8") as handle:
         json.dump({"permutation": [0]}, handle)  # pre-envelope format

@@ -1,4 +1,4 @@
-"""The public simulate() dispatch: impl resolution, env override, obs."""
+"""The public simulate() entry point: engine choice, inputs, obs."""
 
 from __future__ import annotations
 
@@ -7,13 +7,6 @@ import pytest
 
 import repro
 from repro.cache import CacheConfig, simulate
-from repro.cache.dispatch import (
-    IMPL_ENV_VAR,
-    _FAST_MIN_ACCESSES,
-    _FAST_MIN_SETS,
-    _choose_impl,
-    resolve_impl,
-)
 from repro.errors import ValidationError
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import load_graph
@@ -32,50 +25,36 @@ def config():
     return CacheConfig(capacity_bytes=64 * 16 * 32, line_bytes=32, ways=16)
 
 
+def engine_tag(trace, config, policy):
+    """The ``impl`` tag of the ``cache-sim`` span one simulate() call emits."""
+    sink = MemorySink()
+    with using(Instrumentation(sink=sink)):
+        simulate(trace, config, policy=policy)
+    (span,) = [e for e in sink.by_kind("span") if e["name"] == "cache-sim"]
+    return span["tags"]["impl"]
+
+
 class TestResolution:
-    def test_explicit_impl_wins(self, trace, config, monkeypatch):
-        monkeypatch.setenv(IMPL_ENV_VAR, "fast")
-        reference = simulate(trace, config, impl="reference")
-        fast = simulate(trace, config, impl="fast")
-        assert reference == fast
-
-    def test_env_override(self, trace, config, monkeypatch):
-        for value in ("reference", "fast", "AUTO", " fast "):
-            monkeypatch.setenv(IMPL_ENV_VAR, value)
-            assert simulate(trace, config).accesses == trace.size
-        monkeypatch.setenv(IMPL_ENV_VAR, "turbo")
-        with pytest.raises(ValidationError):
-            simulate(trace, config)
-
-    def test_invalid_impl_rejected(self, trace, config):
-        with pytest.raises(ValidationError):
-            simulate(trace, config, impl="numba")
-
     def test_invalid_policy_rejected(self, trace, config):
         with pytest.raises(ValidationError):
             simulate(trace, config, policy="fifo")
 
-    def test_resolve_impl_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv(IMPL_ENV_VAR, raising=False)
-        assert resolve_impl(None) == "auto"
-        monkeypatch.setenv(IMPL_ENV_VAR, "")
-        assert resolve_impl(None) == "auto"
+    @pytest.mark.parametrize(
+        "n_sets, n_accesses, engine",
+        [(4, 8192, "reference"), (16, 8192, "fast"), (16, 8191, "reference")],
+    )
+    def test_belady_engine_follows_input(self, n_sets, n_accesses, engine):
+        """Belady's loop wins below 16 sets or 8192 accesses."""
+        config = CacheConfig(capacity_bytes=n_sets * 16 * 32, line_bytes=32, ways=16)
+        trace = np.random.default_rng(5).integers(0, 4 * n_sets * 16, size=n_accesses)
+        assert engine_tag(trace, config, "belady") == engine
 
-    def test_auto_heuristic(self):
-        small_cache = CacheConfig(capacity_bytes=4 * 16 * 32, ways=16)  # 4 sets
-        big_cache = CacheConfig(capacity_bytes=64 * 16 * 32, ways=16)  # 64 sets
-        big_n = 10 * _FAST_MIN_ACCESSES
-        for policy in ("lru", "belady"):
-            assert _choose_impl(100, big_cache, policy) == "reference"
-            assert _choose_impl(_FAST_MIN_ACCESSES - 1, small_cache, policy) == (
-                "reference"
-            )
-            assert _choose_impl(big_n, big_cache, policy) == "fast"
-        # LRU has no set floor (narrow plans replay serially); Belady does.
-        assert "lru" not in _FAST_MIN_SETS
-        assert _choose_impl(_FAST_MIN_ACCESSES, small_cache, "lru") == "fast"
-        assert small_cache.n_sets < _FAST_MIN_SETS["belady"] == 16
-        assert _choose_impl(big_n, small_cache, "belady") == "reference"
+    def test_lru_always_vectorized(self):
+        """Even a short trace on the 4-set test L2 takes the fast LRU engine."""
+        config = scaled_platform("test").cache_config()
+        assert config.n_sets == 4
+        trace = np.random.default_rng(6).integers(0, 512, size=1000)
+        assert engine_tag(trace, config, "lru") == "fast"
 
 
 class TestInputs:
@@ -106,7 +85,7 @@ class TestObsWiring:
         sink = MemorySink()
         instr = Instrumentation(sink=sink)
         with using(instr):
-            simulate(trace, config, policy="lru", impl="fast")
+            simulate(trace, config, policy="lru")
         spans = [e for e in sink.by_kind("span") if e["name"] == "cache-sim"]
         assert len(spans) == 1
         assert spans[0]["tags"]["policy"] == "lru"
@@ -116,18 +95,12 @@ class TestObsWiring:
 
 
 class TestDeprecatedAliases:
-    def test_aliases_warn_and_match_simulate(self, trace, config):
-        from repro.cache import simulate_belady, simulate_lru
-
-        with pytest.warns(DeprecationWarning, match="repro.cache.simulate"):
-            lru = simulate_lru(trace, config)
-        assert lru == simulate(trace, config, policy="lru", impl="reference")
-        with pytest.warns(DeprecationWarning, match="repro.cache.simulate"):
-            belady = simulate_belady(trace, config)
-        assert belady == simulate(trace, config, policy="belady", impl="reference")
-
     def test_facade_exports(self):
         assert repro.simulate is simulate
         assert repro.KernelSpec is KernelSpec
         for name in ("simulate", "KernelSpec"):
             assert name in repro.__all__
+        # The deprecated per-policy aliases are gone, not re-exported.
+        for name in ("simulate_lru", "simulate_belady"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.cache, name)
