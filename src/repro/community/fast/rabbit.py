@@ -166,7 +166,7 @@ class _Folder:
         return keys[is_first], sums
 
 
-def rabbit_communities_fast(undirected, n_passes: int = 1):
+def rabbit_communities_fast(undirected):
     """Array-backed incremental aggregation on an undirected graph.
 
     Takes the already-symmetrized graph (built by the dispatching
@@ -289,129 +289,64 @@ def rabbit_communities_fast(undirected, n_passes: int = 1):
         target[1][length:new_len] = kept_weights
         target[2] = new_len
 
-    for _ in range(max(1, n_passes)):
-        merged_this_pass = 0
-        for v in visit_list:
-            if n_merges >= next_compact:
-                # Periodic global path compression: batch-shorten every
-                # union-find chain to depth one.  Compression never
-                # changes which root a chain reaches, so this (and
-                # refreshing the list mirror from it) preserves
-                # bit-identity while keeping both paths' finds cheap.
-                next_compact = n_merges + _COMPACT_EVERY
-                find_roots(parent, node_ids)
-                parent_list = parent.tolist()
-            if parent_list[v] != v:
-                continue  # absorbed earlier; its edges live at its root
-            row = fragments[v]
-            if row is None:
-                start = bounds_list[v]
-                end = bounds_list[v + 1]
-                total_len = end - start
-                pristine = True
-            else:
-                total_len = row[2] + len(row[4])
-                pristine = row[3]
-            if total_len == 0:
-                continue
+    for v in visit_list:
+        if n_merges >= next_compact:
+            # Periodic global path compression: batch-shorten every
+            # union-find chain to depth one.  Compression never
+            # changes which root a chain reaches, so this (and
+            # refreshing the list mirror from it) preserves
+            # bit-identity while keeping both paths' finds cheap.
+            next_compact = n_merges + _COMPACT_EVERY
+            find_roots(parent, node_ids)
+            parent_list = parent.tolist()
+        if parent_list[v] != v:
+            continue  # absorbed earlier; its edges live at its root
+        row = fragments[v]
+        if row is None:
+            start = bounds_list[v]
+            end = bounds_list[v + 1]
+            total_len = end - start
+            pristine = True
+        else:
+            total_len = row[2] + len(row[4])
+            pristine = row[3]
+        if total_len == 0:
+            continue
 
-            if pristine and total_len <= _SCALAR_MAX:
-                # ---- scalar path: the reference algorithm verbatim --
-                # Only pristine (unique-keyed) rows come here;
-                # appended-to rows are mostly stale keys, and the
-                # vectorized batch find resolves those far faster than
-                # per-key chains.
-                if row is None:
-                    first_keys = indices[start:end].tolist()
-                    first_weights = values[start:end].tolist()
-                else:
-                    first_keys = row[0].tolist()
-                    first_weights = row[1].tolist()
-                deg_v = degree_list[v]
-                winner = -1
-                best_gain = 0.0
-                for root, weight in zip(first_keys, first_weights):
-                    if parent_list[root] != root:
-                        break
-                    gain = gain_scale * (
-                        weight - deg_v * degree_list[root] / total_weight
-                    )
-                    if gain > best_gain:
-                        best_gain = gain
-                        winner = root
-                else:
-                    # Every key was a live root (and != v: initial rows
-                    # have no self-loops, stored rows dropped their own
-                    # root while it was still v's) — the row needs no
-                    # rewrite and the gains scanned above are final.
-                    if winner < 0:
-                        continue
-                    kept_keys = []
-                    kept_weights = []
-                    for root, weight in zip(first_keys, first_weights):
-                        if root != winner:
-                            kept_keys.append(root)
-                            kept_weights.append(weight)
-                    if kept_keys:
-                        target = fragments[winner]
-                        if target is None:
-                            fragments[winner] = [
-                                None, None,
-                                bounds_list[winner + 1] - bounds_list[winner],
-                                False, kept_keys, kept_weights, winner,
-                            ]
-                        else:
-                            target[4].extend(kept_keys)
-                            target[5].extend(kept_weights)
-                            target[3] = False
-                    parent[v] = winner
-                    parent_list[v] = winner
-                    merged_degree = degree_list[winner] + degree_list[v]
-                    degree_list[winner] = merged_degree
-                    degree[winner] = merged_degree
-                    children[winner].append(v)
-                    losers.append(v)
-                    fragments[v] = None
-                    n_merges += 1
-                    merged_this_pass += 1
-                    continue
-                # Some key was stale (partial gains above are discarded
-                # and recomputed).  A pristine row's keys are unique, so
-                # the stage-1 exact-key fold is the identity: resolve
-                # straight off the lists in input order, exactly the
-                # dict iteration the reference performs.
-                resolved: dict = {}
-                for key, weight in zip(first_keys, first_weights):
-                    root = key
-                    while parent_list[root] != root:  # path-halving find
-                        parent_list[root] = parent_list[parent_list[root]]
-                        root = parent_list[root]
-                    if root != v:
-                        resolved[root] = resolved.get(root, 0.0) + weight
-                if not resolved:
-                    fragments[v] = [_EMPTY_KEYS, _EMPTY_WEIGHTS, 0, True, [], [], v]
-                    continue
-                deg_v = degree_list[v]
-                winner = -1
-                best_gain = 0.0
-                for root, weight in resolved.items():
-                    gain = gain_scale * (
-                        weight - deg_v * degree_list[root] / total_weight
-                    )
-                    if gain > best_gain:
-                        best_gain = gain
-                        winner = root
+        if pristine and total_len <= _SCALAR_MAX:
+            # ---- scalar path: the reference algorithm verbatim --
+            # Only pristine (unique-keyed) rows come here;
+            # appended-to rows are mostly stale keys, and the
+            # vectorized batch find resolves those far faster than
+            # per-key chains.
+            if row is None:
+                first_keys = indices[start:end].tolist()
+                first_weights = values[start:end].tolist()
+            else:
+                first_keys = row[0].tolist()
+                first_weights = row[1].tolist()
+            deg_v = degree_list[v]
+            winner = -1
+            best_gain = 0.0
+            for root, weight in zip(first_keys, first_weights):
+                if parent_list[root] != root:
+                    break
+                gain = gain_scale * (
+                    weight - deg_v * degree_list[root] / total_weight
+                )
+                if gain > best_gain:
+                    best_gain = gain
+                    winner = root
+            else:
+                # Every key was a live root (and != v: initial rows
+                # have no self-loops, stored rows dropped their own
+                # root while it was still v's) — the row needs no
+                # rewrite and the gains scanned above are final.
                 if winner < 0:
-                    size = len(resolved)
-                    fragments[v] = [
-                        np.fromiter(resolved.keys(), np.int64, size),
-                        np.fromiter(resolved.values(), np.float64, size),
-                        size, True, [], [], v,
-                    ]
                     continue
                 kept_keys = []
                 kept_weights = []
-                for root, weight in resolved.items():
+                for root, weight in zip(first_keys, first_weights):
                     if root != winner:
                         kept_keys.append(root)
                         kept_weights.append(weight)
@@ -427,74 +362,6 @@ def rabbit_communities_fast(undirected, n_passes: int = 1):
                         target[4].extend(kept_keys)
                         target[5].extend(kept_weights)
                         target[3] = False
-            else:
-                # ---- vectorized path --------------------------------
-                if row is None:
-                    keys = indices[start:end]
-                    weights = values[start:end]
-                    compacted = False
-                elif pristine:
-                    # Pristine buffers are exact-size (compacted stores
-                    # are never over-allocated) and unique-keyed, so
-                    # the stage-1 fold would be the identity.
-                    keys = row[0]
-                    weights = row[1]
-                    compacted = False
-                else:
-                    if row[4]:
-                        flush_pending(row, 0)
-                    keys, weights = folder.fold(
-                        row[0][:total_len], row[1][:total_len]
-                    )
-                    compacted = True
-                roots = parent[keys]
-                if count_nonzero(roots == keys) != keys.size:
-                    depth = 1
-                    while True:
-                        grand = parent[roots]
-                        if count_nonzero(grand == roots) == roots.size:
-                            break
-                        roots = grand
-                        depth += 1
-                    if depth > 1:
-                        # Compress only multi-hop chains; single-hop
-                        # gathers are already as cheap as compressed
-                        # ones, and skipping the scattered write saves
-                        # a cache-miss pass (roots are unchanged either
-                        # way).
-                        parent[keys] = roots
-                    external = roots != v
-                    if count_nonzero(external) != roots.size:
-                        roots = roots[external]
-                        weights = weights[external]
-                    if roots.size == 0:
-                        fragments[v] = [roots, weights, 0, True, [], [], v]
-                        continue
-                    roots, weights = folder.fold(roots, weights)
-                    compacted = True
-                if compacted:
-                    fragments[v] = [roots, weights, roots.size, True, [], [], v]
-                # In-place gain chain: multiply is commutative bitwise
-                # and the list-mirror degree holds the same values, so
-                # these are the reference's IEEE ops in order.
-                gains = degree[roots]
-                gains *= degree_list[v]
-                gains /= total_weight
-                np.subtract(weights, gains, out=gains)
-                gains *= gain_scale
-                best = int(gains.argmax())
-                if not gains[best] > 0.0:
-                    continue
-                winner = int(roots[best])
-                external = roots != winner
-                if count_nonzero(external) == roots.size:
-                    append_array(winner, roots, weights, roots.size)
-                else:
-                    kept = roots[external]
-                    if kept.size:
-                        append_array(winner, kept, weights[external], kept.size)
-
-                # ---- merge bookkeeping (reference `_merge`) ---------
                 parent[v] = winner
                 parent_list[v] = winner
                 merged_degree = degree_list[winner] + degree_list[v]
@@ -504,10 +371,127 @@ def rabbit_communities_fast(undirected, n_passes: int = 1):
                 losers.append(v)
                 fragments[v] = None
                 n_merges += 1
-                merged_this_pass += 1
                 continue
+            # Some key was stale (partial gains above are discarded
+            # and recomputed).  A pristine row's keys are unique, so
+            # the stage-1 exact-key fold is the identity: resolve
+            # straight off the lists in input order, exactly the
+            # dict iteration the reference performs.
+            resolved: dict = {}
+            for key, weight in zip(first_keys, first_weights):
+                root = key
+                while parent_list[root] != root:  # path-halving find
+                    parent_list[root] = parent_list[parent_list[root]]
+                    root = parent_list[root]
+                if root != v:
+                    resolved[root] = resolved.get(root, 0.0) + weight
+            if not resolved:
+                fragments[v] = [_EMPTY_KEYS, _EMPTY_WEIGHTS, 0, True, [], [], v]
+                continue
+            deg_v = degree_list[v]
+            winner = -1
+            best_gain = 0.0
+            for root, weight in resolved.items():
+                gain = gain_scale * (
+                    weight - deg_v * degree_list[root] / total_weight
+                )
+                if gain > best_gain:
+                    best_gain = gain
+                    winner = root
+            if winner < 0:
+                size = len(resolved)
+                fragments[v] = [
+                    np.fromiter(resolved.keys(), np.int64, size),
+                    np.fromiter(resolved.values(), np.float64, size),
+                    size, True, [], [], v,
+                ]
+                continue
+            kept_keys = []
+            kept_weights = []
+            for root, weight in resolved.items():
+                if root != winner:
+                    kept_keys.append(root)
+                    kept_weights.append(weight)
+            if kept_keys:
+                target = fragments[winner]
+                if target is None:
+                    fragments[winner] = [
+                        None, None,
+                        bounds_list[winner + 1] - bounds_list[winner],
+                        False, kept_keys, kept_weights, winner,
+                    ]
+                else:
+                    target[4].extend(kept_keys)
+                    target[5].extend(kept_weights)
+                    target[3] = False
+        else:
+            # ---- vectorized path --------------------------------
+            if row is None:
+                keys = indices[start:end]
+                weights = values[start:end]
+                compacted = False
+            elif pristine:
+                # Pristine buffers are exact-size (compacted stores
+                # are never over-allocated) and unique-keyed, so
+                # the stage-1 fold would be the identity.
+                keys = row[0]
+                weights = row[1]
+                compacted = False
+            else:
+                if row[4]:
+                    flush_pending(row, 0)
+                keys, weights = folder.fold(
+                    row[0][:total_len], row[1][:total_len]
+                )
+                compacted = True
+            roots = parent[keys]
+            if count_nonzero(roots == keys) != keys.size:
+                depth = 1
+                while True:
+                    grand = parent[roots]
+                    if count_nonzero(grand == roots) == roots.size:
+                        break
+                    roots = grand
+                    depth += 1
+                if depth > 1:
+                    # Compress only multi-hop chains; single-hop
+                    # gathers are already as cheap as compressed
+                    # ones, and skipping the scattered write saves
+                    # a cache-miss pass (roots are unchanged either
+                    # way).
+                    parent[keys] = roots
+                external = roots != v
+                if count_nonzero(external) != roots.size:
+                    roots = roots[external]
+                    weights = weights[external]
+                if roots.size == 0:
+                    fragments[v] = [roots, weights, 0, True, [], [], v]
+                    continue
+                roots, weights = folder.fold(roots, weights)
+                compacted = True
+            if compacted:
+                fragments[v] = [roots, weights, roots.size, True, [], [], v]
+            # In-place gain chain: multiply is commutative bitwise
+            # and the list-mirror degree holds the same values, so
+            # these are the reference's IEEE ops in order.
+            gains = degree[roots]
+            gains *= degree_list[v]
+            gains /= total_weight
+            np.subtract(weights, gains, out=gains)
+            gains *= gain_scale
+            best = int(gains.argmax())
+            if not gains[best] > 0.0:
+                continue
+            winner = int(roots[best])
+            external = roots != winner
+            if count_nonzero(external) == roots.size:
+                append_array(winner, roots, weights, roots.size)
+            else:
+                kept = roots[external]
+                if kept.size:
+                    append_array(winner, kept, weights[external], kept.size)
 
-            # ---- merge bookkeeping for the scalar dict path ---------
+            # ---- merge bookkeeping (reference `_merge`) ---------
             parent[v] = winner
             parent_list[v] = winner
             merged_degree = degree_list[winner] + degree_list[v]
@@ -517,9 +501,18 @@ def rabbit_communities_fast(undirected, n_passes: int = 1):
             losers.append(v)
             fragments[v] = None
             n_merges += 1
-            merged_this_pass += 1
-        if merged_this_pass == 0:
-            break
+            continue
+
+        # ---- merge bookkeeping for the scalar dict path ---------
+        parent[v] = winner
+        parent_list[v] = winner
+        merged_degree = degree_list[winner] + degree_list[v]
+        degree_list[winner] = merged_degree
+        degree[winner] = merged_degree
+        children[winner].append(v)
+        losers.append(v)
+        fragments[v] = None
+        n_merges += 1
 
     if losers:
         dendrogram._absorbed[np.asarray(losers, dtype=np.int64)] = True

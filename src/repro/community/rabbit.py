@@ -48,27 +48,23 @@ class RabbitResult:
     n_merges: int
 
 
-def rabbit_communities(graph: Graph, n_passes: int = 1) -> RabbitResult:
+def rabbit_communities(graph: Graph) -> RabbitResult:
     """Run incremental aggregation on the undirected view of ``graph``.
 
     Parameters
     ----------
     graph:
         Input graph; symmetrized internally (self loops dropped).
-    n_passes:
-        Number of sweeps over the (surviving) vertices.  Rabbit proper
-        is single-pass; extra passes trade pre-processing time for
-        slightly higher modularity and are exposed for ablations.
 
     Runs the vectorized engine (:mod:`repro.community.fast.rabbit`),
     which is bit-identical to the :func:`_rabbit_reference` oracle.
     """
     undirected = graph.to_undirected()
     with get_obs().span("reorder-detect", detector="rabbit", n_nodes=undirected.n_nodes):
-        return rabbit_communities_fast(undirected, n_passes=n_passes)
+        return rabbit_communities_fast(undirected)
 
 
-def _rabbit_reference(undirected: Graph, n_passes: int) -> RabbitResult:
+def _rabbit_reference(undirected: Graph) -> RabbitResult:
     """The original dict-per-root implementation: the oracle for the
     vectorized engine, called by the differential tests and
     ``repro bench-reorder``."""
@@ -112,32 +108,27 @@ def _rabbit_reference(undirected: Graph, n_passes: int) -> RabbitResult:
 
     visit_order = np.argsort(degree, kind="stable")
     n_merges = 0
-    for _ in range(max(1, n_passes)):
-        merged_this_pass = 0
-        for v_raw in visit_order:
-            v = int(v_raw)
-            if parent[v] != v:
-                continue  # absorbed earlier; its edges live at its root
-            candidates = _resolve_neighbors(neighbor_weights, parent, v, find)
-            if not candidates:
-                continue
-            deg_v = degree[v]
-            best_root = -1
-            best_gain = 0.0
-            for root, weight in candidates.items():
-                gain = 2.0 / total_weight * (
-                    weight - deg_v * degree[root] / total_weight
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    best_root = root
-            if best_root < 0:
-                continue
-            _merge(neighbor_weights, parent, degree, dendrogram, v, best_root, find)
-            n_merges += 1
-            merged_this_pass += 1
-        if merged_this_pass == 0:
-            break
+    for v_raw in visit_order:
+        v = int(v_raw)
+        if parent[v] != v:
+            continue  # absorbed earlier; its edges live at its root
+        candidates = _resolve_neighbors(neighbor_weights, parent, v, find)
+        if not candidates:
+            continue
+        deg_v = degree[v]
+        best_root = -1
+        best_gain = 0.0
+        for root, weight in candidates.items():
+            gain = 2.0 / total_weight * (
+                weight - deg_v * degree[root] / total_weight
+            )
+            if gain > best_gain:
+                best_gain = gain
+                best_root = root
+        if best_root < 0:
+            continue
+        _merge(neighbor_weights, parent, degree, dendrogram, v, best_root, find)
+        n_merges += 1
 
     labels = np.fromiter((find(v) for v in range(n)), dtype=np.int64, count=n)
     assignment = CommunityAssignment(labels).compact()

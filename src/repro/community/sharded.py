@@ -21,7 +21,7 @@ result quacks exactly like single-shard detection: ``.ordering()``
 yields a RABBIT-style permutation, ``assignment`` a compact labelling.
 
 Determinism contract (locked by differential tests): the result is a
-pure function of ``(graph, n_shards, n_passes)`` — ``jobs`` only
+pure function of ``(graph, n_shards)`` — ``jobs`` only
 decides *where* shards run, never what they compute, and every merge
 step is sequential-in-parent or order-preserving.  ``n_shards=1``
 short-circuits to plain ``rabbit_communities`` and is bit-identical to
@@ -131,14 +131,13 @@ def _extract_shard(adjacency: CSRMatrix, lo: int, hi: int) -> CSRMatrix:
     return CSRMatrix(hi - lo, hi - lo, offsets, local_cols, values)
 
 
-def _detect_shard(payload: Tuple[int, CSRMatrix, int]) -> RabbitResult:
+def _detect_shard(local_csr: CSRMatrix) -> RabbitResult:
     """Pool worker: run plain Rabbit on one shard's induced subgraph."""
-    _, local_csr, n_passes = payload
     local_graph = Graph(local_csr, directed=False)
     # The induced slice of a symmetric, loop-free adjacency is itself
     # symmetric and loop-free; skip re-symmetrization.
     local_graph._undirected_cache = local_graph
-    return rabbit_communities(local_graph, n_passes=n_passes)
+    return rabbit_communities(local_graph)
 
 
 def _leaf_roots(dendrogram: Dendrogram) -> np.ndarray:
@@ -212,7 +211,6 @@ def sharded_rabbit_communities(
     graph: Graph,
     n_shards: int,
     jobs: int = 1,
-    n_passes: int = 1,
 ) -> ShardedRabbitResult:
     """Two-level (local shards + coarse stitch) Rabbit detection.
 
@@ -226,8 +224,6 @@ def sharded_rabbit_communities(
         short-circuits to plain single-shard detection (bit-identical).
     jobs:
         Worker processes for the local pass.  Never affects the result.
-    n_passes:
-        Forwarded to the underlying Rabbit passes.
     """
     if n_shards < 1:
         raise ValidationError(f"n_shards must be positive, got {n_shards}")
@@ -236,7 +232,7 @@ def sharded_rabbit_communities(
     undirected = graph.to_undirected()
     n = undirected.n_nodes
     if n_shards == 1 or n <= 1:
-        base = rabbit_communities(graph, n_passes=n_passes)
+        base = rabbit_communities(graph)
         return ShardedRabbitResult(
             assignment=base.assignment,
             dendrogram=base.dendrogram,
@@ -259,11 +255,8 @@ def sharded_rabbit_communities(
         from repro.parallel.pool import map_in_pool
 
         with get_obs().span("detect-shards", n_shards=len(bounds)):
-            payloads = [
-                (lo, _extract_shard(adjacency, lo, hi), n_passes)
-                for lo, hi in bounds
-            ]
-            local_results = map_in_pool(_detect_shard, payloads, jobs=jobs)
+            shards = [_extract_shard(adjacency, lo, hi) for lo, hi in bounds]
+            local_results = map_in_pool(_detect_shard, shards, jobs=jobs)
 
         with get_obs().span("merge-shards"):
             merged = Dendrogram(n)
@@ -285,7 +278,7 @@ def sharded_rabbit_communities(
 
         coarse_graph = Graph(coarse_csr, directed=False)
         coarse_graph._undirected_cache = coarse_graph  # loop-free + symmetric
-        coarse = rabbit_communities(coarse_graph, n_passes=n_passes)
+        coarse = rabbit_communities(coarse_graph)
 
         with get_obs().span("compose-dendrogram"):
             for vertex, kids in enumerate(coarse.dendrogram._children):

@@ -6,14 +6,20 @@ export its synthetic matrices and ingest real SuiteSparse downloads
 when they are available.  Supports the ``coordinate`` format with
 ``real``, ``integer`` and ``pattern`` fields and ``general`` or
 ``symmetric`` symmetry.
+
+One parser serves every reader.  It takes the entry lines a chunk at a
+time and hands each chunk to ``np.loadtxt``.  A chunk that ``loadtxt``
+cannot take whole (blank or comment lines, ragged or malformed entries,
+a short file) is re-read line by line, which either copes with the
+oddity or raises :class:`FormatError` naming the offending line.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -34,117 +40,40 @@ DEFAULT_CHUNK_ENTRIES = 1 << 20
 def read_matrix_market(source: PathOrFile) -> COOMatrix:
     """Parse a Matrix Market coordinate file into a :class:`COOMatrix`.
 
-    Symmetric files are expanded: every off-diagonal entry also yields
-    its mirrored entry, matching SuiteSparse semantics.
+    Symmetric files are expanded: every off-diagonal entry is followed
+    by its mirrored entry, matching SuiteSparse semantics.
 
-    Parsing is two-tier: a bulk tokenizer handles well-formed files
-    (whole-body split plus vectorized numeric conversion — roughly an
-    order of magnitude faster than line-at-a-time parsing), and any
-    structural surprise falls back to the reference line-by-line parser,
-    which either handles the oddity (ragged extra tokens, exotic
-    spellings the bulk converter rejects) or raises the precise error.
-
-    Parse failures raise :class:`FormatError` prefixed with the source
-    path and the 1-based line number of the offending line
-    (``corpus/web.mtx:48312: ...``), so a bad file in a corpus-scale
-    load is actionable without bisecting it by hand.
+    The entries are parsed :data:`DEFAULT_CHUNK_ENTRIES` at a time by
+    the parser behind :func:`iter_matrix_market_chunks`, and the chunks
+    are concatenated.  Parse failures and out-of-bounds entries raise
+    :class:`FormatError` prefixed with the source path and the 1-based
+    line number of the offending line (``corpus/web.mtx:48312: ...``),
+    so a bad file in a corpus-scale load is actionable without
+    bisecting it by hand.
     """
     if hasattr(source, "read"):
         name = getattr(source, "name", None) or "<stream>"
-        text = source.read()  # type: ignore[union-attr]
-        return _read_text(text, str(name))
+        return _read_handle(source, str(name))  # type: ignore[arg-type]
     path = os.fspath(source)  # type: ignore[arg-type]
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return _read_text(text, str(path))
+        return _read_handle(handle, path)
 
 
-class _Fallback(Exception):
-    """Internal: bulk parse hit something only the slow path resolves."""
-
-
-def _read_text(text: str, source: str) -> COOMatrix:
-    try:
-        return _parse_bulk(text)
-    except _Fallback:
-        # Reparse line-by-line: either the reference parser copes with
-        # the irregularity, or it raises with the exact line number.
-        return _read_stream(io.StringIO(text), source)
-
-
-def _parse_bulk(text: str) -> COOMatrix:
-    """Vectorized parse of a well-formed file; raises ``_Fallback`` else."""
-    newline = text.find("\n")
-    header = text[:newline] if newline >= 0 else text
-    tokens = header.split()
-    if not header.startswith("%%MatrixMarket") or len(tokens) != 5:
-        raise _Fallback
-    _, object_kind, fmt, field, symmetry = (token.lower() for token in tokens)
-    if (
-        object_kind != "matrix"
-        or fmt != "coordinate"
-        or field not in _FIELDS
-        or symmetry not in _SYMMETRIES
-    ):
-        raise _Fallback
-
-    body = text[newline + 1:] if newline >= 0 else ""
-    data = [s for line in body.split("\n") if (s := line.strip()) and s[0] != "%"]
-    if not data:
-        raise _Fallback
-    size_parts = data[0].split()
-    if len(size_parts) != 3:
-        raise _Fallback
-    try:
-        n_rows, n_cols, n_entries = (int(part) for part in size_parts)
-    except ValueError:
-        raise _Fallback from None
-    if len(data) - 1 < n_entries or n_entries < 0:
-        raise _Fallback
-
-    if n_entries == 0:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-        return COOMatrix(n_rows, n_cols, rows, cols, values)
-
-    # ``np.loadtxt``'s C tokenizer does the heavy lifting: the
-    # structured dtype enforces strict per-column parsing (an integer
-    # column rejects ``1e3``/``2.0``, ragged lines reject the whole
-    # file) so any irregularity lands in the fallback instead of a
-    # silent column misalignment.  ``comments=None`` keeps a stray
-    # ``#`` from truncating a line the reference parser would reject.
-    if field == "pattern":
-        dtype = [("row", np.int64), ("col", np.int64)]
-    else:
-        dtype = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
-    try:
-        table = np.loadtxt(
-            data[1: 1 + n_entries], dtype=dtype, comments=None, ndmin=1
-        )
-    except Exception:
-        raise _Fallback from None
-    if table.shape[0] != n_entries:
-        raise _Fallback
-    rows = table["row"] - 1
-    cols = table["col"] - 1
-    if field == "pattern":
-        values = np.ones(n_entries, dtype=np.float64)
-    else:
-        values = table["value"]
-
-    if symmetry == "symmetric":
-        rows, cols, values = _expand_symmetric(rows, cols, values)
-
-    return COOMatrix(n_rows, n_cols, rows, cols, values)
+def _read_handle(handle: TextIO, source: str) -> COOMatrix:
+    header, lineno = _parse_preamble(handle, source)
+    chunks = _iter_entries(handle, header, lineno, source, DEFAULT_CHUNK_ENTRIES)
+    # The leading empty arrays fix the dtypes when there are no chunks.
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    rows, cols, values = (np.concatenate(column) for column in zip(empty, *chunks))
+    return COOMatrix(header.n_rows, header.n_cols, rows, cols, values)
 
 
 def _expand_symmetric(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand mirrors *interleaved* — each off-diagonal entry is
-    immediately followed by its transpose, matching the reference
-    parser's append order entry for entry."""
+    """Expand mirrors *interleaved*: each off-diagonal entry is
+    immediately followed by its transpose, entry for entry in file
+    order."""
     entry = np.repeat(np.arange(rows.size, dtype=np.int64), 1 + (rows != cols))
     mirror = np.zeros(entry.size, dtype=bool)
     mirror[1:] = entry[1:] == entry[:-1]
@@ -153,23 +82,6 @@ def _expand_symmetric(
     out_rows[mirror] = cols[entry[mirror]]
     out_cols[mirror] = rows[entry[mirror]]
     return out_rows, out_cols, values[entry]
-
-
-class _LineReader:
-    """Line iterator that remembers the 1-based number of the last line."""
-
-    def __init__(self, handle: TextIO) -> None:
-        self._handle = handle
-        self.lineno = 0
-
-    def next_data_line(self) -> Union[str, None]:
-        """Next non-comment, non-blank line, or None at end of file."""
-        for line in self._handle:
-            self.lineno += 1
-            stripped = line.strip()
-            if stripped and not stripped.startswith("%"):
-                return stripped
-        return None
 
 
 @dataclass(frozen=True)
@@ -183,16 +95,18 @@ class MtxHeader:
     n_entries: int
 
 
-def _parse_preamble(
-    handle: TextIO, reader: _LineReader, fail: Callable[[str], FormatError]
-) -> MtxHeader:
+def _parse_preamble(handle: TextIO, source: str) -> Tuple[MtxHeader, int]:
     """Parse banner + size line; the single source of preamble errors.
 
-    Shared by the line-by-line reference parser and the chunked reader
-    so both emit byte-identical ``source:lineno`` diagnostics.
+    Returns the header and the 1-based number of the size line, from
+    which the entry lines are numbered.
     """
+    lineno = 1
+
+    def fail(message: str) -> FormatError:
+        return FormatError(f"{source}:{lineno}: {message}")
+
     header = handle.readline()
-    reader.lineno = 1
     if not header.startswith("%%MatrixMarket"):
         raise fail(f"not a Matrix Market file (header: {header.strip()!r})")
     tokens = header.strip().split()
@@ -208,8 +122,12 @@ def _parse_preamble(
     if symmetry not in _SYMMETRIES:
         raise fail(f"unsupported symmetry {symmetry!r}; supported: {_SYMMETRIES}")
 
-    size_line = reader.next_data_line()
-    if size_line is None:
+    for line in handle:
+        lineno += 1
+        size_line = line.strip()
+        if size_line and size_line[0] != "%":
+            break
+    else:
         raise fail("missing size line")
     parts = size_line.split()
     if len(parts) != 3:
@@ -218,15 +136,16 @@ def _parse_preamble(
         n_rows, n_cols, n_entries = (int(part) for part in parts)
     except ValueError as exc:
         raise fail(f"non-integer size line {size_line!r}: {exc}") from exc
-    return MtxHeader(field, symmetry, n_rows, n_cols, n_entries)
+    if min(n_rows, n_cols, n_entries) < 0:
+        raise fail(f"negative size in size line {size_line!r}")
+    return MtxHeader(field, symmetry, n_rows, n_cols, n_entries), lineno
 
 
 def _parse_entry(line: str, field: str) -> Tuple[int, int, float]:
     """Parse one data line; the single source of per-entry errors.
 
-    Raises an *unprefixed* :class:`FormatError`; callers re-raise via
-    their ``fail`` helper to attach the ``source:lineno`` prefix, which
-    keeps the reference parser and the chunked fallback byte-identical.
+    Raises an *unprefixed* :class:`FormatError`; the caller re-raises it
+    with the ``source:lineno`` prefix.
     """
     fields = line.split()
     if field == "pattern":
@@ -248,42 +167,102 @@ def _parse_entry(line: str, field: str) -> Tuple[int, int, float]:
     return row, col, value
 
 
-def _read_stream(handle: TextIO, source: str = "<stream>") -> COOMatrix:
-    reader = _LineReader(handle)
+def _load_clean_chunk(lines: List[str], take: int, dtype: list) -> Optional[np.ndarray]:
+    """``np.loadtxt`` of ``take`` entry lines, or None if they are not clean.
 
-    def fail(message: str) -> FormatError:
-        return FormatError(f"{source}:{reader.lineno}: {message}")
+    The structured dtype parses each column strictly: an integer column
+    rejects ``1e3`` or ``2.0``, and a ragged line rejects the chunk, so
+    an irregular line never misaligns the columns.  ``comments=None``
+    keeps a stray ``#`` from truncating a line the line parser would
+    reject.  A chunk that starts with a blank or comment line skips
+    ``loadtxt``, which warns when a chunk holds no data.
+    """
+    if len(lines) < take:
+        return None  # end of file: the line parser reports the truncation
+    first = lines[0].strip()
+    if not first or first[0] == "%":
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    # Fewer rows than lines means loadtxt skipped blank lines.
+    return table if table.shape[0] == take else None
 
-    header = _parse_preamble(handle, reader, fail)
 
-    rows: List[int] = []
-    cols: List[int] = []
-    values: List[float] = []
-    for _ in range(header.n_entries):
-        line = reader.next_data_line()
-        if line is None:
-            raise fail(
-                f"file ended after {len(rows)} of {header.n_entries} declared entries"
+def _iter_entries(
+    handle: TextIO, header: MtxHeader, lineno: int, source: str, chunk_entries: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the declared entries as 0-based ``(rows, cols, values)`` chunks.
+
+    ``lineno`` is the number of the size line.  Each chunk holds the
+    next ``min(chunk_entries, remaining)`` entries, expanded with
+    interleaved mirrors when the file is symmetric.  Lines after the
+    last declared entry are never read.
+    """
+    dtype = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
+    if header.field == "pattern":
+        dtype = dtype[:2]
+    remaining = header.n_entries
+    expanded = 0  # entries yielded so far, mirrors included
+    while remaining > 0:
+        take = min(remaining, chunk_entries)
+        lines = list(itertools.islice(handle, take))
+        linenos: Sequence[int] = range(lineno + 1, lineno + 1 + take)
+        table = _load_clean_chunk(lines, take, dtype)
+        if table is not None:
+            lineno += take
+            rows = table["row"] - 1
+            cols = table["col"] - 1
+            values = np.ones(take) if header.field == "pattern" else table["value"]
+        else:
+            # Reparse in order so the *first* offending line wins, and
+            # read on past blank and comment lines until the chunk holds
+            # ``take`` entries or the file ends.  From here on ``lines``
+            # and ``linenos`` hold the entry lines alone.
+            raw, lines, linenos = lines, [], []
+            rows_list: List[int] = []
+            cols_list: List[int] = []
+            values_list: List[float] = []
+            for line in itertools.chain(raw, handle):
+                lineno += 1
+                line = line.strip()
+                if not line or line[0] == "%":
+                    continue
+                try:
+                    row, col, value = _parse_entry(line, header.field)
+                except FormatError as exc:
+                    raise FormatError(f"{source}:{lineno}: {exc}") from exc
+                rows_list.append(row)
+                cols_list.append(col)
+                values_list.append(value)
+                lines.append(line)
+                linenos.append(lineno)
+                if len(lines) == take:
+                    break
+            if len(lines) < take:
+                found = expanded + len(lines)
+                if header.symmetry == "symmetric":
+                    found += sum(r != c for r, c in zip(rows_list, cols_list))
+                raise FormatError(
+                    f"{source}:{lineno}: file ended after {found} of "
+                    f"{header.n_entries} declared entries"
+                )
+            rows = np.asarray(rows_list, dtype=np.int64)
+            cols = np.asarray(cols_list, dtype=np.int64)
+            values = np.asarray(values_list, dtype=np.float64)
+        bad = (rows < 0) | (rows >= header.n_rows) | (cols < 0) | (cols >= header.n_cols)
+        if bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            raise FormatError(
+                f"{source}:{linenos[first]}: entry out of bounds for "
+                f"{header.n_rows}x{header.n_cols} matrix: {lines[first].strip()!r}"
             )
-        try:
-            row, col, value = _parse_entry(line, header.field)
-        except FormatError as exc:
-            raise fail(str(exc)) from exc
-        rows.append(row)
-        cols.append(col)
-        values.append(value)
-        if header.symmetry == "symmetric" and row != col:
-            rows.append(col)
-            cols.append(row)
-            values.append(value)
-
-    return COOMatrix(
-        header.n_rows,
-        header.n_cols,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(values, dtype=np.float64),
-    )
+        if header.symmetry == "symmetric":
+            rows, cols, values = _expand_symmetric(rows, cols, values)
+        expanded += rows.size
+        remaining -= take
+        yield rows, cols, values
 
 
 def write_matrix_market(matrix: COOMatrix, destination: PathOrFile, comment: str = "") -> None:
@@ -311,12 +290,7 @@ def scan_matrix_market_header(path: Union[str, "os.PathLike[str]"]) -> MtxHeader
     """Parse only the banner + size line of a ``.mtx`` file on disk."""
     source = os.fspath(path)
     with open(source, "r", encoding="utf-8") as handle:
-        reader = _LineReader(handle)
-
-        def fail(message: str) -> FormatError:
-            return FormatError(f"{source}:{reader.lineno}: {message}")
-
-        return _parse_preamble(handle, reader, fail)
+        return _parse_preamble(handle, source)[0]
 
 
 def iter_matrix_market_chunks(
@@ -331,110 +305,17 @@ def iter_matrix_market_chunks(
     per chunk with the same interleaved mirror order as
     :func:`read_matrix_market`, and indices are 0-based on the way out.
 
-    Error parity with the reference parser is a contract: each chunk is
-    bulk-tokenized with ``np.loadtxt`` and, on any irregularity,
-    re-parsed line by line through the same ``_parse_entry`` helper the
-    reference parser uses, raising :class:`FormatError` with the exact
-    ``source:lineno: message`` text a whole-file parse would have
-    produced — a corrupt entry mid-file names its physical line even
-    when it sits millions of entries in.
+    It shares its parser with :func:`read_matrix_market`, so both raise
+    the same :class:`FormatError` text, ``source:lineno: message``: a
+    corrupt entry mid-file names its physical line even when it sits
+    millions of entries in.
     """
     if chunk_entries < 1:
         raise FormatError(f"chunk_entries must be positive, got {chunk_entries}")
     source = os.fspath(path)
     with open(source, "r", encoding="utf-8") as handle:
-        reader = _LineReader(handle)
-
-        def fail(message: str) -> FormatError:
-            return FormatError(f"{source}:{reader.lineno}: {message}")
-
-        header = _parse_preamble(handle, reader, fail)
-        remaining = header.n_entries
-        expanded_total = 0  # mirrors included, matching the reference count
-        while remaining > 0:
-            take = min(remaining, chunk_entries)
-            lines: List[str] = []
-            linenos: List[int] = []
-            while len(lines) < take:
-                line = reader.next_data_line()
-                if line is None:
-                    # Parse what was collected first: a malformed entry
-                    # earlier in the file outranks the truncation, just
-                    # as it would in sequential parsing.
-                    rows, cols, values = _parse_chunk_lines(
-                        lines, linenos, header.field, source
-                    )
-                    if header.symmetry == "symmetric":
-                        rows, cols, values = _expand_symmetric(rows, cols, values)
-                    raise fail(
-                        f"file ended after {expanded_total + rows.size} of "
-                        f"{header.n_entries} declared entries"
-                    )
-                lines.append(line)
-                linenos.append(reader.lineno)
-            rows, cols, values = _parse_chunk_lines(
-                lines, linenos, header.field, source
-            )
-            bad = (
-                (rows < 0)
-                | (rows >= header.n_rows)
-                | (cols < 0)
-                | (cols >= header.n_cols)
-            )
-            if bad.any():
-                first = int(np.flatnonzero(bad)[0])
-                raise FormatError(
-                    f"{source}:{linenos[first]}: entry out of bounds for "
-                    f"{header.n_rows}x{header.n_cols} matrix: {lines[first]!r}"
-                )
-            if header.symmetry == "symmetric":
-                rows, cols, values = _expand_symmetric(rows, cols, values)
-            expanded_total += rows.size
-            remaining -= take
-            yield rows, cols, values
-
-
-def _parse_chunk_lines(
-    lines: List[str], linenos: List[int], field: str, source: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a batch of data lines, fast path first, exact errors second."""
-    if not lines:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=np.float64)
-    if field == "pattern":
-        dtype = [("row", np.int64), ("col", np.int64)]
-    else:
-        dtype = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
-    try:
-        table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-        if table.shape[0] != len(lines):
-            raise _Fallback
-    except Exception:
-        # Reparse sequentially so the *first* offending line wins, with
-        # its recorded physical line number.
-        rows_list: List[int] = []
-        cols_list: List[int] = []
-        values_list: List[float] = []
-        for lineno, line in zip(linenos, lines):
-            try:
-                row, col, value = _parse_entry(line, field)
-            except FormatError as exc:
-                raise FormatError(f"{source}:{lineno}: {exc}") from exc
-            rows_list.append(row)
-            cols_list.append(col)
-            values_list.append(value)
-        return (
-            np.asarray(rows_list, dtype=np.int64),
-            np.asarray(cols_list, dtype=np.int64),
-            np.asarray(values_list, dtype=np.float64),
-        )
-    rows = table["row"] - 1
-    cols = table["col"] - 1
-    if field == "pattern":
-        values = np.ones(len(lines), dtype=np.float64)
-    else:
-        values = table["value"]
-    return rows, cols, values
+        header, lineno = _parse_preamble(handle, source)
+        yield from _iter_entries(handle, header, lineno, source, chunk_entries)
 
 
 def mtx_to_memmap_csr(

@@ -67,7 +67,7 @@ SCALE_TECHNIQUES = ("rabbit", "boba", "dbg")
 
 def oracle_detection(graph: Graph) -> RabbitResult:
     """RABBIT detection by the dict-per-root oracle."""
-    return _rabbit_reference(graph.to_undirected(), n_passes=1)
+    return _rabbit_reference(graph.to_undirected())
 
 
 def _gorder_oracle(graph: Graph) -> np.ndarray:

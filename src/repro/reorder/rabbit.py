@@ -17,18 +17,11 @@ from repro.reorder.base import ReorderingTechnique
 
 
 class RabbitOrder(ReorderingTechnique):
-    """Community-based ordering via dendrogram DFS.
-
-    Parameters
-    ----------
-    n_passes:
-        Detection sweeps (1 = faithful single-pass Rabbit).
-    """
+    """Community-based ordering via dendrogram DFS."""
 
     name = "rabbit"
 
-    def __init__(self, n_passes: int = 1) -> None:
-        self.n_passes = int(n_passes)
+    def __init__(self) -> None:
         #: Detection output of the most recent :meth:`compute` call;
         #: exposed because RABBIT++ and the insularity metrics reuse the
         #: community assignment that produced the ordering.
@@ -37,7 +30,7 @@ class RabbitOrder(ReorderingTechnique):
         self._last_graph: Optional[Graph] = None
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        self.last_result = rabbit_communities(graph, n_passes=self.n_passes)
+        self.last_result = rabbit_communities(graph)
         self._last_graph = graph
         return self.last_result.dendrogram.ordering()
 
@@ -48,7 +41,7 @@ class RabbitOrder(ReorderingTechnique):
         graph object: another graph of the same size gets its own run.
         """
         if self.last_result is None or self._last_graph is not graph:
-            self.last_result = rabbit_communities(graph, n_passes=self.n_passes)
+            self.last_result = rabbit_communities(graph)
             self._last_graph = graph
         return self.last_result
 
@@ -60,16 +53,15 @@ class RabbitShardedOrder(ReorderingTechnique):
     detection phase runs :func:`~repro.community.sharded.
     sharded_rabbit_communities` — local Rabbit per vertex-range shard
     (optionally across processes) stitched by a coarse pass.  The
-    permutation is a pure function of ``(graph, n_shards, n_passes)``;
+    permutation is a pure function of ``(graph, n_shards)``;
     ``jobs`` never changes it.
     """
 
     name = "rabbit-sharded"
 
-    def __init__(self, n_shards: int = 4, jobs: int = 1, n_passes: int = 1) -> None:
+    def __init__(self, n_shards: int = 4, jobs: int = 1) -> None:
         self.n_shards = int(n_shards)
         self.jobs = int(jobs)
-        self.n_passes = int(n_passes)
         #: Detection output of the most recent :meth:`compute` call.
         self.last_result = None
 
@@ -79,7 +71,7 @@ class RabbitShardedOrder(ReorderingTechnique):
         from repro.community.sharded import sharded_rabbit_communities
 
         result = sharded_rabbit_communities(
-            graph, n_shards=self.n_shards, jobs=self.jobs, n_passes=self.n_passes
+            graph, n_shards=self.n_shards, jobs=self.jobs
         )
         self.last_result = result
         return result.dendrogram.ordering()

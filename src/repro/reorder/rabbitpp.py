@@ -80,7 +80,6 @@ class RabbitPlusPlus(ReorderingTechnique):
         group_insular: bool = True,
         hub_policy: HubPolicy = HubPolicy.GROUP,
         segment_policy: str = "insular-first",
-        n_passes: int = 1,
     ) -> None:
         if segment_policy not in ("hubs-first", "insular-first"):
             raise ValidationError(
@@ -91,7 +90,6 @@ class RabbitPlusPlus(ReorderingTechnique):
         self.group_insular = bool(group_insular)
         self.hub_policy = hub_policy
         self.segment_policy = segment_policy
-        self.n_passes = int(n_passes)
         self.last_result: Optional[RabbitPlusPlusResult] = None
 
     @property
@@ -111,7 +109,7 @@ class RabbitPlusPlus(ReorderingTechnique):
         return label
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        return self.order(graph, rabbit_communities(graph, n_passes=self.n_passes))
+        return self.order(graph, rabbit_communities(graph))
 
     def order(self, graph: Graph, rabbit: RabbitResult) -> np.ndarray:
         """The ordering step: regroup RABBIT's order from ``rabbit``.
@@ -183,7 +181,7 @@ class RabbitPlusPlus(ReorderingTechnique):
         ]
 
 
-def table2_variants(n_passes: int = 1) -> List[Tuple[str, str, ReorderingTechnique]]:
+def table2_variants() -> List[Tuple[str, str, ReorderingTechnique]]:
     """The six Table II cells as (row label, column label, technique).
 
     Rows: RABBIT, RABBIT+HUBSORT, RABBIT+HUBGROUP.
@@ -199,12 +197,10 @@ def table2_variants(n_passes: int = 1) -> List[Tuple[str, str, ReorderingTechniq
     ):
         for group_insular, column in ((False, "without-insular"), (True, "with-insular")):
             if hub_policy is HubPolicy.NONE and not group_insular:
-                technique: ReorderingTechnique = RabbitOrder(n_passes=n_passes)
+                technique: ReorderingTechnique = RabbitOrder()
             else:
                 technique = RabbitPlusPlus(
-                    group_insular=group_insular,
-                    hub_policy=hub_policy,
-                    n_passes=n_passes,
+                    group_insular=group_insular, hub_policy=hub_policy
                 )
             variants.append((row, column, technique))
     return variants

@@ -1,15 +1,15 @@
 """Matrix Market reader/writer."""
 
 import io
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.errors import FormatError
 from repro.graphs.io import (
-    _Fallback,
-    _parse_bulk,
-    _read_stream,
+    iter_matrix_market_chunks,
+    mtx_to_memmap_csr,
     read_matrix_market,
     write_matrix_market,
 )
@@ -84,8 +84,41 @@ class TestRead:
             )
 
 
+class TestNegativeSizes:
+    """A negative size on the size line is rejected with its location."""
+
+    @pytest.fixture(params=["3 3 -1", "-3 3 0", "3 -3 0"])
+    def negative(self, request, tmp_path):
+        path = tmp_path / "negative.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% comment\n"
+            f"{request.param}\n"
+            "1 1 1.0\n"
+        )
+        return str(path), f"{path}:3: negative size in size line {request.param!r}"
+
+    def test_read_matrix_market(self, negative):
+        path, message = negative
+        with pytest.raises(FormatError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == message
+
+    def test_iter_matrix_market_chunks(self, negative):
+        path, message = negative
+        with pytest.raises(FormatError) as err:
+            list(iter_matrix_market_chunks(path, chunk_entries=2))
+        assert str(err.value) == message
+
+    def test_mtx_to_memmap_csr(self, negative, tmp_path):
+        path, message = negative
+        with pytest.raises(FormatError) as err:
+            mtx_to_memmap_csr(path, str(tmp_path / "csr"))
+        assert str(err.value) == message
+
+
 class TestRoundTrip:
-    def test_write_read_stream(self, small_coo):
+    def test_stream_round_trip(self, small_coo):
         buffer = io.StringIO()
         write_matrix_market(small_coo, buffer, comment="round trip")
         buffer.seek(0)
@@ -105,54 +138,110 @@ class TestRoundTrip:
         assert read_matrix_market(str(path)) == matrix
 
 
-def _texts_equal(text: str) -> bool:
-    """Bulk and reference parses agree entry-for-entry (or both fail)."""
-    try:
-        ref = _read_stream(io.StringIO(text), "X")
-    except FormatError:
-        ref = None
-    try:
-        fast = read_matrix_market(io.StringIO(text))
-    except FormatError:
-        fast = None
-    if ref is None or fast is None:
-        return (ref is None) == (fast is None)
-    return (
-        ref.shape == fast.shape
-        and np.array_equal(ref.rows, fast.rows)
-        and np.array_equal(ref.cols, fast.cols)
-        and np.array_equal(ref.values, fast.values, equal_nan=True)
-    )
+# Inputs off the clean path, each with what ``read_matrix_market`` makes
+# of it: ``(shape, rows, cols, values)``, or the exact error text.
+ODDBALLS = [
+    # Interleaved comments/blank lines among entries.
+    (
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n% c\n1 1 1.0\n\n2 2 2.0\n",
+        ((2, 2), [0, 1], [0, 1], [1.0, 2.0]),
+    ),
+    # Extra tokens per entry are tolerated.
+    (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 extra\n",
+        ((2, 2), [0], [0], [1.0]),
+    ),
+    # Ragged entry.
+    (
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2 9\n1\n",
+        "<stream>:4: malformed pattern entry: '1'",
+    ),
+    # Python-only integer spellings.
+    (
+        "%%MatrixMarket matrix coordinate real general\n12 12 1\n1_0 1 1.0\n",
+        ((12, 12), [9], [0], [1.0]),
+    ),
+    # Trailing junk after the declared entries is ignored.
+    (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 9.0\n",
+        ((2, 2), [0], [0], [1.0]),
+    ),
+    # CRLF endings and tab separators.
+    (
+        "%%MatrixMarket matrix coordinate real general\r\n2 2 1\r\n1 1 1.0\r\n",
+        ((2, 2), [0], [0], [1.0]),
+    ),
+    (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\t1\t1.0\n",
+        ((2, 2), [0], [0], [1.0]),
+    ),
+    # Zero-entry matrix.
+    (
+        "%%MatrixMarket matrix coordinate real general\n4 5 0\n",
+        ((4, 5), [], [], []),
+    ),
+    # Exponent/float spellings in integer coordinate columns.
+    (
+        "%%MatrixMarket matrix coordinate real general\n1200 1200 1\n1e3 1 1.0\n",
+        "<stream>:3: non-integer coordinate in entry '1e3 1 1.0': "
+        "invalid literal for int() with base 10: '1e3'",
+    ),
+    (
+        "%%MatrixMarket matrix coordinate real general\n12 12 1\n2.0 1 1.0\n",
+        "<stream>:3: non-integer coordinate in entry '2.0 1 1.0': "
+        "invalid literal for int() with base 10: '2.0'",
+    ),
+    # Mid-line '%' and '#' are data, not comments.
+    (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.0%x\n",
+        "<stream>:3: non-numeric value in entry '1 2 3.0%x': "
+        "could not convert string to float: '3.0%x'",
+    ),
+    (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.0#x 4\n",
+        "<stream>:3: non-numeric value in entry '1 2 3.0#x 4': "
+        "could not convert string to float: '3.0#x'",
+    ),
+]
 
 
 class TestBulkParserDifferential:
-    """The bulk tokenizer path matches the line-by-line reference."""
+    """Exact matrices or error texts for every field x symmetry pair and
+    for inputs off the clean path."""
 
     @pytest.mark.parametrize("field", ["real", "integer", "pattern"])
     @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
     def test_field_symmetry_grid(self, field, symmetry):
-        rng = np.random.default_rng(hash((field, symmetry)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"{field}-{symmetry}".encode()))
         n = 24
         lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}"]
         entries = []
+        expected = []
         for _ in range(60):
             r = int(rng.integers(1, n + 1))
             c = int(rng.integers(1, r + 1)) if symmetry == "symmetric" else int(
                 rng.integers(1, n + 1)
             )
             if field == "pattern":
+                v = 1.0
                 entries.append(f"{r} {c}")
             elif field == "integer":
-                entries.append(f"{r} {c} {int(rng.integers(-9, 9))}")
+                v = float(rng.integers(-9, 9))
+                entries.append(f"{r} {c} {int(v)}")
             else:
-                entries.append(f"{r} {c} {rng.standard_normal():.17g}")
+                v = float(rng.standard_normal())
+                entries.append(f"{r} {c} {v:.17g}")
+            expected.append((r - 1, c - 1, v))
+            if symmetry == "symmetric" and r != c:
+                expected.append((c - 1, r - 1, v))  # mirror right after
         lines.append(f"{n} {n} {len(entries)}")
         lines.extend(entries)
-        assert _texts_equal("\n".join(lines) + "\n")
+        coo = read_matrix_market(io.StringIO("\n".join(lines) + "\n"))
+        assert coo.shape == (n, n)
+        assert list(zip(coo.rows.tolist(), coo.cols.tolist(), coo.values.tolist())) == expected
 
     def test_symmetric_mirrors_interleaved(self):
-        # Reference appends each mirror immediately after its entry —
-        # the bulk expansion must preserve that exact COO order.
+        # Each mirror immediately follows its entry in the COO order.
         text = (
             "%%MatrixMarket matrix coordinate real symmetric\n"
             "3 3 3\n"
@@ -166,51 +255,32 @@ class TestBulkParserDifferential:
         assert coo.values.tolist() == [1.5, 1.5, 4.0, -2.5, -2.5]
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            # Interleaved comments/blank lines among entries.
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n% c\n1 1 1.0\n\n2 2 2.0\n",
-            # Extra tokens per entry (tolerated by the reference).
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 extra\n",
-            # Ragged entry (reference raises line 4).
-            "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2 9\n1\n",
-            # Python-only integer spellings.
-            "%%MatrixMarket matrix coordinate real general\n12 12 1\n1_0 1 1.0\n",
-            # Trailing junk after the declared entries is ignored.
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 9.0\n",
-            # CRLF endings and tab separators.
-            "%%MatrixMarket matrix coordinate real general\r\n2 2 1\r\n1 1 1.0\r\n",
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\t1\t1.0\n",
-            # Zero-entry matrix.
-            "%%MatrixMarket matrix coordinate real general\n4 5 0\n",
-            # Exponent/float spellings in integer coordinate columns.
-            "%%MatrixMarket matrix coordinate real general\n1200 1200 1\n1e3 1 1.0\n",
-            "%%MatrixMarket matrix coordinate real general\n12 12 1\n2.0 1 1.0\n",
-            # Mid-line '%' and '#' are data, not comments.
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.0%x\n",
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.0#x 4\n",
-        ],
+        "text, expected", ODDBALLS, ids=[text for text, _ in ODDBALLS]
     )
-    def test_oddball_inputs_match_reference(self, text):
-        assert _texts_equal(text)
+    def test_oddball_inputs_match_reference(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as err:
+                read_matrix_market(io.StringIO(text))
+            assert str(err.value) == expected
+            return
+        coo = read_matrix_market(io.StringIO(text))
+        shape, rows, cols, values = expected
+        assert coo.shape == shape
+        assert coo.rows.tolist() == rows
+        assert coo.cols.tolist() == cols
+        assert coo.values.tolist() == values
 
     def test_ragged_lines_fall_back(self):
-        # Divisible token count but misaligned columns: the bulk path
-        # must not silently parse this; the reference rejects line 4.
+        # Divisible token count but misaligned columns: the chunk must
+        # not parse silently; the line parser rejects line 4.
         text = (
             "%%MatrixMarket matrix coordinate pattern general\n"
             "9 9 2\n"
             "1 2 3\n"
             "4\n"
         )
-        with pytest.raises(_Fallback):
-            _parse_bulk(text)
         with pytest.raises(FormatError, match=r":4: "):
             read_matrix_market(io.StringIO(text))
-
-    def test_bulk_path_taken_for_clean_file(self):
-        coo = _parse_bulk(GENERAL)
-        assert coo.nnz == 3
 
 
 class TestErrorLocations:
@@ -269,7 +339,7 @@ class TestErrorLocations:
 
 
 class TestChunkedReader:
-    """iter_matrix_market_chunks / mtx_to_memmap_csr vs the line reader."""
+    """iter_matrix_market_chunks / mtx_to_memmap_csr vs read_matrix_market."""
 
     def write_random_mtx(self, path, n, nnz, seed, symmetry="general"):
         rng = np.random.default_rng(seed)
@@ -291,8 +361,6 @@ class TestChunkedReader:
     @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
     @pytest.mark.parametrize("chunk_entries", [3, 16, 10_000])
     def test_chunks_concatenate_to_reference(self, tmp_path, symmetry, chunk_entries):
-        from repro.graphs.io import iter_matrix_market_chunks
-
         path = tmp_path / "m.mtx"
         self.write_random_mtx(str(path), 12, 40, seed=9, symmetry=symmetry)
         reference = read_matrix_market(str(path))
@@ -310,6 +378,55 @@ class TestChunkedReader:
         assert np.array_equal(cols[order], reference.cols[ref_order])
         assert np.array_equal(values[order], reference.values[ref_order])
 
+    def test_read_matrix_market_concatenates_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.mtx"
+        self.write_random_mtx(str(path), 12, 40, seed=3, symmetry="symmetric")
+        whole = read_matrix_market(str(path))
+        monkeypatch.setattr("repro.graphs.io.DEFAULT_CHUNK_ENTRIES", 3)
+        chunked = read_matrix_market(str(path))
+        assert np.array_equal(chunked.rows, whole.rows)
+        assert np.array_equal(chunked.cols, whole.cols)
+        assert np.array_equal(chunked.values, whole.values)
+
+    def test_comment_between_chunks_keeps_chunk_sizes(self, tmp_path):
+        path = tmp_path / "comment.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "5 5 5\n"
+            "1 1 1.0\n"
+            "2 2 2.0\n"
+            "% between the first and the second chunk\n"
+            "3 3 3.0\n"
+            "4 4 4.0\n"
+            "5 5 5.0\n"
+        )
+        chunks = [
+            (r.tolist(), c.tolist(), v.tolist())
+            for r, c, v in iter_matrix_market_chunks(str(path), chunk_entries=2)
+        ]
+        assert chunks == [
+            ([0, 1], [0, 1], [1.0, 2.0]),
+            ([2, 3], [2, 3], [3.0, 4.0]),
+            ([4], [4], [5.0]),
+        ]
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_blank_only_chunk_parses_without_warning(self, tmp_path):
+        # np.loadtxt warns on a chunk with no data; such a chunk must
+        # reach the line parser instead.
+        path = tmp_path / "blanks.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 2\n"
+            "\n"
+            "   \n"
+            "1 1 1.0\n"
+            "2 2 2.0\n"
+        )
+        chunks = list(iter_matrix_market_chunks(str(path), chunk_entries=2))
+        assert [r.tolist() for r, _, _ in chunks] == [[0, 1]]
+        assert read_matrix_market(str(path)).rows.tolist() == [0, 1]
+
     def test_header_scan(self, tmp_path):
         from repro.graphs.io import scan_matrix_market_header
 
@@ -322,7 +439,6 @@ class TestChunkedReader:
 
     @pytest.mark.parametrize("chunk_entries", [2, 5, 10_000])
     def test_mtx_to_memmap_matches_read_matrix_market(self, tmp_path, chunk_entries):
-        from repro.graphs.io import mtx_to_memmap_csr
         from repro.sparse.convert import coo_to_csr
         from repro.sparse.memmap import is_memmap_backed
 
@@ -339,7 +455,7 @@ class TestChunkedReader:
 
 
 class TestChunkedErrorParity:
-    """The chunked reader reports byte-identical errors to the line reader.
+    """The chunked reader reports byte-identical errors to read_matrix_market.
 
     The regression that matters: a corrupt entry mid-file must name the
     exact path:lineno even when it sits in the middle of a later chunk
@@ -347,8 +463,6 @@ class TestChunkedErrorParity:
     """
 
     def drain(self, path, chunk_entries):
-        from repro.graphs.io import iter_matrix_market_chunks
-
         for _ in iter_matrix_market_chunks(path, chunk_entries=chunk_entries):
             pass
 
@@ -405,13 +519,9 @@ class TestChunkedErrorParity:
             "2 2 1.0\n"
             "9 1 1.0\n"
         )
-        # The line reader defers bounds checks to the COOMatrix
-        # constructor (no location); the chunked reader has to check
-        # per chunk anyway, so it does better and names the line.
         line_msg, chunk_msg = self.both_errors(str(path), chunk_entries=2)
-        assert "out of bounds" in line_msg
-        assert f"{path}:5: " in chunk_msg
-        assert "out of bounds" in chunk_msg
+        assert line_msg == chunk_msg
+        assert chunk_msg == f"{path}:5: entry out of bounds for 3x3 matrix: '9 1 1.0'"
 
     def test_preamble_errors_identical(self, tmp_path):
         path = tmp_path / "preamble.mtx"

@@ -83,12 +83,6 @@ class TestMechanics:
         assert a.assignment == b.assignment
         assert np.array_equal(a.dendrogram.ordering(), b.dendrogram.ordering())
 
-    def test_multi_pass_not_worse(self):
-        graph = load_graph("test-social")
-        q1 = modularity(graph, rabbit_communities(graph, n_passes=1).assignment)
-        q3 = modularity(graph, rabbit_communities(graph, n_passes=3).assignment)
-        assert q3 >= q1 - 1e-9
-
 
 class TestEdgeCases:
     def test_empty_graph(self):

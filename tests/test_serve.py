@@ -401,6 +401,13 @@ def test_http_error_mapping(endpoint):
     assert status == 404
 
 
+def test_http_upload_with_negative_size_is_rejected(endpoint):
+    mtx = "%%MatrixMarket matrix coordinate real general\n3 3 -1\n1 1 1.0\n"
+    status, _, body = _post(endpoint, {"mtx": mtx, "technique": "degsort"})
+    assert status == 400
+    assert json.loads(body)["error"] == "<stream>:2: negative size in size line '3 3 -1'"
+
+
 def test_http_recommend_get_and_post(endpoint, instr):
     url = endpoint + "/v1/recommend?matrix=test-comm&iterations=25"
     with urllib.request.urlopen(url, timeout=60) as response:
