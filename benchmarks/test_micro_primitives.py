@@ -11,7 +11,6 @@ import pytest
 
 from repro.cache.belady import _simulate_belady
 from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
-from repro.cache.lru import _simulate_lru
 from repro.community.rabbit import rabbit_communities
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import load_graph
@@ -36,12 +35,6 @@ def trace(graph):
 def test_trace_generation(benchmark, graph):
     trace = benchmark(lambda: spmv_csr_trace(graph.adjacency, line_bytes=32))
     assert trace.n_accesses > 0
-
-
-def test_lru_simulation(benchmark, trace):
-    config = scaled_platform("bench").cache_config()
-    stats = benchmark(lambda: _simulate_lru(trace.lines, config))
-    assert stats.accesses == trace.n_accesses
 
 
 def test_lru_simulation_fast(benchmark, trace):

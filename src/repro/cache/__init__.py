@@ -15,9 +15,10 @@ This module is the public simulator surface:
 * :class:`CacheConfig` / :class:`CacheStats` — geometry in, counters
   out.
 
-The per-access loops in :mod:`repro.cache.lru` and
-:mod:`repro.cache.belady` stay in-tree as the oracles the differential
-tests and ``repro bench-sim`` compare the vectorized engines against.
+The differential tests compare the vectorized engines against
+per-access loops: LRU's lives in ``tests/oracles/cache.py``, and
+Belady's in :mod:`repro.cache.belady`, since :func:`simulate` runs it on
+small inputs.
 """
 
 from repro.cache.config import CacheConfig

@@ -11,8 +11,8 @@ vectorized engine is up to 9x faster at 512 or more sets and 31x at the
 A6000 geometry.  Both sides produce bit-identical
 :class:`~repro.cache.stats.CacheStats`.
 
-The per-access loops (``_simulate_lru``, ``_simulate_belady``) are
-otherwise the oracles of the differential tests and ``repro bench-sim``.
+The differential tests hold both engines to per-access loops: Belady's
+own loop and the ``OrderedDict`` LRU oracle in ``tests/oracles/cache.py``.
 
 Every call emits one ``cache-sim`` observability span tagged with the
 policy and the engine that ran (``impl="fast"|"reference"``), plus

@@ -6,10 +6,10 @@ no loop runs per access.  Wide plans replay in numpy lockstep rounds;
 LRU replays narrow plans (few busy sets) per set in a Python loop over
 the collapsed runs.  Identical ``CacheStats`` (bit-for-bit, including
 dead-line and per-region miss counters) to the per-access loops in
-:mod:`repro.cache.lru` and :mod:`repro.cache.belady`, 3x to 30x faster
-on realistic traces (measurements in the README).  Those loops stay
-in-tree as the oracle; the randomized differential suite
-(``tests/test_cache_fast_differential.py``) pins the equivalence.
+``tests/oracles/cache.py`` (LRU) and :mod:`repro.cache.belady`, 3x to
+30x faster on realistic traces (measurements in the README); the
+randomized differential suite (``tests/test_cache_fast_differential.py``)
+pins the equivalence.
 
 Callers should not import this package directly — go through
 :func:`repro.cache.simulate`, which adds the observability span and

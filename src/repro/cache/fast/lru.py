@@ -19,14 +19,14 @@ two schedules:
   when few sets carry the runs and the rounds are long and narrow.
 
 :func:`lru_schedule` picks between them from the plan's width.  Both
-produce counters bit-identical to the oracle
-:func:`repro.cache.lru._simulate_lru` (see
+produce counters bit-identical to the per-access ``OrderedDict`` oracle
+in ``tests/oracles/cache.py`` (see
 ``tests/test_cache_fast_differential.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,17 @@ def simulate_lru_fast(
     config: CacheConfig,
     regions: Optional[RegionBounds] = None,
 ) -> CacheStats:
-    """Bucketed equivalent of :func:`repro.cache.lru._simulate_lru`."""
+    """Set-associative LRU over the bucketed trace."""
+    return lru_replay(trace, config, regions)[0]
+
+
+def lru_replay(
+    trace: np.ndarray,
+    config: CacheConfig,
+    regions: Optional[RegionBounds] = None,
+) -> Tuple[CacheStats, np.ndarray]:
+    """:func:`simulate_lru_fast`'s stats and the trace positions that
+    missed, grouped by cache set rather than in trace order."""
     trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
     if trace.size == 0:
         miss_positions = np.empty(0, dtype=np.int64)
@@ -70,7 +80,7 @@ def simulate_lru_fast(
         region_misses=classify_misses(trace, miss_positions, regions),
     )
     stats.check_consistency()
-    return stats
+    return stats, miss_positions
 
 
 def lru_schedule(plan: BucketPlan) -> str:

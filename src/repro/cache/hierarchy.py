@@ -7,21 +7,23 @@ V-A).  The single-level simulator cannot observe that property; this
 module simulates an inclusive two-level LRU hierarchy so the
 hierarchy-mapping claim becomes measurable (see
 ``repro.experiments.hierarchy_ablation``).
+
+L2 only ever sees L1's misses, in trace order, so each level is one run
+of the bucketed LRU engine (:mod:`repro.cache.fast.lru`): L1 over the
+trace, L2 over the accesses L1 missed.  The per-access two-level loop
+this replaced is the oracle in ``tests/oracles/cache.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.cache.fast.lru import lru_replay
 from repro.cache.stats import CacheStats
 from repro.errors import ValidationError
-
-_CHUNK = 1 << 20
 
 
 @dataclass
@@ -78,71 +80,10 @@ def simulate_hierarchy(
             f"({l1_config.capacity_bytes} > {l2_config.capacity_bytes})"
         )
     trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-
-    l1_sets: List[OrderedDict] = [OrderedDict() for _ in range(l1_config.n_sets)]
-    l2_sets: List[OrderedDict] = [OrderedDict() for _ in range(l2_config.n_sets)]
-    l1_sets_count, l1_ways = l1_config.n_sets, l1_config.ways
-    l2_sets_count, l2_ways = l2_config.n_sets, l2_config.ways
-
-    l1_hits = l1_evict = l1_dead = 0
-    l2_hits = l2_miss = l2_evict = l2_dead = 0
-    l1_miss = 0
-
-    for start in range(0, trace.size, _CHUNK):
-        for line in trace[start: start + _CHUNK].tolist():
-            l1_set = l1_sets[line % l1_sets_count]
-            if line in l1_set:
-                l1_set[line] = True
-                l1_set.move_to_end(line)
-                l1_hits += 1
-                continue
-            l1_miss += 1
-            l1_set[line] = False
-            if len(l1_set) > l1_ways:
-                _, reused = l1_set.popitem(last=False)
-                l1_evict += 1
-                if not reused:
-                    l1_dead += 1
-            # L1 miss falls through to L2.
-            l2_set = l2_sets[line % l2_sets_count]
-            if line in l2_set:
-                l2_set[line] = True
-                l2_set.move_to_end(line)
-                l2_hits += 1
-            else:
-                l2_miss += 1
-                l2_set[line] = False
-                if len(l2_set) > l2_ways:
-                    _, reused = l2_set.popitem(last=False)
-                    l2_evict += 1
-                    if not reused:
-                        l2_dead += 1
-
-    l1_dead_end = sum(
-        1 for s in l1_sets for reused in s.values() if not reused
-    )
-    l2_dead_end = sum(
-        1 for s in l2_sets for reused in s.values() if not reused
-    )
-    stats = HierarchyStats(
-        l1=CacheStats(
-            accesses=int(trace.size),
-            hits=l1_hits,
-            misses=l1_miss,
-            evictions=l1_evict,
-            dead_evictions=l1_dead,
-            dead_at_end=l1_dead_end,
-            line_bytes=l1_config.line_bytes,
-        ),
-        l2=CacheStats(
-            accesses=l1_miss,
-            hits=l2_hits,
-            misses=l2_miss,
-            evictions=l2_evict,
-            dead_evictions=l2_dead,
-            dead_at_end=l2_dead_end,
-            line_bytes=l2_config.line_bytes,
-        ),
-    )
+    l1, l1_misses = lru_replay(trace, l1_config)
+    # L2 sees L1's misses in trace order; the engine reports them
+    # grouped by set.
+    l2, _ = lru_replay(trace[np.sort(l1_misses)], l2_config)
+    stats = HierarchyStats(l1=l1, l2=l2)
     stats.check_consistency()
     return stats

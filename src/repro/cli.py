@@ -8,14 +8,13 @@ Examples::
     repro experiment fig2 --profile bench
     repro export soc-forum /tmp/soc-forum.mtx
     repro profile soc-forum --technique rabbit
-    repro bench-reorder --smoke --json BENCH_reorder.json
+    repro bench-reorder --scale 13 --jobs 2 --json BENCH_reorder.json
     repro cache-stats
     repro doctor
     repro run-all --jobs 4 --retries 2 --cell-timeout 120 --keep-going
     repro run-all --resume
     repro runs list
     repro trace <run_id> --chrome /tmp/trace.json
-    repro bench --check --strict
     repro serve --profile bench --port 8787 --deadline 30
     repro serve-bench --requests 60 --concurrency 4 --json BENCH_serve.json
     repro version
@@ -35,8 +34,7 @@ files from the parent *and* every pool worker (disable with
 ``--no-ledger``; relocate with ``--runs-dir`` or ``$REPRO_RUNS_DIR``).
 ``repro runs list|show`` browses the ledger; ``repro trace <run_id>``
 renders the stitched cross-process span tree and exports Chrome
-trace-event JSON; ``repro bench --check`` gates fresh benchmark
-payloads against committed baselines.
+trace-event JSON.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ from repro.obs.ledger import (
     load_manifest,
     resolve_runs_dir,
 )
-from repro.reorder.benchreorder import BENCH_TECHNIQUES, SCALE_GRAPH
+from repro.reorder.benchreorder import SCALE_GRAPH
 from repro.reorder.registry import available_techniques
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -88,7 +86,6 @@ _CACHE_KINDS = ("reorder-time", "metrics", "run")
 _LEDGER_COMMANDS = {
     "experiment": "experiment",
     "run-all": "run-all",
-    "bench": "bench-check",
     "serve": "serve",
     "serve-bench": "serve-bench",
 }
@@ -305,47 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cache_stats.set_defaults(handler=_cmd_cache_stats)
 
-    bench_sim = subparsers.add_parser(
-        "bench-sim",
-        help="benchmark the fast cache simulators against their reference oracles",
-    )
-    bench_sim.add_argument(
-        "--smoke", action="store_true", help="small workload for CI (seconds, not minutes)"
-    )
-    bench_sim.add_argument(
-        "--policy",
-        default="both",
-        choices=["lru", "belady", "both"],
-        help="replacement policies to benchmark",
-    )
-    bench_sim.add_argument(
-        "--repeats", type=int, default=1, help="timing repetitions (best is kept)"
-    )
-    bench_sim.add_argument(
-        "--kernel",
-        default="spmv-csr",
-        help="kernel traced over the seeded workload (default: spmv-csr)",
-    )
-    bench_sim.add_argument(
-        "--json", default=None, metavar="PATH", help="write the BENCH_sim.json payload to PATH"
-    )
-    bench_sim.set_defaults(handler=_cmd_bench_sim)
-
     bench_reorder = subparsers.add_parser(
         "bench-reorder",
-        help="benchmark the fast reordering engines against their reference oracles",
-    )
-    bench_reorder.add_argument(
-        "--smoke", action="store_true", help="small workload for CI (seconds, not minutes)"
-    )
-    bench_reorder.add_argument(
-        "--technique",
-        default="all",
-        choices=["all", "detect"] + list(BENCH_TECHNIQUES),
-        help="benchmark one technique, 'detect' for detection only, or 'all'",
-    )
-    bench_reorder.add_argument(
-        "--repeats", type=int, default=3, help="timing repetitions (best is kept)"
+        help="scale-out reordering benchmark: one end-to-end pass on a large "
+        "R-MAT, reporting nodes/s, digests and peak RSS per phase",
     )
     bench_reorder.add_argument(
         "--json",
@@ -356,47 +316,40 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_reorder.add_argument(
         "--scale",
         type=int,
-        nargs="?",
-        const=SCALE_GRAPH["scale"],
-        default=None,
+        default=SCALE_GRAPH["scale"],
         metavar="N",
-        help="scale-out mode: one end-to-end pass on an R-MAT of 2^N "
-        f"nodes (default N={SCALE_GRAPH['scale']}) through the memmap "
-        "matrix cache, reporting nodes/s, sharded-detection speedup, "
-        "and peak RSS per phase",
+        help=f"R-MAT of 2^N nodes (default {SCALE_GRAPH['scale']})",
     )
     bench_reorder.add_argument(
         "--edge-factor",
         type=int,
         default=SCALE_GRAPH["edge_factor"],
-        help="scale-out mode: R-MAT edge factor "
-        f"(default {SCALE_GRAPH['edge_factor']})",
+        help=f"R-MAT edge factor (default {SCALE_GRAPH['edge_factor']})",
     )
     bench_reorder.add_argument(
         "--seed",
         type=int,
         default=SCALE_GRAPH["seed"],
-        help=f"scale-out mode: R-MAT seed (default {SCALE_GRAPH['seed']})",
+        help=f"R-MAT seed (default {SCALE_GRAPH['seed']})",
     )
     bench_reorder.add_argument(
         "--shards",
         type=int,
         default=4,
-        help="scale-out mode: shard count for sharded detection and the "
-        "boba anchor scan (default 4)",
+        help="shard count for sharded detection and the boba anchor scan (default 4)",
     )
     bench_reorder.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="scale-out mode: worker processes for the sharded passes "
+        help="worker processes for the sharded passes "
         "(default 1; never changes any permutation)",
     )
     bench_reorder.add_argument(
         "--no-memmap",
         action="store_true",
-        help="scale-out mode: build the matrix in RAM instead of "
-        "loading it through the memmap matrix cache",
+        help="build the matrix in RAM instead of loading it through the "
+        "memmap matrix cache",
     )
     bench_reorder.set_defaults(handler=_cmd_bench_reorder)
 
@@ -422,54 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "run_id", nargs="?", default=None, help="run id for 'show' (or unique prefix)"
     )
     runs.set_defaults(handler=_cmd_runs)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="perf-regression gate: compare fresh BENCH payloads to baselines",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare fresh payloads against the committed baselines; "
-        "exit 1 on any regression",
-    )
-    bench.add_argument(
-        "--sim",
-        default="BENCH_sim.json",
-        metavar="PATH",
-        help="fresh bench-sim payload (default: BENCH_sim.json)",
-    )
-    bench.add_argument(
-        "--reorder",
-        default="BENCH_reorder.json",
-        metavar="PATH",
-        help="fresh bench-reorder payload (default: BENCH_reorder.json)",
-    )
-    bench.add_argument(
-        "--baseline-dir",
-        default="benchmarks/baselines",
-        metavar="DIR",
-        help="committed baseline payloads (default: benchmarks/baselines)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional speedup drop before failing "
-        "(default: 0.4, i.e. fresh >= 60%% of baseline passes)",
-    )
-    bench.add_argument(
-        "--strict",
-        action="store_true",
-        help="a missing fresh payload fails the gate instead of skipping "
-        "(CI uses this so a benchmark that produced no output cannot pass)",
-    )
-    bench.add_argument(
-        "--update",
-        action="store_true",
-        help="copy the fresh payloads into the baseline dir (re-baseline)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = subparsers.add_parser(
         "serve",
@@ -1137,74 +1042,8 @@ def _doctor_store(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    from repro.cache.benchsim import build_bench_workload, run_bench
-
-    policies = ("lru", "belady") if args.policy == "both" else (args.policy,)
-    trace, config = build_bench_workload(smoke=args.smoke, kernel=args.kernel)
-    print(
-        f"workload: {trace.kernel}, {trace.lines.size} accesses, "
-        f"{config.n_sets} sets x {config.ways} ways"
-    )
-    payload = run_bench(trace, config, policies=policies, repeats=args.repeats)
-    rows = [
-        [r["policy"], r["impl"], f"{r['seconds']:.3f}", f"{r['accesses_per_s']:,.0f}"]
-        for r in payload["results"]
-    ]
-    print(render_table(["policy", "impl", "seconds", "accesses/s"], rows))
-    for policy, speedup in payload["speedups"].items():
-        print(f"{policy}: fast is {speedup:.1f}x reference (identical CacheStats)")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def _cmd_bench_reorder(args: argparse.Namespace) -> int:
-    from repro.reorder.benchreorder import (
-        DETECT_ROW,
-        build_bench_graphs,
-        run_bench,
-    )
-
-    if args.scale is not None:
-        return _bench_reorder_scale(args)
-    detect_graph, technique_graph = build_bench_graphs(smoke=args.smoke)
-    if args.technique == "all":
-        techniques = BENCH_TECHNIQUES
-    elif args.technique == "detect":
-        techniques = ()
-    else:
-        techniques = (args.technique,)
-    print(
-        f"detection workload: {detect_graph.n_nodes} nodes, "
-        f"{detect_graph.to_undirected().adjacency.nnz} symmetric nnz"
-    )
-    print(
-        f"technique workload: {technique_graph.n_nodes} nodes, "
-        f"{technique_graph.adjacency.nnz} nnz"
-    )
-    payload = run_bench(
-        detect_graph, technique_graph, techniques=techniques, repeats=args.repeats
-    )
-    rows = [
-        [r["name"], r["impl"], f"{r['seconds']:.3f}", f"{r['nodes_per_s']:,.0f}"]
-        for r in payload["results"]
-    ]
-    print(render_table(["workload", "impl", "seconds", "nodes/s"], rows))
-    for name, speedup in payload["speedups"].items():
-        suffix = " (detection throughput)" if name == DETECT_ROW else ""
-        print(f"{name}: fast is {speedup:.1f}x reference{suffix}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _bench_reorder_scale(args: argparse.Namespace) -> int:
-    """``repro bench-reorder --scale N`` — the scale-out mode."""
+    """``repro bench-reorder`` — the scale-out reordering benchmark."""
     from repro.reorder.benchreorder import run_scale_bench
 
     payload = run_scale_bench(
@@ -1348,76 +1187,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     manifest["effective_status"] = effective_status(manifest)
     print(json.dumps(manifest, indent=1, sort_keys=True, default=str))
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench --check`` — gate fresh BENCH payloads vs baselines.
-
-    Exits 0 when every gated speedup is within tolerance of its
-    baseline, 1 on any regression (or correctness-flag failure), 2 on
-    usage errors.  ``--update`` instead copies the fresh payloads over
-    the baselines.
-    """
-    import shutil
-
-    from repro.obs.benchgate import (
-        DEFAULT_TOLERANCE,
-        check_files,
-        format_gate_report,
-    )
-
-    pairs = [
-        ("bench-sim", os.path.join(args.baseline_dir, "BENCH_sim.json"), args.sim),
-        (
-            "bench-reorder",
-            os.path.join(args.baseline_dir, "BENCH_reorder.json"),
-            args.reorder,
-        ),
-    ]
-    if args.update:
-        os.makedirs(args.baseline_dir, exist_ok=True)
-        updated = 0
-        for label, baseline_path, fresh_path in pairs:
-            if not os.path.exists(fresh_path):
-                print(f"[SKIP] {label}: no fresh payload at {fresh_path}")
-                continue
-            shutil.copyfile(fresh_path, baseline_path)
-            print(f"[BASELINE] {label}: {fresh_path} -> {baseline_path}")
-            updated += 1
-        if not updated:
-            print(
-                "repro: error: --update found no fresh payloads "
-                "(run repro bench-sim/bench-reorder --smoke --json first)",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-    if not args.check:
-        print("repro: error: bench needs --check or --update", file=sys.stderr)
-        return 2
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    results, skipped = check_files(pairs, tolerance=tolerance, strict=args.strict)
-    print(format_gate_report(results, skipped))
-    ledger = getattr(args, "_ledger", None)
-    if ledger is not None:
-        ledger.record(
-            "bench",
-            {
-                "tolerance": tolerance,
-                "strict": bool(args.strict),
-                "results": [r.to_json() for r in results],
-                "skipped": list(skipped),
-            },
-        )
-    passed = all(r.passed for r in results)
-    if not results and not skipped:
-        print("repro: error: nothing to gate", file=sys.stderr)
-        return 2
-    if passed:
-        print("bench gate: PASS")
-        return 0
-    print("bench gate: FAIL (perf regression or correctness mismatch)", file=sys.stderr)
-    return 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

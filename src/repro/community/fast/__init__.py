@@ -2,10 +2,10 @@
 
 The array-backed RABBIT detector that
 :func:`repro.community.rabbit_communities` runs.  It reproduces the
-dict-per-root oracle ``repro.community.rabbit._rabbit_reference``
-bit-for-bit — same float accumulation order, same tie-breaking, same
-merge bookkeeping — as the differential suite
-(``tests/test_reorder_fast.py``) and ``repro bench-reorder`` check.
+dict-per-root oracle in ``tests/oracles/community.py`` bit-for-bit —
+same float accumulation order, same tie-breaking, same merge
+bookkeeping — as the differential suite (``tests/test_reorder_fast.py``)
+checks.
 """
 
 from repro.community.fast.rabbit import rabbit_communities_fast

@@ -1,6 +1,6 @@
 """Vectorized Rabbit incremental aggregation.
 
-Bit-identical to the oracle :func:`repro.community.rabbit._rabbit_reference`,
+Bit-identical to the dict-per-root oracle in ``tests/oracles/community.py``,
 which keeps one Python dict per community root and resolves stale
 keys through a scalar union-find; this engine keeps each live row as a
 growable (keys, weights) *append buffer* and batches row folding with

@@ -9,8 +9,8 @@ Rabbit detector's modularity and in detector ablations.
 
 The per-node dict loop below is the only engine: the epsilon-gated
 gain scan is sequential per node, and a vectorized version lost to it
-below multi-million-edge graphs (0.47x-0.62x on the bench-reorder
-graphs, ~1.1x only at R-MAT scale 16).
+below multi-million-edge graphs (0.47x-0.62x on R-MAT scales 10 and
+13, ~1.1x only at R-MAT scale 16).
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ def _full_entries() -> List[CorpusEntry]:
             lambda: rmat(16, 64, seed=7),
             publisher_order="scrambled", directed=True, profiles=("full",),
             description="R-MAT scale 16, Orkut-class density (~128 avg degree "
-            "symmetric); the bench-reorder detection-throughput matrix — "
+            "symmetric); the README's RABBIT detection-throughput matrix — "
             "over the profile nnz cap, so excluded by selection like the "
             "paper's capacity-limited inputs",
         ),

@@ -1,7 +1,8 @@
 """Per-run provenance ledger: ``runs/<run_id>/manifest.json``.
 
 Every ``repro experiment`` / ``repro run-all`` invocation (and every
-``repro bench --check``) gets a directory under the runs root::
+``repro serve`` / ``repro serve-bench``) gets a directory under the
+runs root::
 
     runs/
       3f9a2c41be07/
@@ -13,7 +14,8 @@ The manifest is written twice: a minimal ``status: "running"`` stub at
 launch (so a crashed run is visible as incomplete in ``repro runs
 list``) and the full document at exit — CLI argv, config, corpus
 profile, span totals, histogram p50/p90/p99 summaries, counters and
-gauges, the failure report, and any emitted BENCH deltas.  It is plain
+gauges, the failure report, and any section a command records (e.g.
+the serve-bench payload).  It is plain
 JSON (no integrity envelope) so external tooling can read it directly.
 
 The runs root resolves like the memo cache: explicit argument, else
@@ -129,7 +131,7 @@ class RunLedger:
         return ledger
 
     def record(self, key: str, value: object) -> None:
-        """Attach an extra manifest section (failures, bench deltas, …)."""
+        """Attach an extra manifest section (failures, serve-bench payload, …)."""
         self._extra[key] = value
 
     def finalize(
@@ -165,7 +167,6 @@ class RunLedger:
             document["counters"] = snapshot["counters"]
             document["gauges"] = snapshot["gauges"]
         document.setdefault("failures", None)
-        document.setdefault("bench", None)
         document.update(self._extra)
         _atomic_write_json(self.manifest_path, document)
         return document

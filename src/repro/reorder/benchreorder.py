@@ -1,233 +1,31 @@
-"""Fast-vs-oracle reordering micro-benchmark (``repro bench-reorder``).
+"""Scale-out reordering benchmark (``repro bench-reorder``).
 
-Two seeded workloads, mirroring the simulator benchmark
-(:mod:`repro.cache.benchsim`):
-
-- **Detection throughput** — RABBIT community detection on the
-  ``soc-rmat`` corpus matrix (R-MAT scale 16, edge factor 64 — an
-  Orkut-class social-network density).  Detection dominates every
-  community-based technique, and this row carries the engine's headline
-  speedup target (>= 5x single-core).
-- **Technique end-to-end** — full permutation computation (detection +
-  ordering) for each technique with a vectorized engine, on a mid-size
-  R-MAT so the slowest oracle (GOrder) stays in CLI territory.
-
-The ``reference`` rows time the per-node loop oracles in :data:`ORACLES`
-directly; the ``fast`` rows time the product path.  Every fast run is
-checked for equality against its oracle run — permutations for
-techniques, labels/merge counts for detection — so the benchmark
-doubles as a large-scale differential test.  The ``smoke``
-variant shrinks both graphs for CI.  Results serialize to the
-``BENCH_reorder.json`` schema written by
-``benchmarks/test_bench_reorder.py`` and the ``--json`` CLI flag.
+One end-to-end pass of the reordering pipeline on a large seeded R-MAT:
+matrix-cache setup, single-shard vs sharded RABBIT detection, then each
+technique in :data:`SCALE_TECHNIQUES`, with nodes/s, modularity,
+label/permutation digests and per-phase peak RSS.  CI's ``scale-smoke``
+job runs it at scale 13 and diffs the digests across ``--jobs`` counts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.community.rabbit import RabbitResult, _rabbit_reference, rabbit_communities
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.obs import get_obs
-from repro.reorder.boba import _boba_reference
-from repro.reorder.gorder import GOrder, _gorder_reference
-from repro.reorder.rabbitpp import RabbitPlusPlus
-from repro.reorder.rcm import _rcm_reference
 
-#: R-MAT parameters: detection benchmark == the ``soc-rmat`` corpus
-#: entry; technique benchmark sized so reference GOrder finishes in
-#: tens of seconds; smoke shrinks everything to CI scale.
-DETECT_GRAPH = {"scale": 16, "edge_factor": 64, "seed": 7}
-TECHNIQUE_GRAPH = {"scale": 13, "edge_factor": 16, "seed": 7}
-SMOKE_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 7}
-
-#: Techniques benchmarked end-to-end against their oracles.
-BENCH_TECHNIQUES = ("rabbit", "rabbit++", "rcm", "gorder")
-
-#: Name of the detection-throughput row in results/speedups.
-DETECT_ROW = "rabbit-detect"
-
-#: Default workload of the scale-out mode (``--scale``): large enough
-#: that the undirected view alone is several hundred MB of CSR arrays,
-#: small enough that one pass of every technique stays in CLI
-#: territory on a single core.
+#: Default workload: large enough that the undirected view alone is
+#: several hundred MB of CSR arrays, small enough that one pass of every
+#: technique stays in CLI territory on a single core.
 SCALE_GRAPH = {"scale": 18, "edge_factor": 16, "seed": 7}
 
-#: Techniques timed by the scale-out mode: the community-based
-#: heavyweight, the BOBA-style lightweight, and the degree-bucket
-#: baseline BOBA approximates.
+#: Techniques timed: the community-based heavyweight, the BOBA-style
+#: lightweight, and the degree-bucket baseline BOBA approximates.
 SCALE_TECHNIQUES = ("rabbit", "boba", "dbg")
-
-
-def oracle_detection(graph: Graph) -> RabbitResult:
-    """RABBIT detection by the dict-per-root oracle."""
-    return _rabbit_reference(graph.to_undirected())
-
-
-def _gorder_oracle(graph: Graph) -> np.ndarray:
-    technique = GOrder()
-    return _gorder_reference(graph, technique.window, technique.max_expand)
-
-
-#: Technique name -> the oracle permutation its product engine must
-#: reproduce bit-for-bit.  rabbit and rabbit++ run oracle detection
-#: followed by the technique's own ordering step.
-ORACLES: Dict[str, Callable[[Graph], np.ndarray]] = {
-    "rabbit": lambda graph: oracle_detection(graph).dendrogram.ordering(),
-    "rabbit++": lambda graph: RabbitPlusPlus().order(graph, oracle_detection(graph)),
-    "rcm": _rcm_reference,
-    "gorder": _gorder_oracle,
-    "boba": _boba_reference,
-}
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """One (name, impl) timing."""
-
-    name: str
-    impl: str
-    seconds: float
-    nodes_per_s: float
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "impl": self.impl,
-            "seconds": self.seconds,
-            "nodes_per_s": self.nodes_per_s,
-        }
-
-
-def build_bench_graphs(smoke: bool = False) -> "tuple[Graph, Graph]":
-    """(detection graph, technique graph), symmetrization prewarmed.
-
-    Prewarming ``to_undirected()`` (cached on :class:`Graph`) keeps the
-    timed region to the engine under test: engine and oracle symmetrize
-    identically, so including it would only dilute the comparison.
-    """
-    from repro.graphs.generators.powerlaw import rmat
-
-    detect_params = SMOKE_GRAPH if smoke else DETECT_GRAPH
-    technique_params = SMOKE_GRAPH if smoke else TECHNIQUE_GRAPH
-    with get_obs().span("bench-reorder-setup", **detect_params):
-        detect_graph = Graph.from_coo(rmat(**detect_params), directed=True)
-        detect_graph.to_undirected()
-        if technique_params == detect_params:
-            technique_graph = detect_graph
-        else:
-            technique_graph = Graph.from_coo(rmat(**technique_params), directed=True)
-            technique_graph.to_undirected()
-        # GOrder reads the cached transpose; warm it so the oracle row
-        # (timed first) does not pay the one-off build.
-        technique_graph.in_adjacency
-    return detect_graph, technique_graph
-
-
-def _timed_best(
-    action: Callable[[], object], repeats: int, clock: Callable[[], float]
-) -> "tuple[float, object]":
-    best = None
-    result = None
-    for _ in range(repeats):
-        start = clock()
-        result = action()
-        elapsed = clock() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
-def run_bench(
-    detect_graph: Graph,
-    technique_graph: Graph,
-    techniques: Sequence[str] = BENCH_TECHNIQUES,
-    repeats: int = 3,
-    clock: Optional[Callable[[], float]] = None,
-) -> Dict[str, object]:
-    """Time each oracle (``reference``) vs its engine (``fast``); verify
-    identical outputs.
-
-    Returns the ``BENCH_reorder.json`` payload: per-(name, impl)
-    timings in nodes/sec, per-name fast-over-reference speedups, and a
-    ``results_match`` flag (a divergence raises instead — the benchmark
-    must not report throughput for a wrong answer).
-    """
-    from repro.reorder.registry import make_technique
-
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    clock = clock or time.perf_counter
-    rows: List[BenchRow] = []
-    speedups: Dict[str, float] = {}
-
-    def record(name: str, graph: Graph, runs: Dict[str, "tuple[float, object]"],
-               same: bool) -> None:
-        if not same:
-            raise AssertionError(
-                f"fast {name} output diverges from reference on the bench graph"
-            )
-        for impl in ("reference", "fast"):
-            seconds = runs[impl][0]
-            rows.append(
-                BenchRow(
-                    name=name,
-                    impl=impl,
-                    seconds=seconds,
-                    nodes_per_s=graph.n_nodes / seconds if seconds > 0 else float("inf"),
-                )
-            )
-        fast_seconds = runs["fast"][0]
-        speedups[name] = (
-            runs["reference"][0] / fast_seconds if fast_seconds > 0 else float("inf")
-        )
-
-    # Detection throughput (the headline row).
-    detect_runs = {
-        "reference": _timed_best(lambda: oracle_detection(detect_graph), repeats, clock),
-        "fast": _timed_best(lambda: rabbit_communities(detect_graph), repeats, clock),
-    }
-    ref_result, fast_result = detect_runs["reference"][1], detect_runs["fast"][1]
-    record(
-        DETECT_ROW,
-        detect_graph,
-        detect_runs,
-        np.array_equal(ref_result.assignment.labels, fast_result.assignment.labels)
-        and ref_result.n_merges == fast_result.n_merges
-        and np.array_equal(
-            ref_result.dendrogram.ordering(), fast_result.dendrogram.ordering()
-        ),
-    )
-
-    # Technique end-to-end permutations.
-    for name in techniques:
-        technique = make_technique(name)
-        runs = {
-            "reference": _timed_best(lambda: ORACLES[name](technique_graph), repeats, clock),
-            "fast": _timed_best(lambda: technique.compute(technique_graph), repeats, clock),
-        }
-        record(
-            name,
-            technique_graph,
-            runs,
-            np.array_equal(runs["reference"][1], runs["fast"][1]),
-        )
-
-    return {
-        "workloads": {
-            "detection": _graph_json(detect_graph),
-            "techniques": _graph_json(technique_graph),
-        },
-        "repeats": repeats,
-        "results": [row.to_json() for row in rows],
-        "speedups": speedups,
-        "results_match": True,
-    }
 
 
 def _sha256_array(array: np.ndarray) -> str:
@@ -247,8 +45,7 @@ def run_scale_bench(
 ) -> Dict[str, object]:
     """Scale-out benchmark: one end-to-end pass on a large R-MAT.
 
-    Unlike :func:`run_bench` (reference vs fast, repeated timings), this
-    mode measures how the pipeline behaves when the matrix is big:
+    Measures how the pipeline behaves when the matrix is big:
 
     - the graph comes from the memmap-backed matrix cache
       (:func:`repro.graphs.matrixcache.cached_rmat_graph`) unless
@@ -266,9 +63,7 @@ def run_scale_bench(
       before it) — the ground truth that the memmap path actually kept
       nnz-sized arrays off the heap.
 
-    Returns a ``{"mode": "scale", ...}`` payload — a separate schema
-    from :func:`run_bench`, so the perf-regression gate's
-    ``BENCH_reorder.json`` contract is untouched.
+    Returns a ``{"mode": "scale", ...}`` payload.
     """
     from repro.community.modularity import modularity_csr
     from repro.community.rabbit import rabbit_communities
@@ -372,12 +167,4 @@ def run_scale_bench(
         "detection": detection,
         "techniques": rows,
         "rss_peak_kb": rss,
-    }
-
-
-def _graph_json(graph: Graph) -> Dict[str, object]:
-    return {
-        "n_nodes": graph.n_nodes,
-        "nnz": int(graph.adjacency.nnz),
-        "undirected_nnz": int(graph.to_undirected().adjacency.nnz),
     }

@@ -23,8 +23,8 @@ independent per row, so the row range shards across
 placement is a stable sort of per-node integer keys — a pure function
 of the graph.  The permutation is therefore **identical for every
 ``n_shards`` and ``jobs`` value**, and the vectorized engine is
-bit-identical to the plain-Python-loop oracle ``_boba_reference``;
-both facts are locked by differential tests.
+bit-identical to the plain-Python-loop oracle in
+``tests/oracles/reorder.py``; both facts are locked by differential tests.
 
 The row scan touches the CSR arrays once, sequentially, in bounded
 blocks — memmap-backed matrices stream through without materializing.
@@ -32,7 +32,7 @@ blocks — memmap-backed matrices stream through without materializing.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -87,34 +87,6 @@ def _hub_order(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     hub_ids = np.flatnonzero(hubs)
     hub_visit = hub_ids[np.argsort(-buckets[hub_ids], kind="stable")]
     return degrees, hubs, hub_visit
-
-
-def _boba_reference(graph: Graph) -> np.ndarray:
-    """Sequential per-node loops: the oracle for the vectorized engine,
-    called by the differential tests and ``repro bench-reorder``."""
-    n = graph.n_nodes
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    degrees, hubs, hub_visit = _hub_order(graph)
-    hub_pos = {int(vertex): pos for pos, vertex in enumerate(hub_visit)}
-    n_hubs = hub_visit.size
-
-    keyed: List[Tuple[int, int]] = []  # (placement key, node) for non-hubs
-    for vertex in range(n):
-        if hubs[vertex]:
-            continue
-        anchor = -1
-        for neighbor in graph.neighbors(vertex):
-            u = int(neighbor)
-            if hubs[u] and (anchor < 0 or degrees[u] > degrees[anchor]):
-                anchor = u
-        key = hub_pos[anchor] if anchor >= 0 else n_hubs
-        keyed.append((key, vertex))
-    keyed.sort()  # stable not required: (key, vertex) pairs are unique
-    visit = np.concatenate(
-        [hub_visit, np.asarray([vertex for _, vertex in keyed], dtype=np.int64)]
-    ) if keyed else hub_visit
-    return stable_order_to_permutation(visit)
 
 
 def _boba_fast(graph: Graph, n_shards: int, jobs: int) -> np.ndarray:

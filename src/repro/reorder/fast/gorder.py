@@ -1,6 +1,6 @@
 """Batched GOrder: array-backed priority keys, argmax selection.
 
-Bit-identical to the oracle :func:`repro.reorder.gorder._gorder_reference`,
+Bit-identical to the lazy-heap oracle in ``tests/oracles/reorder.py``,
 which keeps a lazy max-heap of ``(-key, node)`` entries with stale-entry
 reinsertion; a popped entry is accepted only when its key matches the
 current array value, so every accepted pop returns the unplaced node

@@ -1,6 +1,6 @@
 """Generation-batched Reverse Cuthill–McKee.
 
-Bit-identical to the oracle :func:`repro.reorder.rcm._rcm_reference`,
+Bit-identical to the per-parent BFS oracle in ``tests/oracles/reorder.py``,
 which dequeues one parent at a time and appends its unvisited
 neighbors deduplicated and sorted by ``(degree, node id)``.  Within a
 BFS level that sequential process is equivalent to

@@ -114,8 +114,8 @@ class RabbitPlusPlus(ReorderingTechnique):
     def order(self, graph: Graph, rabbit: RabbitResult) -> np.ndarray:
         """The ordering step: regroup RABBIT's order from ``rabbit``.
 
-        Separate from detection so ``repro bench-reorder`` and the
-        differential tests can feed it the detection oracle's result.
+        Separate from detection so the differential tests can feed it
+        the detection oracle's result.
         """
         rank = rabbit.dendrogram.ordering()  # old_id -> rabbit new_id
 

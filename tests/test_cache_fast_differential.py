@@ -1,7 +1,8 @@
 """Differential suite: vectorized simulators vs the reference oracle.
 
 Seeded random traces and real kernel traces are replayed through both
-the reference per-access simulators and the numpy engines in
+the per-access simulators (the LRU oracle in ``tests/oracles/cache.py``
+and Belady's loop in ``repro.cache.belady``) and the numpy engines in
 ``repro.cache.fast``; the resulting ``CacheStats`` must be equal
 field-by-field (dataclass equality covers accesses, hits, misses,
 evictions, dead-line counters and the per-region miss split).  The
@@ -25,10 +26,12 @@ from repro.cache.belady import _simulate_belady
 from repro.cache.fast import lru as fast_lru
 from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
 from repro.cache.fast.bucket import bucket_trace
-from repro.cache.lru import _simulate_lru
 from repro.gpu.specs import scaled_platform
-from repro.graphs.corpus import load_graph
+from repro.graphs.corpus import hash_name, load_graph
+from repro.graphs.generators.powerlaw import rmat
+from repro.sparse.convert import coo_to_csr
 from repro.trace.kernelspec import KernelSpec
+from tests.oracles.cache import simulate_lru
 
 #: (n_sets, ways) grid: direct-mapped, fully-associative, square, wide.
 GEOMETRIES = [
@@ -44,7 +47,7 @@ GEOMETRIES = [
     (512, 4),
 ]
 
-REFERENCE = {"lru": _simulate_lru, "belady": _simulate_belady}
+REFERENCE = {"lru": simulate_lru, "belady": _simulate_belady}
 FAST = {"lru": simulate_lru_fast, "belady": simulate_belady_fast}
 
 
@@ -89,7 +92,7 @@ def random_trace(rng, style: str, n: int) -> np.ndarray:
 def test_random_traces(policy, geometry, style):
     n_sets, ways = geometry
     config = config_for(n_sets, ways)
-    rng = np.random.default_rng(hash((policy, n_sets, ways, style)) % (2**32))
+    rng = np.random.default_rng(hash_name(f"{policy}-{n_sets}-{ways}-{style}"))
     for n in (0, 1, 2, ways, 4 * n_sets * ways, 5000):
         trace = random_trace(rng, style, n)
         regions = [("low", 0, max(1, n // 8)), ("mid", max(1, n // 8), n + 1)]
@@ -146,7 +149,7 @@ def test_lru_schedule_crossover(geometry, schedule, monkeypatch):
     trace = rng.integers(0, 4096, size=20000)
     regions = [("low", 0, 1024), ("mid", 1024, 3000)]
     assert fast_lru.lru_schedule(bucket_trace(trace, n_sets)) == schedule
-    reference = _simulate_lru(trace, config, regions)
+    reference = simulate_lru(trace, config, regions)
     assert_identical_stats(
         reference, simulate_lru_fast(trace, config, regions), schedule
     )
@@ -160,14 +163,19 @@ def test_lru_schedule_crossover(geometry, schedule, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])
 def test_dispatch_impls_agree(policy):
-    """simulate() matches the oracle; test-comm's 13K-access trace on
-    64 sets takes the vectorized engine for both policies."""
-    graph = load_graph("test-comm")
+    """simulate() matches the oracle on two inputs that take the
+    vectorized engine for both policies: test-comm's 13K-access trace on
+    64 x 4, and a 168K-access R-MAT scale-12 trace on 512 x 16."""
     platform = scaled_platform("test")
-    trace = KernelSpec.parse("spmv-csr").build_trace(graph.adjacency, platform)
-    config = config_for(64, 4)
-    assert_identical_stats(
-        REFERENCE[policy](trace.lines, config, trace.regions),
-        simulate(trace, config, policy=policy),
-        policy,
+    test_comm = KernelSpec.parse("spmv-csr").build_trace(
+        load_graph("test-comm").adjacency, platform
     )
+    rmat12 = KernelSpec.parse("spmv-csr").build_trace(
+        coo_to_csr(rmat(12, 8, seed=7, directed=False)), line_bytes=32
+    )
+    for trace, config in [(test_comm, config_for(64, 4)), (rmat12, config_for(512, 16))]:
+        assert_identical_stats(
+            REFERENCE[policy](trace.lines, config, trace.regions),
+            simulate(trace, config, policy=policy),
+            f"{policy} {trace.lines.size} accesses on {config.n_sets}x{config.ways}",
+        )

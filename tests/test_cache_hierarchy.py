@@ -1,5 +1,7 @@
 """Two-level hierarchy simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import simulate_hierarchy
 from repro.cache import simulate
 from repro.errors import ValidationError
+from repro.gpu.specs import scaled_platform
+from repro.graphs.corpus import hash_name, load_graph
+from repro.trace.kernelspec import KernelSpec
+from tests.oracles.cache import simulate_hierarchy as oracle_hierarchy
 
 
 def configs(l1_bytes=64, l2_bytes=256):
@@ -70,3 +76,64 @@ class TestBehaviour:
         stats = simulate_hierarchy(np.asarray([], dtype=np.int64), l1, l2)
         assert stats.l1.accesses == 0
         assert stats.l2.accesses == 0
+
+
+#: (L1, L2) geometries as ((n_sets, ways), (n_sets, ways)), 32 B lines:
+#: fully associative and direct-mapped levels, 1 to 512 sets.  When L1
+#: has more sets than L2, one L2 set draws on several L1 sets, so L2
+#: must replay L1's misses in trace order, not grouped by L1 set.
+GEOMETRY_PAIRS = [
+    ((1, 1), (1, 4)),
+    ((4, 1), (16, 1)),
+    ((16, 1), (4, 8)),
+    ((16, 4), (512, 4)),
+    ((64, 2), (512, 16)),
+    ((512, 1), (64, 16)),
+]
+
+
+def geometry_config(n_sets, ways):
+    return CacheConfig(capacity_bytes=n_sets * ways * 32, line_bytes=32, ways=ways)
+
+
+def hierarchy_trace(rng, style, n):
+    if style == "uniform":
+        return rng.integers(0, n // 4 + 3, size=n)
+    if style == "hot":
+        hot = rng.integers(0, 8, size=n)
+        return np.where(rng.random(n) < 0.6, hot, rng.integers(0, 10 * n + 1, size=n))
+    # "sparse": reuse over line ids spread across 2^40
+    pool = rng.integers(0, 2**40, size=n // 4 + 3)
+    return pool[rng.integers(0, pool.size, size=n)]
+
+
+class TestOracleDifferential:
+    """simulate_hierarchy == the per-access two-level loop, bit for bit."""
+
+    @pytest.mark.parametrize("style", ["uniform", "hot", "sparse"])
+    @pytest.mark.parametrize(
+        "pair", GEOMETRY_PAIRS, ids=lambda p: "{}x{}-{}x{}".format(*p[0], *p[1])
+    )
+    def test_random_traces(self, pair, style):
+        (l1_sets, l1_ways), (l2_sets, l2_ways) = pair
+        l1 = geometry_config(l1_sets, l1_ways)
+        l2 = geometry_config(l2_sets, l2_ways)
+        rng = np.random.default_rng(hash_name(f"{pair}-{style}"))
+        for n in (0, 1, 7, 5000, 40000):
+            trace = hierarchy_trace(rng, style, n)
+            assert simulate_hierarchy(trace, l1, l2) == oracle_hierarchy(trace, l1, l2), (
+                f"{pair} {style} n={n}"
+            )
+
+    @pytest.mark.parametrize("matrix, profile", [("test-comm", "test"), ("bench-social", "bench")])
+    def test_spmv_traces(self, matrix, profile):
+        """The L1/L2 pair hierarchy_ablation derives from the platform L2."""
+        platform = scaled_platform(profile)
+        l2 = platform.cache_config()
+        l1 = dataclasses.replace(
+            l2,
+            capacity_bytes=max(l2.line_bytes * l2.ways, l2.capacity_bytes // 8),
+            ways=min(l2.ways, 8),
+        )
+        trace = KernelSpec.parse("spmv-csr").build_trace(load_graph(matrix).adjacency, platform)
+        assert simulate_hierarchy(trace.lines, l1, l2) == oracle_hierarchy(trace.lines, l1, l2)

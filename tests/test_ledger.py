@@ -73,10 +73,10 @@ class TestRunLedger:
         assert on_disk["counters"] == {"memo.run.hit": 3}
         assert on_disk["gauges"] == {"corpus.size": 5}
         assert on_disk["failures"] == {"count": 1}
-        assert on_disk["bench"] is None
+        assert "bench" not in on_disk
 
     def test_finalize_without_instrumentation(self, tmp_path):
-        ledger = RunLedger.create(str(tmp_path), kind="bench-check", argv=[])
+        ledger = RunLedger.create(str(tmp_path), kind="experiment", argv=[])
         document = ledger.finalize(None, exit_code=1, status="failed")
         assert document["status"] == "failed"
         assert "span_totals" not in document

@@ -7,8 +7,9 @@ from repro.errors import ValidationError
 from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.graph import Graph
 from repro.reorder.base import check_permutation
-from repro.reorder.boba import BobaOrder, _boba_fast, _boba_reference
+from repro.reorder.boba import BobaOrder, _boba_fast
 from repro.reorder.registry import available_techniques, make_technique
+from tests.oracles.reorder import boba_reference
 
 
 def rmat_graph(scale=8, edge_factor=8, seed=3):
@@ -45,7 +46,7 @@ class TestBobaOrder:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_reference_equals_fast(self, seed):
         graph = rmat_graph(seed=seed)
-        reference = _boba_reference(graph)
+        reference = boba_reference(graph)
         fast = _boba_fast(graph, n_shards=1, jobs=1)
         assert np.array_equal(reference, fast)
 
@@ -65,7 +66,7 @@ class TestBobaOrder:
     def test_impl_dispatch_reference(self, figure1_graph):
         """Tiny graphs run the vectorized engine too; it matches the oracle."""
         assert np.array_equal(
-            make_technique("boba").compute(figure1_graph), _boba_reference(figure1_graph)
+            make_technique("boba").compute(figure1_graph), boba_reference(figure1_graph)
         )
 
     def test_anchor_groups_nonhubs_with_their_hub(self):

@@ -2,7 +2,7 @@
 
 Every technique with a vectorized engine must produce **bit-identical**
 permutations to its per-node loop oracle
-(:data:`repro.reorder.benchreorder.ORACLES`) on every graph, the tiny
+(:data:`tests.oracles.reorder.ORACLES`) on every graph, the tiny
 and degenerate ones included: the engines are the only product path, so
 nothing else keeps a technique's output from drifting.  The suite
 crosses those techniques with seeded corpus generators and structural
@@ -20,11 +20,11 @@ from repro.graphs.generators.community import dcsbm, star_burst
 from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.generators.random_graphs import erdos_renyi
 from repro.graphs.graph import Graph
-from repro.reorder.benchreorder import ORACLES, oracle_detection
 from repro.reorder.registry import make_technique
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
 from repro.sparse.ops import transpose
+from tests.oracles.reorder import ORACLES, oracle_detection
 
 
 def _graph_from_coo(coo: COOMatrix, directed: bool = True) -> Graph:

@@ -156,14 +156,3 @@ class TestPipeline:
         assert "mean_clustered_gain_original" in report.summary
         assert report.summary["mean_clustered_gain_original"] >= 1.0
         assert report.to_text()
-
-    def test_bench_workload_selects_spgemm_graph(self):
-        from repro.cache.benchsim import SPGEMM_SMOKE_GRAPH, build_bench_workload
-
-        trace, config = build_bench_workload(smoke=True, kernel="spgemm-csr")
-        assert trace.kernel == "spgemm-csr"
-        assert trace.lines.size > 0
-        n_nodes = 1 << SPGEMM_SMOKE_GRAPH["scale"]
-        assert config.line_bytes > 0
-        # flop-scaled trace: far longer than the node count.
-        assert trace.lines.size > n_nodes
