@@ -1,7 +1,9 @@
 """Figure 8: LRU vs. Belady DRAM traffic per ordering.
 
 Shape expectations: Belady always at or below LRU, and the gap shrinks
-as the ordering improves, smallest for RABBIT++ (paper: 7.6%).
+as the ordering improves, smallest for RABBIT++ (paper: 7.6%).  Both
+hold on the ``test`` profile, so ``tests/test_paper_claims.py`` asserts
+them in tier-1; this benchmark only regenerates the figure.
 """
 
 from conftest import PROFILE, emit
@@ -16,8 +18,3 @@ def test_fig8_belady_headroom(benchmark, bench_runner):
         iterations=1,
     )
     emit(report)
-    summary = report.summary
-    for key, gap in summary.items():
-        assert gap >= 1.0 - 1e-9, key
-    assert summary["lru_over_belady_rabbit++"] <= summary["lru_over_belady_random"]
-    assert summary["lru_over_belady_rabbit++"] == min(summary.values())

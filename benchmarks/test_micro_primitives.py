@@ -9,7 +9,6 @@ the artifact-level experiments.
 import numpy as np
 import pytest
 
-from repro.cache.belady import _simulate_belady
 from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
 from repro.community.rabbit import rabbit_communities
 from repro.gpu.specs import scaled_platform
@@ -40,12 +39,6 @@ def test_trace_generation(benchmark, graph):
 def test_lru_simulation_fast(benchmark, trace):
     config = scaled_platform("bench").cache_config()
     stats = benchmark(lambda: simulate_lru_fast(trace.lines, config))
-    assert stats.accesses == trace.n_accesses
-
-
-def test_belady_simulation(benchmark, trace):
-    config = scaled_platform("bench").cache_config()
-    stats = benchmark(lambda: _simulate_belady(trace.lines, config))
     assert stats.accesses == trace.n_accesses
 
 

@@ -1,7 +1,9 @@
 """Table III: average dead-line percentage per ordering.
 
 Shape expectations: RANDOM wastes by far the most cache capacity;
-RABBIT++ the least (paper: 63.3% vs 16.4%).
+RABBIT++ the least (paper: 63.3% vs 16.4%).  Both hold on the
+``test`` profile, so ``tests/test_paper_claims.py`` asserts them in
+tier-1; this benchmark only regenerates the table.
 """
 
 from conftest import PROFILE, emit
@@ -16,7 +18,3 @@ def test_table3_dead_lines(benchmark, bench_runner):
         iterations=1,
     )
     emit(report)
-    dead = report.summary
-    assert dead["dead_fraction_random"] == max(dead.values())
-    assert dead["dead_fraction_rabbit++"] <= dead["dead_fraction_rabbit"]
-    assert dead["dead_fraction_rabbit++"] < dead["dead_fraction_random"] / 1.5

@@ -9,22 +9,19 @@ splits, and dead-line statistics (Table III).
 
 This module is the public simulator surface:
 
-* :func:`simulate` — the single entry point; runs the numpy-vectorized
-  engines in :mod:`repro.cache.fast`, except that Belady on a cache
-  with few sets or a short trace takes its faster per-access loop.
+* :func:`simulate` — the single entry point; runs the policy's
+  bucketed engine in :mod:`repro.cache.fast`, one engine per policy.
 * :class:`CacheConfig` / :class:`CacheStats` — geometry in, counters
   out.
 
-The differential tests compare the vectorized engines against
-per-access loops: LRU's lives in ``tests/oracles/cache.py``, and
-Belady's in :mod:`repro.cache.belady`, since :func:`simulate` runs it on
-small inputs.
+The differential tests compare the bucketed engines against the
+per-access LRU and Belady loops in ``tests/oracles/cache.py``.
 """
 
 from repro.cache.config import CacheConfig
 from repro.cache.dispatch import POLICIES, simulate
+from repro.cache.fast.belady import next_use_index
 from repro.cache.lru import classify_misses, compulsory_misses
-from repro.cache.belady import next_use_index
 from repro.cache.hierarchy import HierarchyStats, simulate_hierarchy
 from repro.cache.stats import CacheStats
 

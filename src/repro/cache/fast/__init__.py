@@ -1,19 +1,19 @@
 """Bucketed cache simulators.
 
-The product simulators behind :func:`repro.cache.simulate`: the trace
-is grouped by cache set and same-line runs collapse to one access, so
-no loop runs per access.  Wide plans replay in numpy lockstep rounds;
-LRU replays narrow plans (few busy sets) per set in a Python loop over
-the collapsed runs.  Identical ``CacheStats`` (bit-for-bit, including
-dead-line and per-region miss counters) to the per-access loops in
-``tests/oracles/cache.py`` (LRU) and :mod:`repro.cache.belady`, 3x to
-30x faster on realistic traces (measurements in the README); the
-randomized differential suite (``tests/test_cache_fast_differential.py``)
-pins the equivalence.
+The product simulators behind :func:`repro.cache.simulate`, one per
+policy: the trace is grouped by cache set and same-line runs collapse
+to one access, so no loop runs per access.  Both engines replay wide
+plans in numpy lockstep rounds and narrow plans (few busy sets) per set
+in a Python loop over the collapsed runs; one width rule,
+:func:`repro.cache.fast.bucket.schedule`, picks the schedule for both.
+Identical ``CacheStats`` (bit-for-bit, including dead-line and
+per-region miss counters) to the per-access LRU and Belady loops in
+``tests/oracles/cache.py``, and faster on realistic traces
+(measurements in the README); the randomized differential suite
+(``tests/test_cache_fast_differential.py``) pins the equivalence.
 
 Callers should not import this package directly — go through
-:func:`repro.cache.simulate`, which adds the observability span and
-Belady's small-input fork.
+:func:`repro.cache.simulate`, which adds the observability span.
 """
 
 from repro.cache.fast.belady import simulate_belady_fast

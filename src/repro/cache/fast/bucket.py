@@ -4,9 +4,10 @@ Set-associative replacement is sequential *within* a set but
 independent *across* sets, so the trace is grouped by cache set and
 replayed in rounds: round ``r`` performs the ``r``-th access of every
 set that still has one, each round a handful of numpy array
-operations over the active sets.  (Narrow LRU plans replay set by set
-instead; see :mod:`repro.cache.fast.lru`.)  Two observations make this
-fast:
+operations over the active sets.  Narrow plans replay set by set in a
+Python loop instead; :func:`schedule` is the one width rule both the
+LRU and the Belady engine use to choose.  Two observations make the
+rounds fast:
 
 * **Run collapse.**  Within one set's sub-trace, consecutive accesses
   to the same line are guaranteed hits under both LRU and Belady (no
@@ -30,6 +31,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+#: Average runs per round below which the serial schedule beats the
+#: rounds loop.  A round costs a fixed ~20 numpy calls however many sets
+#: it touches, a serial run a few dict or heap operations.
+SERIAL_WIDTH = 64
 
 
 class BucketPlan(NamedTuple):
@@ -107,6 +113,11 @@ def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
     return BucketPlan(
         lines, pos_first, pos_last, multi, offsets, set_rank, active, rounds
     )
+
+
+def schedule(plan: BucketPlan) -> str:
+    """``"serial"`` for narrow plans, ``"rounds"`` for wide ones."""
+    return "serial" if plan.lines.size < SERIAL_WIDTH * plan.rounds else "rounds"
 
 
 def compact_line_ids(lines: np.ndarray) -> "tuple[np.ndarray, int]":

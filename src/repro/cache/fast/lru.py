@@ -1,8 +1,9 @@
 """Set-associative LRU simulation over a bucketed trace.
 
 The trace is grouped by cache set and collapsed into same-line runs
-(:func:`repro.cache.fast.bucket.bucket_trace`), then replayed on one of
-two schedules:
+(:func:`repro.cache.fast.bucket.bucket_trace`), then replayed on the
+schedule :func:`repro.cache.fast.bucket.schedule` picks from the
+plan's width:
 
 * **rounds** — the per-set replays advance in lockstep, one numpy step
   per round over all active sets.  State lives in flat
@@ -18,9 +19,8 @@ two schedules:
   reused bit).  It costs per run rather than per round, so it wins
   when few sets carry the runs and the rounds are long and narrow.
 
-:func:`lru_schedule` picks between them from the plan's width.  Both
-produce counters bit-identical to the per-access ``OrderedDict`` oracle
-in ``tests/oracles/cache.py`` (see
+Both produce counters bit-identical to the per-access ``OrderedDict``
+oracle in ``tests/oracles/cache.py`` (see
 ``tests/test_cache_fast_differential.py``).
 """
 
@@ -31,14 +31,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import BucketPlan, bucket_trace, compact_line_ids
+from repro.cache.fast.bucket import BucketPlan, bucket_trace, compact_line_ids, schedule
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
-
-#: Average runs per round below which the serial schedule beats the
-#: rounds loop.  A round costs a fixed ~20 numpy calls however many sets
-#: it touches, a serial run a few dict operations.
-SERIAL_WIDTH = 64
 
 
 def simulate_lru_fast(
@@ -63,7 +58,7 @@ def lru_replay(
         hits = evictions = dead_evictions = dead_at_end = 0
     else:
         plan = bucket_trace(trace, config.n_sets)
-        if lru_schedule(plan) == "serial":
+        if schedule(plan) == "serial":
             result = _lru_serial(plan, config.ways)
         else:
             result = _lru_rounds(plan, config.n_sets, config.ways)
@@ -81,11 +76,6 @@ def lru_replay(
     )
     stats.check_consistency()
     return stats, miss_positions
-
-
-def lru_schedule(plan: BucketPlan) -> str:
-    """``"serial"`` for narrow plans, ``"rounds"`` for wide ones."""
-    return "serial" if plan.lines.size < SERIAL_WIDTH * plan.rounds else "rounds"
 
 
 def _lru_serial(plan: BucketPlan, ways: int):

@@ -47,6 +47,7 @@ import sys
 from typing import List, Optional
 
 from repro import obs
+from repro.cache import POLICIES
 from repro.experiments.report import render_table
 from repro.experiments.run_all import ABLATIONS, DRIVERS, run_experiment, timing_summary
 from repro.experiments.runner import ExperimentRunner, resolve_cache_dir
@@ -229,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("matrix")
     evaluate.add_argument("--technique", default="rabbit++", choices=available_techniques())
     evaluate.add_argument("--kernel", default="spmv-csr")
-    evaluate.add_argument("--policy", default="lru", choices=["lru", "belady"])
+    evaluate.add_argument("--policy", default="lru", choices=POLICIES)
     evaluate.add_argument("--profile", default="full", choices=PROFILES)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
@@ -288,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("matrix")
     profile.add_argument("--technique", default="rabbit++", choices=available_techniques())
     profile.add_argument("--kernel", default="spmv-csr")
-    profile.add_argument("--policy", default="lru", choices=["lru", "belady"])
+    profile.add_argument("--policy", default="lru", choices=POLICIES)
     profile.add_argument("--profile", default="full", choices=PROFILES)
     profile.set_defaults(handler=_cmd_profile)
 
@@ -497,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--technique", default="rabbit++", choices=available_techniques() + ["auto"]
     )
     serve_bench.add_argument("--kernel", default="spmv-csr")
-    serve_bench.add_argument("--policy", default="lru", choices=["lru", "belady"])
+    serve_bench.add_argument("--policy", default="lru", choices=POLICIES)
     serve_bench.add_argument(
         "--store-dir",
         default=None,

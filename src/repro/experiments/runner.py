@@ -34,6 +34,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.cache import POLICIES
 from repro.community.modularity import modularity
 from repro.errors import ValidationError
 from repro.gpu.perf import model_run
@@ -246,6 +247,8 @@ class ExperimentRunner:
             raise ValidationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if mask not in MASKS:
             raise ValidationError(f"mask must be one of {MASKS}, got {mask!r}")
+        if policy not in POLICIES:
+            raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
         obs = get_obs()
         cache_key = self.run_cache_path(matrix, technique, kernel, policy, mask)
         payload = self._load_payload(

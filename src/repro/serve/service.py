@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api import recommendation_from_features
+from repro.cache import POLICIES
 from repro.errors import (
     BreakerOpenError,
     CorpusError,
@@ -238,8 +239,8 @@ class ReorderService:
         kernel = self._str_field(request, "kernel", self.config.default_kernel)
         KernelSpec.parse(kernel)  # reject malformed kernel names up front
         policy = self._str_field(request, "policy", self.config.default_policy)
-        if policy not in ("lru", "belady"):
-            raise ValidationError(f"policy must be 'lru' or 'belady', got {policy!r}")
+        if policy not in POLICIES:
+            raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
         if technique != "auto" and technique not in available_techniques():
             raise ValidationError(
                 f"unknown technique {technique!r} (or 'auto'); "

@@ -1,24 +1,31 @@
-"""Cache-simulation oracles: per-access ``OrderedDict`` LRU loops.
+"""Cache-simulation oracles: per-access LRU and Belady loops.
 
 :func:`simulate_lru` is the oracle for the bucketed engine in
 :mod:`repro.cache.fast.lru`; :func:`simulate_hierarchy` is the oracle
 for :func:`repro.cache.simulate_hierarchy`, which runs that engine once
-per level.
+per level; :func:`simulate_belady` is the oracle for the bucketed
+engine in :mod:`repro.cache.fast.belady`.
 
-Each cache set is an ``OrderedDict`` used as an LRU list
+Each LRU cache set is an ``OrderedDict`` used as an LRU list
 (``move_to_end`` on hit, ``popitem(last=False)`` to evict), whose
 values record whether the resident line was ever re-referenced — the
 dead-line predicate of paper Table III.  The trace is walked in chunks
 converted via ``tolist`` so the hot loop handles native ints.
+
+Each Belady cache set is a dict of resident lines with their next-use
+time plus a lazy max-heap for eviction; the incoming line is itself an
+eviction candidate, which models Belady's bypass decision.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from typing import List, Optional
 
 import numpy as np
 
+from repro.cache import next_use_index
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyStats
 from repro.cache.lru import RegionBounds, classify_misses
@@ -78,6 +85,80 @@ def simulate_lru(
     )
     stats.check_consistency()
     return stats
+
+
+def simulate_belady(
+    trace: np.ndarray,
+    config: CacheConfig,
+    regions: Optional[RegionBounds] = None,
+) -> CacheStats:
+    """Set-associative Belady (OPT), one access at a time."""
+    trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
+    next_use = next_use_index(trace)
+    n_sets = config.n_sets
+    ways = config.ways
+    resident: List[dict] = [dict() for _ in range(n_sets)]  # line -> (next_use, reused)
+    heaps: List[list] = [[] for _ in range(n_sets)]
+
+    hits = 0
+    evictions = 0
+    dead_evictions = 0
+    miss_positions: List[int] = []
+    miss_append = miss_positions.append
+
+    trace_list = trace.tolist()
+    next_list = next_use.tolist()
+    for position, line in enumerate(trace_list):
+        set_id = line % n_sets
+        lines = resident[set_id]
+        future = next_list[position]
+        entry = lines.get(line)
+        if entry is not None:
+            hits += 1
+            lines[line] = (future, True)
+            heapq.heappush(heaps[set_id], (-future, line))
+        else:
+            miss_append(position)
+            lines[line] = (future, False)
+            heapq.heappush(heaps[set_id], (-future, line))
+            if len(lines) > ways:
+                # The new line is itself a candidate: evicting it
+                # immediately models Belady's bypass decision.
+                evictions += 1
+                if _evict_farthest(lines, heaps[set_id]):
+                    dead_evictions += 1
+
+    dead_at_end = sum(
+        1 for lines in resident for _, reused in lines.values() if not reused
+    )
+    stats = CacheStats(
+        accesses=int(trace.size),
+        hits=hits,
+        misses=len(miss_positions),
+        evictions=evictions,
+        dead_evictions=dead_evictions,
+        dead_at_end=dead_at_end,
+        line_bytes=config.line_bytes,
+        region_misses=classify_misses(trace, miss_positions, regions),
+    )
+    stats.check_consistency()
+    return stats
+
+
+def _evict_farthest(lines: dict, heap: list) -> bool:
+    """Evict the farthest-next-use resident line; True if it was dead.
+
+    Heap entries are lazy: a popped entry is valid only when the line
+    is still resident with the same next-use stamp.
+    """
+    while heap:
+        neg_future, line = heapq.heappop(heap)
+        entry = lines.get(line)
+        if entry is None or entry[0] != -neg_future:
+            continue  # stale: line evicted earlier or re-accessed since
+        del lines[line]
+        return not entry[1]
+    raise AssertionError("eviction requested from an empty candidate heap")
 
 
 def simulate_hierarchy(

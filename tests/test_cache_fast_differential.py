@@ -1,17 +1,17 @@
-"""Differential suite: vectorized simulators vs the reference oracle.
+"""Differential suite: bucketed simulators vs the per-access oracles.
 
 Seeded random traces and real kernel traces are replayed through both
-the per-access simulators (the LRU oracle in ``tests/oracles/cache.py``
-and Belady's loop in ``repro.cache.belady``) and the numpy engines in
-``repro.cache.fast``; the resulting ``CacheStats`` must be equal
-field-by-field (dataclass equality covers accesses, hits, misses,
-evictions, dead-line counters and the per-region miss split).  The
-geometry grid includes the direct-mapped (``ways=1``) and
-fully-associative (``n_sets=1``) edge cases.  The fast LRU engine has
-two schedules (serial per-set replay for narrow plans, lockstep rounds
-for wide ones); the small grid geometries take the serial one, the
-512-set geometry keeps the rounds loop covered, and
-``test_lru_schedule_crossover`` pins which side each takes.
+the per-access LRU and Belady loops in ``tests/oracles/cache.py`` and
+the bucketed engines in ``repro.cache.fast``; the resulting
+``CacheStats`` must be equal field-by-field (dataclass equality covers
+accesses, hits, misses, evictions, dead-line counters and the
+per-region miss split).  The geometry grid includes the direct-mapped
+(``ways=1``) and fully-associative (``n_sets=1``) edge cases.  Both
+engines have two schedules (serial per-set replay for narrow plans,
+lockstep rounds for wide ones); the small grid geometries take the
+serial one, the 512-set geometry keeps the rounds loop covered, and
+``test_schedule_crossover`` pins which side each takes, for both
+policies.
 """
 
 from __future__ import annotations
@@ -22,16 +22,14 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, simulate
-from repro.cache.belady import _simulate_belady
-from repro.cache.fast import lru as fast_lru
+from repro.cache.fast import bucket as fast_bucket
 from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
-from repro.cache.fast.bucket import bucket_trace
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import hash_name, load_graph
 from repro.graphs.generators.powerlaw import rmat
 from repro.sparse.convert import coo_to_csr
 from repro.trace.kernelspec import KernelSpec
-from tests.oracles.cache import simulate_lru
+from tests.oracles.cache import simulate_belady, simulate_lru
 
 #: (n_sets, ways) grid: direct-mapped, fully-associative, square, wide.
 GEOMETRIES = [
@@ -47,7 +45,7 @@ GEOMETRIES = [
     (512, 4),
 ]
 
-REFERENCE = {"lru": simulate_lru, "belady": _simulate_belady}
+REFERENCE = {"lru": simulate_lru, "belady": simulate_belady}
 FAST = {"lru": simulate_lru_fast, "belady": simulate_belady_fast}
 
 
@@ -134,10 +132,11 @@ def test_real_kernel_traces(policy, kernel, matrix):
         assert reference.region_misses  # the split actually exercised
 
 
+@pytest.mark.parametrize("policy", ["lru", "belady"])
 @pytest.mark.parametrize(
     "geometry, schedule", [((4, 4), "serial"), ((512, 4), "rounds")]
 )
-def test_lru_schedule_crossover(geometry, schedule, monkeypatch):
+def test_schedule_crossover(policy, geometry, schedule, monkeypatch):
     """A narrow plan replays serially, a wide one in rounds; both agree.
 
     Each geometry is also replayed with the width rule forced to the
@@ -148,24 +147,24 @@ def test_lru_schedule_crossover(geometry, schedule, monkeypatch):
     rng = np.random.default_rng(7)
     trace = rng.integers(0, 4096, size=20000)
     regions = [("low", 0, 1024), ("mid", 1024, 3000)]
-    assert fast_lru.lru_schedule(bucket_trace(trace, n_sets)) == schedule
-    reference = simulate_lru(trace, config, regions)
+    plan = fast_bucket.bucket_trace(trace, n_sets)
+    assert fast_bucket.schedule(plan) == schedule
+    reference = REFERENCE[policy](trace, config, regions)
     assert_identical_stats(
-        reference, simulate_lru_fast(trace, config, regions), schedule
+        reference, FAST[policy](trace, config, regions), f"{policy} {schedule}"
     )
     forced = {"serial": 0, "rounds": 2**62}[schedule]
-    monkeypatch.setattr(fast_lru, "SERIAL_WIDTH", forced)
-    assert fast_lru.lru_schedule(bucket_trace(trace, n_sets)) != schedule
+    monkeypatch.setattr(fast_bucket, "SERIAL_WIDTH", forced)
+    assert fast_bucket.schedule(plan) != schedule
     assert_identical_stats(
-        reference, simulate_lru_fast(trace, config, regions), f"not {schedule}"
+        reference, FAST[policy](trace, config, regions), f"{policy} not {schedule}"
     )
 
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])
 def test_dispatch_impls_agree(policy):
-    """simulate() matches the oracle on two inputs that take the
-    vectorized engine for both policies: test-comm's 13K-access trace on
-    64 x 4, and a 168K-access R-MAT scale-12 trace on 512 x 16."""
+    """simulate() matches the oracle on test-comm's 13K-access trace on
+    64 x 4 and on a 168K-access R-MAT scale-12 trace on 512 x 16."""
     platform = scaled_platform("test")
     test_comm = KernelSpec.parse("spmv-csr").build_trace(
         load_graph("test-comm").adjacency, platform

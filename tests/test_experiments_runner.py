@@ -53,6 +53,15 @@ class TestRun:
         with pytest.raises(ValidationError):
             runner.run("test-mesh", "rabbit", mask="hubs")
 
+    def test_unknown_policy_rejected_before_any_work(self, runner):
+        """A bad policy fails before reordering runs or a memo is written."""
+        instr = Instrumentation(enabled=True)
+        with using(instr), pytest.raises(ValidationError):
+            runner.run("test-comm", "gorder", policy="opt")
+        assert "reorder" not in instr.span_totals()
+        memo_dir = runner.cache_dir
+        assert not os.path.isdir(memo_dir) or os.listdir(memo_dir) == []
+
     def test_rabbit_beats_random_on_community_matrix(self, runner):
         random_run = runner.run("test-comm", "random")
         rabbit_run = runner.run("test-comm", "rabbit")

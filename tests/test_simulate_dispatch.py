@@ -1,4 +1,4 @@
-"""The public simulate() entry point: engine choice, inputs, obs."""
+"""The public simulate() entry point: policy check, inputs, obs."""
 
 from __future__ import annotations
 
@@ -25,36 +25,10 @@ def config():
     return CacheConfig(capacity_bytes=64 * 16 * 32, line_bytes=32, ways=16)
 
 
-def engine_tag(trace, config, policy):
-    """The ``impl`` tag of the ``cache-sim`` span one simulate() call emits."""
-    sink = MemorySink()
-    with using(Instrumentation(sink=sink)):
-        simulate(trace, config, policy=policy)
-    (span,) = [e for e in sink.by_kind("span") if e["name"] == "cache-sim"]
-    return span["tags"]["impl"]
-
-
 class TestResolution:
     def test_invalid_policy_rejected(self, trace, config):
         with pytest.raises(ValidationError):
             simulate(trace, config, policy="fifo")
-
-    @pytest.mark.parametrize(
-        "n_sets, n_accesses, engine",
-        [(4, 8192, "reference"), (16, 8192, "fast"), (16, 8191, "reference")],
-    )
-    def test_belady_engine_follows_input(self, n_sets, n_accesses, engine):
-        """Belady's loop wins below 16 sets or 8192 accesses."""
-        config = CacheConfig(capacity_bytes=n_sets * 16 * 32, line_bytes=32, ways=16)
-        trace = np.random.default_rng(5).integers(0, 4 * n_sets * 16, size=n_accesses)
-        assert engine_tag(trace, config, "belady") == engine
-
-    def test_lru_always_vectorized(self):
-        """Even a short trace on the 4-set test L2 takes the fast LRU engine."""
-        config = scaled_platform("test").cache_config()
-        assert config.n_sets == 4
-        trace = np.random.default_rng(6).integers(0, 512, size=1000)
-        assert engine_tag(trace, config, "lru") == "fast"
 
 
 class TestInputs:
@@ -89,7 +63,6 @@ class TestObsWiring:
         spans = [e for e in sink.by_kind("span") if e["name"] == "cache-sim"]
         assert len(spans) == 1
         assert spans[0]["tags"]["policy"] == "lru"
-        assert spans[0]["tags"]["impl"] == "fast"
         assert spans[0]["tags"]["accesses"] == trace.size
         assert instr.counters.get("cache.lru.accesses") == trace.size
 
