@@ -2,7 +2,9 @@
 
 Shape expectation: once insular nodes are grouped, the insular portion
 of every matrix achieves near-compulsory traffic (paper plots values
-hugging 1.0).
+hugging 1.0).  It holds on the ``test`` profile, so
+``tests/test_paper_claims.py`` asserts it in tier-1; this benchmark
+only regenerates the figure.
 """
 
 from conftest import PROFILE, emit
@@ -17,4 +19,3 @@ def test_fig6_insular_submatrix(benchmark, bench_runner):
         iterations=1,
     )
     emit(report)
-    assert report.summary["mean_insular_submatrix_traffic"] < 1.35

@@ -2,7 +2,9 @@
 
 Shape expectations: RABBIT++ at least matches RABBIT on average, with
 the gains concentrated on low-insularity matrices (paper: 7.7% mean
-there, up to 1.56x).
+there, up to 1.56x).  Both hold on the ``test`` profile, so
+``tests/test_paper_claims.py`` asserts them in tier-1; this benchmark
+only regenerates the figure.
 """
 
 from conftest import PROFILE, emit
@@ -17,11 +19,3 @@ def test_fig7_rabbitpp_traffic(benchmark, bench_runner):
         iterations=1,
     )
     emit(report)
-    summary = report.summary
-    assert summary["mean_traffic_reduction_all"] > 0.98
-    assert summary["max_traffic_reduction"] > 1.0
-    if "mean_traffic_reduction_low_ins" in summary:
-        assert (
-            summary["mean_traffic_reduction_low_ins"]
-            >= summary["mean_traffic_reduction_all"] - 0.02
-        )

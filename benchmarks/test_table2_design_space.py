@@ -2,7 +2,10 @@
 
 Shape expectations vs. the paper: insular grouping helps (columns),
 HUBSORT hurts relative to HUBGROUP (rows), and the full RABBIT++
-(HUBGROUP + insular) is the best ALL-matrices cell.
+(HUBGROUP + insular) is the best ALL-matrices cell.  These checks stay
+here, not in tier-1: the HUBSORT regression reverses on the ``test``
+profile (without insular grouping, RABBIT+HUBSORT 1.817 against
+RABBIT 1.963).
 """
 
 from conftest import PROFILE, emit

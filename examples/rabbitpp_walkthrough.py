@@ -8,7 +8,7 @@ matrices so the structural effect is visible in ASCII.
 
 import numpy as np
 
-from repro.community.rabbit import rabbit_communities
+from repro.community import detect
 from repro.graphs.graph import Graph
 from repro.metrics.insularity import insular_mask, insularity
 from repro.reorder.rabbitpp import HubPolicy, RabbitPlusPlus
@@ -51,7 +51,7 @@ def main() -> None:
     print(ascii_matrix(graph.adjacency))
     print()
 
-    detection = rabbit_communities(graph)
+    detection = detect(graph)  # the three orderings below reuse it
     print(f"RABBIT detects {detection.assignment.n_communities} communities; "
           f"insularity = {insularity(graph, detection.assignment):.3f}")
     insular = insular_mask(graph, detection.assignment)

@@ -17,7 +17,7 @@ from repro import evaluate_ordering, load_graph, make_technique, scaled_platform
 from repro.metrics.insularity import insular_mask, insular_node_fraction, insularity
 from repro.metrics.locality import hub_cache_footprint_bytes
 from repro.metrics.skew import degree_skew
-from repro.reorder.rabbit import RabbitOrder
+from repro.community import detect
 
 
 def main() -> None:
@@ -25,7 +25,9 @@ def main() -> None:
     platform = scaled_platform("bench")
 
     # --- 1. structure diagnosis -------------------------------------
-    detection = RabbitOrder().detect(graph)
+    # One detection serves this diagnosis and every RABBIT-based
+    # ordering of the sweep below.
+    detection = detect(graph)
     assignment = detection.assignment
     print("structure diagnosis")
     print(f"  nodes / entries          {graph.n_nodes} / {graph.n_edges}")

@@ -15,7 +15,6 @@ technique and ``/v1/recommend`` endpoint.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,7 +25,7 @@ from repro.gpu.amortization import amortization_iterations
 from repro.gpu.perf import KernelRunModel, model_run
 from repro.gpu.specs import PlatformSpec, SCALED_A6000
 from repro.graphs.graph import Graph
-from repro.reorder.base import ReorderingTechnique
+from repro.reorder.base import ReorderingTechnique, reorder_with_timing
 from repro.reorder.registry import make_technique
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.permute import permute_symmetric
@@ -130,17 +129,17 @@ def reorder_and_evaluate(
 ) -> ReorderEvaluation:
     """Reorder ``matrix`` with ``technique`` and model the result.
 
-    Times the permutation computation (wall clock) and, when
-    ``compare_baseline`` is set, also models the un-reordered matrix so
-    ``speedup`` and ``break_even_iterations`` are available.
+    Times the permutation computation (detection included) with
+    :func:`reorder_with_timing` and, when ``compare_baseline`` is set,
+    also models the un-reordered matrix so ``speedup`` and
+    ``break_even_iterations`` are available.
     """
     graph = matrix if isinstance(matrix, Graph) else Graph(matrix)
     name = technique if isinstance(technique, str) else technique.name
     if isinstance(technique, str):
         technique = make_technique(technique)
-    start = time.perf_counter()
-    perm = technique.compute(graph)
-    reorder_seconds = time.perf_counter() - start
+    timed = reorder_with_timing(technique, graph)
+    perm = timed.permutation
     reordered = permute_symmetric(graph.adjacency, perm)
     model = evaluate_ordering(reordered, kernel=kernel, platform=platform, policy=policy)
     baseline = None
@@ -151,7 +150,7 @@ def reorder_and_evaluate(
         permutation=perm,
         matrix=reordered,
         model=model,
-        reorder_seconds=reorder_seconds,
+        reorder_seconds=timed.seconds,
         baseline=baseline,
     )
 

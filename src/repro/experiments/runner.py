@@ -10,6 +10,8 @@ computed from the RABBIT detection.  Both stages are deterministic, so
 the runner memoizes simulation records and matrix metrics as JSON files
 under ``.repro_cache/`` (permutations are additionally memoized
 in-process).  Delete the cache directory to force recomputation.
+Detection runs once per loaded graph: the metrics, the insular mask,
+RABBIT and RABBIT++ all read :func:`repro.community.rabbit.detect`.
 
 The memo directory can be redirected without code changes by setting
 the ``REPRO_CACHE_DIR`` environment variable (useful for CI and
@@ -36,6 +38,7 @@ import numpy as np
 
 from repro.cache import POLICIES
 from repro.community.modularity import modularity
+from repro.community.rabbit import detect
 from repro.errors import ValidationError
 from repro.gpu.perf import model_run
 from repro.gpu.specs import PlatformSpec, scaled_platform
@@ -52,7 +55,6 @@ from repro.resilience.integrity import (
     wrap_payload,
 )
 from repro.reorder.base import TimedReordering, reorder_with_timing
-from repro.reorder.rabbit import RabbitOrder
 from repro.reorder.registry import make_technique
 from repro.sparse.mask import restrict_to_nodes
 from repro.sparse.permute import permute_symmetric
@@ -154,7 +156,6 @@ class ExperimentRunner:
         self.schedule = schedule
         self._permutations: Dict[Tuple[str, str], TimedReordering] = {}
         self._graphs: Dict[str, Graph] = {}
-        self._detections: Dict[str, object] = {}
 
     # -- corpus ---------------------------------------------------------
 
@@ -185,26 +186,10 @@ class ExperimentRunner:
             return cached
         return self.permutation(matrix, technique).seconds
 
-    # -- community detection --------------------------------------------
-
-    def detection(self, matrix: str):
-        """RABBIT community detection, memoized per matrix.
-
-        Detection is the most expensive pipeline stage and backs both
-        :meth:`matrix_metrics` and the insular mask, so it must run at
-        most once per matrix per runner — not once per masked
-        (kernel, policy) cell.
-        """
-        if matrix not in self._detections:
-            graph = self.graph(matrix)
-            with get_obs().span("detect", matrix=matrix):
-                self._detections[matrix] = RabbitOrder().detect(graph)
-        return self._detections[matrix]
-
     # -- metrics --------------------------------------------------------
 
     def matrix_metrics(self, matrix: str) -> MatrixMetrics:
-        """Insularity/skew/community statistics (RABBIT detection)."""
+        """Insularity/skew/community statistics of the graph's shared detection."""
         obs = get_obs()
         path = self.metrics_cache_path(matrix)
         payload = self._load_payload(path, kind="metrics", matrix=matrix)
@@ -214,7 +199,7 @@ class ExperimentRunner:
         obs.counter("memo.metrics.miss")
         graph = self.graph(matrix)
         with obs.span("metrics", matrix=matrix):
-            assignment = self.detection(matrix).assignment
+            assignment = detect(graph).assignment
             stats = community_size_stats(assignment)
             metrics = MatrixMetrics(
                 matrix=matrix,
@@ -302,7 +287,7 @@ class ExperimentRunner:
     ):
         """Keep only non-zeros connecting to insular nodes (Figure 6)."""
         graph = self.graph(matrix)
-        mask_original_ids = insular_mask(graph, self.detection(matrix).assignment)
+        mask_original_ids = insular_mask(graph, detect(graph).assignment)
         mask_new_ids = np.zeros_like(mask_original_ids)
         mask_new_ids[permutation] = mask_original_ids
         return restrict_to_nodes(permuted, mask_new_ids, mode="either")

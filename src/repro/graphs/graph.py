@@ -32,7 +32,8 @@ class Graph:
         (validated lazily by :meth:`validate_undirected`).
     """
 
-    __slots__ = ("adjacency", "directed", "_undirected_cache", "_in_adjacency_cache")
+    # ``__weakref__``: the RABBIT detection memo holds graphs weakly.
+    __slots__ = ("adjacency", "directed", "_undirected_cache", "_in_adjacency_cache", "__weakref__")
 
     def __init__(self, adjacency: CSRMatrix, directed: bool = False) -> None:
         if not adjacency.is_square:

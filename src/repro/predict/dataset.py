@@ -65,8 +65,9 @@ def build_dataset(
 ) -> PredictorDataset:
     """Run the simulator across the corpus and collect labelled cells.
 
-    For every matrix: one feature extraction (reusing the runner's
-    memoized RABBIT detection), one baseline simulation, and one
+    For every matrix: one feature extraction (reading the graph's
+    memoized RABBIT detection, shared with the runner's metrics and its
+    RABBIT and RABBIT++ orderings), one baseline simulation, and one
     simulation per technique.
     """
     if not techniques:
@@ -79,9 +80,7 @@ def build_dataset(
     )
     for matrix in names:
         graph = runner.graph(matrix)
-        features = structural_features(
-            graph, runner.platform, assignment=runner.detection(matrix).assignment
-        )
+        features = structural_features(graph, runner.platform)
         ideal = analytic_ideal_seconds(graph, kernel, runner.platform)
         baseline = runner.run(matrix, "original", kernel=kernel, policy=policy)
         for technique in techniques:

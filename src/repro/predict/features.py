@@ -3,7 +3,8 @@
 Every feature is computable from the *original* matrix structure plus
 one RABBIT community detection — no candidate reordering, no trace, no
 cache simulation — which is what makes the predictor orders of
-magnitude cheaper than the brute-force evaluation it replaces.  The
+magnitude cheaper than the brute-force evaluation it replaces.  It is
+the graph's memoized detection, shared with its RABBIT orderings.  The
 feature set follows arXiv 2506.10356: size/density, degree skew
 (hub concentration), community insularity, bandwidth/span locality,
 and working-set-to-cache footprint ratios.
@@ -12,10 +13,11 @@ and working-set-to-cache footprint ratios.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
+from repro.community.rabbit import detect
 from repro.errors import ValidationError
 from repro.gpu.specs import PlatformSpec
 from repro.graphs.graph import Graph
@@ -51,15 +53,14 @@ FEATURE_NAMES = (
 def structural_features(
     matrix: Union[CSRMatrix, Graph],
     platform: PlatformSpec,
-    assignment=None,
     element_bytes: int = 4,
 ) -> Dict[str, float]:
     """Feature dict (:data:`FEATURE_NAMES` keys) for one matrix.
 
-    ``assignment`` is an optional precomputed community assignment
-    (e.g. from :meth:`ExperimentRunner.detection`); when omitted, one
-    RABBIT detection runs here — the only non-trivial cost of the
-    extraction.
+    The community features read the graph's memoized RABBIT detection
+    (:func:`~repro.community.rabbit.detect`): the only non-trivial cost
+    of the extraction, paid once per graph object (a CSR input gets a
+    new one).
     """
     graph = matrix if isinstance(matrix, Graph) else Graph(matrix)
     csr = graph.adjacency
@@ -67,10 +68,7 @@ def structural_features(
     nnz = csr.nnz
     if n == 0:
         raise ValidationError("structural features of an empty matrix are undefined")
-    if assignment is None:
-        from repro.reorder.rabbit import RabbitOrder
-
-        assignment = RabbitOrder().detect(graph).assignment
+    assignment = detect(graph).assignment
     degrees = np.asarray(graph.to_undirected().out_degrees(), dtype=np.int64)
     hub_count = max(1, n // 10)
     hubs = np.argsort(degrees, kind="stable")[-hub_count:]

@@ -34,13 +34,12 @@ kept as an ablation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.community.assignment import CommunityAssignment
-from repro.community.rabbit import RabbitResult, rabbit_communities
+from repro.community.rabbit import detect
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.metrics.insularity import insular_mask
@@ -55,25 +54,14 @@ class HubPolicy(enum.Enum):
     GROUP = "group"
 
 
-@dataclass
-class RabbitPlusPlusResult:
-    """Introspection data from the latest RABBIT++ computation."""
-
-    rabbit: RabbitResult
-    insular: np.ndarray
-    hubs: np.ndarray
-
-    @property
-    def assignment(self) -> CommunityAssignment:
-        return self.rabbit.assignment
-
-
 class RabbitPlusPlus(ReorderingTechnique):
     """RABBIT ordering enhanced with insular and hub grouping.
 
     The default configuration (``group_insular=True``,
     ``hub_policy=HubPolicy.GROUP``) is the paper's RABBIT++.
     """
+
+    uses_detection = True
 
     def __init__(
         self,
@@ -90,7 +78,6 @@ class RabbitPlusPlus(ReorderingTechnique):
         self.group_insular = bool(group_insular)
         self.hub_policy = hub_policy
         self.segment_policy = segment_policy
-        self.last_result: Optional[RabbitPlusPlusResult] = None
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -109,28 +96,26 @@ class RabbitPlusPlus(ReorderingTechnique):
         return label
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        return self.order(graph, rabbit_communities(graph))
+        detection = detect(graph)
+        return self.order(graph, detection.assignment, detection.ordering)
 
-    def order(self, graph: Graph, rabbit: RabbitResult) -> np.ndarray:
-        """The ordering step: regroup RABBIT's order from ``rabbit``.
+    def order(self, graph: Graph, assignment: CommunityAssignment, rank: np.ndarray) -> np.ndarray:
+        """The ordering step: regroup RABBIT's permutation ``rank`` by
+        its communities ``assignment``.
 
         Separate from detection so the differential tests can feed it
         the detection oracle's result.
         """
-        rank = rabbit.dendrogram.ordering()  # old_id -> rabbit new_id
-
         n = graph.n_nodes
         insular = np.zeros(n, dtype=bool)
         if self.group_insular:
-            insular = insular_mask(graph, rabbit.assignment)
+            insular = insular_mask(graph, assignment)
         hubs = np.zeros(n, dtype=bool)
         if self.hub_policy is not HubPolicy.NONE:
             in_degrees = np.asarray(graph.in_degrees(), dtype=np.int64)
             hubs = in_degrees > graph.average_degree()
         else:
             in_degrees = np.zeros(n, dtype=np.int64)
-
-        self.last_result = RabbitPlusPlusResult(rabbit, insular, hubs)
 
         segments = self._segments(insular, hubs)
         visit_parts: List[np.ndarray] = []

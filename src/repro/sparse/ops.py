@@ -64,6 +64,6 @@ def is_symmetric(coo: COOMatrix) -> bool:
     """Whether the sparsity pattern and values are symmetric."""
     if not coo.is_square:
         return False
+    # Merging duplicates commutes with transposing: one merge serves both.
     merged = merge_duplicates(coo)
-    flipped = merge_duplicates(transpose(coo))
-    return merged == flipped
+    return merged == transpose(merged)

@@ -264,9 +264,14 @@ def boba_reference(graph: Graph) -> np.ndarray:
 #: Technique name -> the oracle permutation its product engine must
 #: reproduce bit-for-bit.  rabbit and rabbit++ run oracle detection
 #: followed by the technique's own ordering step.
+def _rabbitpp_oracle(graph: Graph) -> np.ndarray:
+    oracle = oracle_detection(graph)
+    return RabbitPlusPlus().order(graph, oracle.assignment, oracle.dendrogram.ordering())
+
+
 ORACLES: Dict[str, Callable[[Graph], np.ndarray]] = {
     "rabbit": lambda graph: oracle_detection(graph).dendrogram.ordering(),
-    "rabbit++": lambda graph: RabbitPlusPlus().order(graph, oracle_detection(graph)),
+    "rabbit++": _rabbitpp_oracle,
     "rcm": rcm_reference,
     "gorder": _gorder_oracle,
     "boba": boba_reference,

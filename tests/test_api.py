@@ -11,7 +11,9 @@ from repro import (
     reorder_and_evaluate,
     reorder_matrix,
 )
+from repro.community import detect
 from repro.gpu.specs import scaled_platform
+from repro.obs import FakeClock, Instrumentation, using
 
 
 class TestReorderMatrix:
@@ -101,6 +103,18 @@ class TestReorderAndEvaluate:
         assert result.baseline is None
         assert result.speedup is None
         assert result.break_even_iterations is None
+
+    def test_charges_detection_on_an_already_detected_graph(self):
+        """Regression: the API timed only ``compute``, so RABBIT++ on a
+        graph detected earlier was charged just its regrouping."""
+        graph = load_graph("test-social")
+        with using(Instrumentation(clock=FakeClock(tick=1.0))):
+            detected = detect(graph).seconds
+            result = reorder_and_evaluate(
+                graph, "rabbit++", platform=scaled_platform("test"),
+                compare_baseline=False,
+            )
+        assert result.reorder_seconds >= detected > 0
 
 
 class TestRecommend:

@@ -110,28 +110,26 @@ class TestMetrics:
 
 class TestDetectionMemo:
     def test_detection_runs_once_per_matrix(self, runner, monkeypatch):
-        """Regression: every masked (kernel, policy) cell used to rerun
-        RABBIT detection — the most expensive pipeline stage.  The
-        'original' technique computes no detection of its own, so every
-        call observed here comes from metrics or the insular mask."""
-        from repro.reorder.rabbit import RabbitOrder
+        """Regression: the metrics, every masked (kernel, policy) cell,
+        RABBIT and RABBIT++ each used to run their own RABBIT detection
+        — the most expensive pipeline stage.  They now share one."""
+        import repro.community.rabbit as rabbit
 
         calls = []
-        original_detect = RabbitOrder.detect
+        original = rabbit.rabbit_communities
 
-        def counting_detect(self, graph, *args, **kwargs):
-            calls.append(1)
-            return original_detect(self, graph, *args, **kwargs)
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
 
-        monkeypatch.setattr(RabbitOrder, "detect", counting_detect)
+        monkeypatch.setattr(rabbit, "rabbit_communities", counting)
         runner.matrix_metrics("test-comm")
         runner.run("test-comm", "original", mask="insular")
         runner.run("test-comm", "original", kernel="spmv-coo", mask="insular")
         runner.run("test-comm", "original", policy="belady", mask="insular")
+        runner.run("test-comm", "rabbit")
+        runner.run("test-comm", "rabbit++")
         assert len(calls) == 1
-
-    def test_detection_object_memoized(self, runner):
-        assert runner.detection("test-mesh") is runner.detection("test-mesh")
 
 
 class TestCacheDir:

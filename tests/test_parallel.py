@@ -192,7 +192,7 @@ class TestExecutor:
         assert instr.counters.get("memo.metrics.miss") == 1
         assert instr.counters.get("parallel.cells.executed") == 3
         totals = instr.span_totals()
-        for stage in ("load", "reorder", "trace", "cache-sim", "detect"):
+        for stage in ("load", "reorder", "trace", "cache-sim", "reorder-detect"):
             assert totals[stage].calls >= 1, stage
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.community.rabbit import detect
 from repro.errors import ValidationError
 from repro.graphs.corpus import load_graph
 from repro.metrics.insularity import insular_mask
@@ -35,12 +36,19 @@ class TestConfiguration:
             RabbitPlusPlus(hub_policy="sort")
 
 
+def insular_nodes(graph):
+    return insular_mask(graph, detect(graph).assignment)
+
+
+def hub_nodes(graph):
+    return np.asarray(graph.in_degrees()) > graph.average_degree()
+
+
 class TestSegmentSemantics:
     def test_insular_nodes_first(self):
         graph = load_graph("test-social")
-        technique = RabbitPlusPlus()
-        perm = technique.compute(graph)
-        insular = technique.last_result.insular
+        perm = RabbitPlusPlus().compute(graph)
+        insular = insular_nodes(graph)
         n_insular = int(insular.sum())
         assert 0 < n_insular < graph.n_nodes
         # Every insular node must be ordered before every non-insular one.
@@ -48,10 +56,9 @@ class TestSegmentSemantics:
 
     def test_hubs_follow_insular_segment(self):
         graph = load_graph("test-social")
-        technique = RabbitPlusPlus()
-        perm = technique.compute(graph)
-        insular = technique.last_result.insular
-        hubs = technique.last_result.hubs
+        perm = RabbitPlusPlus().compute(graph)
+        insular = insular_nodes(graph)
+        hubs = hub_nodes(graph)
         hub_section = hubs & ~insular
         rest = ~hubs & ~insular
         if hub_section.any() and rest.any():
@@ -61,9 +68,8 @@ class TestSegmentSemantics:
         graph = load_graph("test-social")
         rabbit = RabbitOrder()
         rabbit_perm = rabbit.compute(graph)
-        technique = RabbitPlusPlus(group_insular=True, hub_policy=HubPolicy.NONE)
-        perm = technique.compute(graph)
-        insular = technique.last_result.insular
+        perm = RabbitPlusPlus(group_insular=True, hub_policy=HubPolicy.NONE).compute(graph)
+        insular = insular_nodes(graph)
         for segment in (np.flatnonzero(insular), np.flatnonzero(~insular)):
             # Within a segment, RABBIT's relative order must be intact.
             rabbit_ranks = rabbit_perm[segment]
@@ -72,9 +78,8 @@ class TestSegmentSemantics:
 
     def test_hubsort_orders_hubs_by_degree(self):
         graph = load_graph("test-social")
-        technique = RabbitPlusPlus(group_insular=False, hub_policy=HubPolicy.SORT)
-        perm = technique.compute(graph)
-        hubs = technique.last_result.hubs
+        perm = RabbitPlusPlus(group_insular=False, hub_policy=HubPolicy.SORT).compute(graph)
+        hubs = hub_nodes(graph)
         in_degrees = np.asarray(graph.in_degrees())
         hub_ids = np.flatnonzero(hubs)
         by_new_order = hub_ids[np.argsort(perm[hub_ids])]
@@ -87,13 +92,6 @@ class TestSegmentSemantics:
             group_insular=False, hub_policy=HubPolicy.NONE
         ).compute(graph)
         assert np.array_equal(plain, unmodified)
-
-    def test_insular_mask_consistent_with_metrics(self):
-        graph = load_graph("test-comm")
-        technique = RabbitPlusPlus()
-        technique.compute(graph)
-        expected = insular_mask(graph, technique.last_result.assignment)
-        assert np.array_equal(technique.last_result.insular, expected)
 
 
 class TestTable2Variants:

@@ -88,3 +88,11 @@ class TestIsSymmetric:
     def test_value_asymmetry_detected(self):
         coo = COOMatrix(2, 2, [0, 1], [1, 0], [1.0, 2.0])
         assert not is_symmetric(coo)
+
+    def test_duplicates_summed_before_comparing(self):
+        # (0,1) holds 1 + 2 = 3, which (1,0) matches; a second (1,0)
+        # entry of 4 breaks the match.
+        coo = COOMatrix(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
+        assert is_symmetric(coo)
+        coo = COOMatrix(2, 2, [0, 0, 1, 1], [1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0])
+        assert not is_symmetric(coo)
