@@ -113,10 +113,7 @@ class Graph:
             coo = csr_to_coo(self.adjacency)
             if drop_loops:
                 coo = drop_self_loops(coo)
-            if self.directed:
-                coo = symmetrize(coo)
-            else:
-                coo = symmetrize(coo)  # also merges duplicate entries
+            coo = symmetrize(coo)  # also merges duplicate entries
             self._undirected_cache = Graph(coo_to_csr(coo), directed=False)
         return self._undirected_cache
 

@@ -4,31 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.coo import COOMatrix, INDEX_DTYPE
+from repro.sparse.coo import COOMatrix, INDEX_DTYPE, row_major_order
 from repro.sparse.csr import CSRMatrix
 
 
-def coo_to_csr(coo: COOMatrix, sort_within_rows: bool = True) -> CSRMatrix:
-    """Convert a COO matrix to CSR.
+def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
+    """Convert a COO matrix to CSR, entries sorted by column within rows.
 
-    Duplicate coordinates are preserved as separate entries (merge them
-    first with :func:`repro.sparse.ops.merge_duplicates` if needed).
-
-    Parameters
-    ----------
-    coo:
-        Source matrix.
-    sort_within_rows:
-        When true (default), entries within each row are ordered by
-        column index; otherwise the relative COO order is kept, which
-        matters when reproducing "arbitrary CSR content order".
+    Duplicate coordinates are preserved as separate entries in their
+    COO order (merge them first with
+    :func:`repro.sparse.ops.merge_duplicates` if needed).
     """
-    if sort_within_rows:
-        order = np.lexsort((coo.cols, coo.rows))
-    else:
-        order = np.argsort(coo.rows, kind="stable")
-    rows = coo.rows[order]
-    counts = np.bincount(rows, minlength=coo.n_rows)
+    order = row_major_order(coo.rows, coo.cols, coo.n_cols)
+    counts = np.bincount(coo.rows, minlength=coo.n_rows)
     row_offsets = np.zeros(coo.n_rows + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts, out=row_offsets[1:])
     return CSRMatrix(

@@ -18,6 +18,9 @@ from repro.errors import FormatError, ShapeError
 INDEX_DTYPE = np.int64
 VALUE_DTYPE = np.float64
 
+#: Entries whose positions :func:`row_major_order` packs per slice.
+_POSITION_SLICE = 1 << 16
+
 
 def _as_index_array(name: str, data: object) -> np.ndarray:
     array = np.asarray(data)
@@ -37,6 +40,39 @@ def _as_value_array(name: str, data: object, length: int) -> np.ndarray:
             f"{name} has {array.size} entries but the matrix has {length} non-zeros"
         )
     return array
+
+
+def row_major_order(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """The permutation that sorts entries by row, then column, stably.
+
+    The result equals ``np.lexsort`` with keys ``(cols, rows)`` for any
+    in-bounds non-negative coordinates: equal coordinates keep their
+    input order.  It is computed by one in-place ``np.sort`` of packed
+    ``(row * n_cols + col) << shift | position`` keys, which is much
+    faster than the lexsort.  The position bits make every key unique,
+    so any sort is stable, and masking them out of the sorted keys
+    leaves the order.  Keys that would need more than 63 bits (a huge
+    declared shape) fall back to the lexsort.
+    """
+    n = rows.size
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    shift = int(n - 1).bit_length()
+    top = int(rows.max()) * int(n_cols) + int(cols.max())
+    if top.bit_length() + shift > 63:
+        return np.lexsort((cols, rows))
+    key = np.multiply(rows, n_cols, dtype=np.int64)
+    key += cols
+    key <<= shift
+    # Positions go in by slices, so no full-length position array is
+    # ever resident beside the keys: the sort peaks at the size of its
+    # result, below the lexsort's.
+    for start in range(0, n, _POSITION_SLICE):
+        stop = min(start + _POSITION_SLICE, n)
+        key[start:stop] |= np.arange(start, stop, dtype=np.int64)
+    key.sort()
+    key &= (1 << shift) - 1
+    return key
 
 
 class COOMatrix:
@@ -136,8 +172,8 @@ class COOMatrix:
             return NotImplemented
         if self.shape != other.shape or self.nnz != other.nnz:
             return False
-        order_a = np.lexsort((self.cols, self.rows))
-        order_b = np.lexsort((other.cols, other.rows))
+        order_a = row_major_order(self.rows, self.cols, self.n_cols)
+        order_b = row_major_order(other.rows, other.cols, other.n_cols)
         return (
             bool(np.array_equal(self.rows[order_a], other.rows[order_b]))
             and bool(np.array_equal(self.cols[order_a], other.cols[order_b]))

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
-from repro.sparse.coo import COOMatrix, INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.coo import COOMatrix, INDEX_DTYPE, VALUE_DTYPE, row_major_order
 
 
 class CSCMatrix:
@@ -117,9 +117,8 @@ class CSCMatrix:
 
 def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
     """Convert COO to CSC (entries sorted column-major, rows ascending)."""
-    order = np.lexsort((coo.rows, coo.cols))
-    cols = coo.cols[order]
-    counts = np.bincount(cols, minlength=coo.n_cols)
+    order = row_major_order(coo.cols, coo.rows, coo.n_rows)
+    counts = np.bincount(coo.cols, minlength=coo.n_cols)
     col_offsets = np.zeros(coo.n_cols + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts, out=col_offsets[1:])
     return CSCMatrix(

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
-from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE, row_major_order
 
 
 class CSRMatrix:
@@ -181,16 +181,20 @@ class CSRMatrix:
         return True
 
     def sort_rows(self) -> "CSRMatrix":
-        """Return a copy with column indices sorted within each row."""
-        indices = self.col_indices.copy()
-        values = self.values.copy()
-        for row in range(self.n_rows):
-            start = self.row_offsets[row]
-            end = self.row_offsets[row + 1]
-            order = np.argsort(indices[start:end], kind="stable")
-            indices[start:end] = indices[start:end][order]
-            values[start:end] = values[start:end][order]
-        return CSRMatrix(self.n_rows, self.n_cols, self.row_offsets.copy(), indices, values)
+        """Return a copy with column indices sorted within each row.
+
+        Equal columns keep their order, as in
+        :func:`repro.sparse.convert.coo_to_csr`.
+        """
+        rows = np.repeat(np.arange(self.n_rows, dtype=INDEX_DTYPE), self.row_degrees())
+        order = row_major_order(rows, self.col_indices, self.n_cols)
+        return CSRMatrix(
+            self.n_rows,
+            self.n_cols,
+            self.row_offsets.copy(),
+            self.col_indices[order],
+            self.values[order],
+        )
 
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(

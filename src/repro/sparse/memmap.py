@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.errors import CacheIntegrityError, FormatError
 from repro.resilience.integrity import unique_tmp_path, unwrap_document, wrap_payload
-from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE, row_major_order
 from repro.sparse.csr import CSRMatrix
 
 #: Bump when the on-disk layout changes; loaders reject other versions.
@@ -246,11 +246,11 @@ def csr_from_coo_chunks(
     (row histogram, then scatter), which is what keeps the build
     out-of-core — only one chunk plus the CSR memmaps are ever resident.
 
-    Entry ordering matches :func:`repro.sparse.convert.coo_to_csr` with
-    ``sort_within_rows=True``: within each row, entries are sorted by
-    column with ties keeping stream order.  (The scatter places entries
-    in stream order per row; a per-row-block stable sort by column then
-    reproduces ``np.lexsort((cols, rows))`` exactly.)
+    Entry ordering matches :func:`repro.sparse.convert.coo_to_csr`:
+    within each row, entries are sorted by column with ties keeping
+    stream order.  (The scatter places entries in stream order per row;
+    a per-row-block :func:`~repro.sparse.coo.row_major_order` then
+    reproduces the in-memory order exactly.)
     """
     if not callable(chunks):
         raise FormatError("chunks must be a callable returning a chunk iterator")
@@ -321,7 +321,9 @@ def csr_from_coo_chunks(
                 "chunk stream changed between passes (row counts disagree)"
             )
         # Within-row column sort, one bounded row block at a time.
-        _sort_rows_in_place(offsets, indices, vals, lowest_touched, highest_touched)
+        _sort_rows_in_place(
+            offsets, indices, vals, n_cols, lowest_touched, highest_touched
+        )
         if nnz:
             indices.flush()
             vals.flush()
@@ -479,13 +481,14 @@ def _sort_rows_in_place(
     offsets: np.ndarray,
     indices: np.ndarray,
     values: np.ndarray,
+    n_cols: int,
     row_lo: int,
     row_hi: int,
 ) -> None:
     """Stable-sort each row's entries by column, in bounded blocks.
 
     Processes runs of rows whose combined nnz stays under the copy
-    chunk, sorting each block with one composite-key stable argsort —
+    chunk, sorting each block with one :func:`row_major_order` —
     equivalent to per-row sorting because rows are disjoint key groups.
     """
     row = row_lo
@@ -497,12 +500,13 @@ def _sort_rows_in_place(
         end_row = max(end_row, row + 1)  # a single giant row still sorts
         stop = int(offsets[end_row])
         if stop > start:
+            # Block-relative rows keep the packed sort keys narrow.
             block_rows = np.repeat(
-                np.arange(row, end_row, dtype=INDEX_DTYPE),
+                np.arange(end_row - row, dtype=INDEX_DTYPE),
                 np.diff(offsets[row: end_row + 1]),
             )
             block_cols = np.asarray(indices[start:stop])
-            order = np.lexsort((block_cols, block_rows))
+            order = row_major_order(block_rows, block_cols, n_cols)
             indices[start:stop] = block_cols[order]
             values[start:stop] = np.asarray(values[start:stop])[order]
         row = end_row

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, row_major_order
 
 
 def transpose(coo: COOMatrix) -> COOMatrix:
@@ -32,7 +32,7 @@ def merge_duplicates(coo: COOMatrix) -> COOMatrix:
     """
     if coo.nnz == 0:
         return coo.copy()
-    order = np.lexsort((coo.cols, coo.rows))
+    order = row_major_order(coo.rows, coo.cols, coo.n_cols)
     rows = coo.rows[order]
     cols = coo.cols[order]
     values = coo.values[order]
@@ -64,6 +64,13 @@ def is_symmetric(coo: COOMatrix) -> bool:
     """Whether the sparsity pattern and values are symmetric."""
     if not coo.is_square:
         return False
-    # Merging duplicates commutes with transposing: one merge serves both.
+    # Merging duplicates commutes with transposing: one merge serves both,
+    # and leaves one entry per coordinate in row-major order, so only the
+    # transpose needs sorting before the two compare entry by entry.
     merged = merge_duplicates(coo)
-    return merged == transpose(merged)
+    order = row_major_order(merged.cols, merged.rows, merged.n_rows)
+    return (
+        bool(np.array_equal(merged.rows, merged.cols[order]))
+        and bool(np.array_equal(merged.cols, merged.rows[order]))
+        and bool(np.allclose(merged.values, merged.values[order]))
+    )

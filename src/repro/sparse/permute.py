@@ -48,7 +48,7 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def permute_symmetric(csr: CSRMatrix, perm: np.ndarray, sort_within_rows: bool = True) -> CSRMatrix:
+def permute_symmetric(csr: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
     """Relabel rows and columns of a square CSR matrix.
 
     Entry ``A[i, j]`` of the input appears at ``B[perm[i], perm[j]]`` in
@@ -65,7 +65,7 @@ def permute_symmetric(csr: CSRMatrix, perm: np.ndarray, sort_within_rows: bool =
         perm[coo.cols],
         coo.values,
     )
-    return coo_to_csr(relabeled, sort_within_rows=sort_within_rows)
+    return coo_to_csr(relabeled)
 
 
 def permute_coo(coo: COOMatrix, perm: np.ndarray) -> COOMatrix:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.sparse.coo import row_major_order
 from repro.sparse.csr import CSRMatrix
 from repro.trace.layout import AddressSpace
 from repro.trace.kernel_traces import KernelTrace, _collapse
@@ -68,7 +69,7 @@ def spmv_csr_tiled_trace(
     row_of_entry = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.row_offsets))
     tile_of_entry = matrix.col_indices // tile_width
     # Tile-major, then row-major, then original in-row order.
-    order = np.lexsort((np.arange(nnz), row_of_entry, tile_of_entry))
+    order = row_major_order(tile_of_entry, row_of_entry, n)
     sorted_rows = row_of_entry[order]
     sorted_tiles = tile_of_entry[order]
     sorted_cols = matrix.col_indices[order]

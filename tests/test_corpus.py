@@ -16,6 +16,7 @@ from repro.graphs.corpus import (
     load_matrix,
     selection_report,
 )
+from repro.sparse.ops import is_symmetric
 
 
 class TestRegistry:
@@ -83,6 +84,17 @@ class TestLoading:
     def test_load_graph_directedness(self):
         assert load_graph("test-rmat").directed
         assert not load_graph("test-mesh").directed
+
+    def test_directed_flag_matches_symmetry(self):
+        # A .mtx upload's Graph.directed comes from is_symmetric, and the
+        # serve store keys an upload and its corpus matrix by the same
+        # structure digest, so the two must agree on every entry.
+        names = corpus_names("test") + corpus_names("bench")
+        mismatched = [
+            name for name in names
+            if is_symmetric(load_matrix(name)) == get_entry(name).directed
+        ]
+        assert mismatched == []
 
     def test_hash_name_is_stable(self):
         # Guard against hash() randomization: must be process-independent.

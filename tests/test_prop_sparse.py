@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csc import coo_to_csc
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.kernels import spmv_coo, spmv_csr
 from repro.sparse.ops import (
     drop_self_loops,
@@ -38,6 +40,20 @@ def coo_matrices(draw, max_n=12, max_nnz=40, square=True):
 
 
 @st.composite
+def crowded_coo_matrices(draw):
+    """Rectangular COO matrices where most coordinates repeat, each entry
+    carrying a distinct value, so any change in tie order shows."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    nnz = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, n_rows, nnz)
+    cols = rng.integers(0, n_cols, nnz)
+    values = rng.permutation(nnz) + rng.random(nnz)
+    return COOMatrix(n_rows, n_cols, rows, cols, values)
+
+
+@st.composite
 def permutations(draw, n):
     seed = draw(st.integers(0, 2**32 - 1))
     return np.random.default_rng(seed).permutation(n)
@@ -53,6 +69,55 @@ class TestConversionProperties:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_equality(self, coo):
         assert csr_to_coo(coo_to_csr(coo)) == coo
+
+
+class TestCanonicalOrder:
+    """Every canonical ordering equals the stable lexsort it replaced."""
+
+    @given(crowded_coo_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_coo_to_csr_is_row_major_lexsort(self, coo):
+        order = np.lexsort((coo.cols, coo.rows))
+        csr = coo_to_csr(coo)
+        assert np.array_equal(csr.col_indices, coo.cols[order])
+        assert np.array_equal(csr.values, coo.values[order])
+
+    @given(crowded_coo_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_coo_to_csc_is_column_major_lexsort(self, coo):
+        order = np.lexsort((coo.rows, coo.cols))
+        csc = coo_to_csc(coo)
+        assert np.array_equal(csc.row_indices, coo.rows[order])
+        assert np.array_equal(csc.values, coo.values[order])
+
+    @given(crowded_coo_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_sort_rows_is_row_major_lexsort(self, coo):
+        by_row = np.argsort(coo.rows, kind="stable")  # rows grouped, columns not
+        offsets = np.zeros(coo.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(coo.rows, minlength=coo.n_rows), out=offsets[1:])
+        unsorted = CSRMatrix(
+            coo.n_rows, coo.n_cols, offsets, coo.cols[by_row], coo.values[by_row]
+        )
+        rows = coo.rows[by_row]
+        order = np.lexsort((unsorted.col_indices, rows))
+        sorted_csr = unsorted.sort_rows()
+        assert np.array_equal(sorted_csr.col_indices, unsorted.col_indices[order])
+        assert np.array_equal(sorted_csr.values, unsorted.values[order])
+
+    @given(crowded_coo_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_duplicates_is_lexsort_and_sum(self, coo):
+        order = np.lexsort((coo.cols, coo.rows))
+        sums = {}
+        for r, c, v in zip(
+            coo.rows[order].tolist(), coo.cols[order].tolist(), coo.values[order].tolist()
+        ):
+            sums[(r, c)] = sums.get((r, c), 0.0) + v
+        merged = merge_duplicates(coo)
+        assert merged.rows.tolist() == [r for r, _ in sums]
+        assert merged.cols.tolist() == [c for _, c in sums]
+        assert merged.values.tolist() == list(sums.values())
 
 
 class TestOpsProperties:

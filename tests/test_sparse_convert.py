@@ -5,6 +5,7 @@ import pytest
 
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csr import CSRMatrix
 
 
 class TestCooToCsr:
@@ -15,11 +16,6 @@ class TestCooToCsr:
         coo = COOMatrix(2, 4, [0, 0, 0], [3, 0, 2])
         csr = coo_to_csr(coo)
         assert np.array_equal(csr.col_indices, [0, 2, 3])
-
-    def test_unsorted_preserves_coo_order(self):
-        coo = COOMatrix(2, 4, [0, 0, 0], [3, 0, 2])
-        csr = coo_to_csr(coo, sort_within_rows=False)
-        assert np.array_equal(csr.col_indices, [3, 0, 2])
 
     def test_rows_grouped_even_if_coo_shuffled(self):
         coo = COOMatrix(3, 3, [2, 0, 2, 1], [0, 1, 2, 2], [1.0, 2.0, 3.0, 4.0])
@@ -49,8 +45,7 @@ class TestRoundTrip:
         assert back == small_coo
 
     def test_csr_to_coo_preserves_in_row_order(self):
-        coo = COOMatrix(1, 4, [0, 0, 0], [3, 0, 2])
-        csr = coo_to_csr(coo, sort_within_rows=False)
+        csr = CSRMatrix(1, 4, [0, 3], [3, 0, 2])
         back = csr_to_coo(csr)
         assert np.array_equal(back.cols, [3, 0, 2])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError, ShapeError
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, row_major_order
 
 
 class TestConstruction:
@@ -99,3 +99,38 @@ class TestBehaviour:
     def test_repr_mentions_shape_and_nnz(self, small_coo):
         assert "shape=(4, 4)" in repr(small_coo)
         assert "nnz=6" in repr(small_coo)
+
+
+class TestRowMajorOrder:
+    def test_matches_lexsort_with_duplicates(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            n_rows, n_cols = (int(d) for d in rng.integers(1, 12, size=2))
+            rows = rng.integers(0, n_rows, n)
+            cols = rng.integers(0, n_cols, n)
+            order = row_major_order(rows, cols, n_cols)
+            assert order.dtype == np.intp
+            assert np.array_equal(order, np.lexsort((cols, rows)))
+
+    def test_empty_and_single_entry(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert row_major_order(empty, empty, 3).size == 0
+        one = np.array([2])
+        assert np.array_equal(row_major_order(one, one, 3), [0])
+
+    @pytest.mark.parametrize(
+        "n_entries, n_cols",
+        [
+            (2, 2**31),  # packed keys use exactly 63 bits
+            (3, 2**31),  # one more position bit: 64, so the lexsort fallback
+            (5, 2**40),  # a 2**40 x 2**40 declared shape
+        ],
+    )
+    def test_both_sides_of_the_63_bit_boundary(self, n_entries, n_cols):
+        top = n_cols - 1
+        rows = np.array([top, 0, top, 1, 0][:n_entries])
+        cols = np.array([top, 5, top, 0, 5][:n_entries])
+        assert np.array_equal(
+            row_major_order(rows, cols, n_cols), np.lexsort((cols, rows))
+        )

@@ -89,6 +89,14 @@ class TestIsSymmetric:
         coo = COOMatrix(2, 2, [0, 1], [1, 0], [1.0, 2.0])
         assert not is_symmetric(coo)
 
+    def test_values_compared_with_allclose_tolerance(self):
+        # Mirrored values within a relative 1e-12 count as symmetric;
+        # a relative 1e-3 difference does not.
+        close = COOMatrix(2, 2, [0, 1], [1, 0], [1.0, 1.0 + 1e-12])
+        assert is_symmetric(close)
+        far = COOMatrix(2, 2, [0, 1], [1, 0], [1.0, 1.0 + 1e-3])
+        assert not is_symmetric(far)
+
     def test_duplicates_summed_before_comparing(self):
         # (0,1) holds 1 + 2 = 3, which (1,0) matches; a second (1,0)
         # entry of 4 breaks the match.
