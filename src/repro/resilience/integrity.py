@@ -1,20 +1,26 @@
 """Versioned, checksummed envelopes for memo cache files.
 
 Every memo JSON the :class:`~repro.experiments.runner.ExperimentRunner`
-writes is wrapped in an envelope::
+writes is wrapped in an envelope, and :func:`atomic_write_document`
+writes it as canonical JSON (sorted keys, compact separators)::
 
-    {
-      "__repro_cache__": {"schema": 1, "checksum": "<sha256 of payload>"},
-      "payload": { ... }
-    }
+    {"__repro_cache__":{"checksum":"<sha256 of payload>","schema":1},"payload":{...}}
 
-The checksum covers the canonical serialization of the payload
-(``sort_keys``, compact separators), so any truncation, bit-flip or
-half-written file is detected on read.  :func:`load_or_quarantine` is
-the tolerant read path: a damaged (or legacy unversioned) file is moved
-to ``<cache>/quarantine/`` — never deleted, so it stays available for
-debugging — the ``resilience.quarantined`` counter ticks, and the
-caller recomputes instead of crashing.
+The checksum covers the same canonical encoding of the payload, so the
+checksummed bytes appear verbatim after ``"payload":`` and any
+truncation, bit-flip or half-written file is detected on read.
+:func:`load_verified` has two paths.  A file in this layout is verified
+by hashing its stored payload bytes; only the payload is then parsed,
+once.  Any other file (the older ``indent=1`` layout, a hand-written
+envelope, damage) is parsed whole and checked by
+:func:`unwrap_document`, which re-encodes the payload and names what is
+wrong.
+
+:func:`load_or_quarantine` is the tolerant read path: a damaged (or
+legacy unversioned) file is moved to ``<cache>/quarantine/`` — never
+deleted, so it stays available for debugging — the
+``resilience.quarantined`` counter ticks, and the caller recomputes
+instead of crashing.
 
 :func:`scan_cache` backs the ``repro doctor`` CLI: a read-only sweep of
 a cache directory classifying every memo file without touching it.
@@ -49,10 +55,14 @@ class LegacyCacheEntry(CacheIntegrityError):
     """
 
 
+def _canonical_bytes(document: object) -> bytes:
+    """Sorted keys, compact separators, ASCII: what is hashed and written."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
 def payload_checksum(payload: Dict[str, object]) -> str:
     """sha256 hex digest of the canonical JSON serialization."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
 def wrap_payload(payload: Dict[str, object]) -> Dict[str, object]:
@@ -100,11 +110,55 @@ def unwrap_document(
     return payload
 
 
-def load_verified(path: str) -> Dict[str, object]:
-    """Read + verify one memo file; any damage raises CacheIntegrityError."""
+#: The bytes :func:`atomic_write_document` puts around an envelope's
+#: 64-hex checksum and its payload.  Canonical key order puts
+#: ``__repro_cache__`` before ``payload`` and ``checksum`` before ``schema``.
+_HEAD = ('{"%s":{"checksum":"' % ENVELOPE_KEY).encode("ascii")
+_NECK = ('","schema":%d},"payload":' % SCHEMA_VERSION).encode("ascii")
+_CHECKSUM_END = len(_HEAD) + 64
+_PAYLOAD_START = _CHECKSUM_END + len(_NECK)
+
+
+def _hashed_payload(data: bytes) -> Optional[Dict[str, object]]:
+    """Payload of a file in the writer's layout whose bytes hash to its checksum.
+
+    ``None`` for any other file.  Writers hash the canonical encoding,
+    which a string-keyed payload re-encodes to unchanged after a parse,
+    so these bytes are what :func:`unwrap_document` would recompute.
+    """
+    if not (
+        data.startswith(_HEAD)
+        and data.startswith(_NECK, _CHECKSUM_END)
+        and data.endswith(b"}")
+    ):
+        return None
+    body = data[_PAYLOAD_START:-1]
+    stored = data[len(_HEAD):_CHECKSUM_END]
+    if hashlib.sha256(body).hexdigest().encode("ascii") != stored:
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        payload = json.loads(body)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+def load_verified(path: str) -> Dict[str, object]:
+    """Read + verify one memo file; any damage raises CacheIntegrityError.
+
+    A file in the writer's layout costs one read, one hash and one
+    parse of its payload; any other file goes through
+    :func:`unwrap_document`, which names the damage.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        payload = _hashed_payload(data)
+        if payload is not None:
+            return payload
+        # Strict UTF-8, as a text-mode read: json.loads(bytes) would
+        # also take a BOM or UTF-16 and widen what verifies.
+        document = json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise CacheIntegrityError(
             f"{path}: unreadable cache file ({type(exc).__name__}: {exc})"
@@ -189,15 +243,18 @@ def unique_tmp_path(path: str) -> str:
 def atomic_write_document(path: str, document: Dict[str, object]) -> None:
     """Write a JSON document atomically (unique tmp + ``os.replace``).
 
-    Safe under concurrent same-key writers: every writer renames its
-    own private temp file over ``path``, so readers only ever see a
-    complete document (last writer wins).
+    The file holds the document's canonical encoding, so an envelope's
+    payload bytes are exactly the ones its checksum covers.  Safe under
+    concurrent same-key writers: every writer renames its own private
+    temp file over ``path``, so readers only ever see a complete
+    document (last writer wins).
     """
+    data = _canonical_bytes(document)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = unique_tmp_path(path)
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -32,7 +32,6 @@ reader never sees a half-written matrix.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 from typing import Dict, Iterator, Optional, Tuple
@@ -40,7 +39,12 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import CacheIntegrityError, FormatError
-from repro.resilience.integrity import unique_tmp_path, unwrap_document, wrap_payload
+from repro.resilience.integrity import (
+    atomic_write_document,
+    load_verified,
+    unique_tmp_path,
+    wrap_payload,
+)
 from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE, row_major_order
 from repro.sparse.csr import CSRMatrix
 
@@ -127,8 +131,7 @@ def save_csr_memmap(
             "array_sha256": hashes,
             "extra": dict(extra_meta or {}),
         }
-        with open(os.path.join(staging, META_FILENAME), "w", encoding="utf-8") as handle:
-            json.dump(wrap_payload(payload), handle, indent=1, sort_keys=True)
+        atomic_write_document(os.path.join(staging, META_FILENAME), wrap_payload(payload))
         # Atomic publish: a concurrent saver of the same directory wins
         # last, and readers only ever see a complete directory.
         if os.path.isdir(directory):
@@ -144,14 +147,7 @@ def save_csr_memmap(
 def read_memmap_meta(directory: str) -> Dict[str, object]:
     """Load + verify ``meta.json``; raises :class:`CacheIntegrityError`."""
     meta_path = os.path.join(directory, META_FILENAME)
-    try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CacheIntegrityError(
-            f"{meta_path}: unreadable memmap metadata ({type(exc).__name__}: {exc})"
-        ) from exc
-    payload = unwrap_document(document, source=meta_path)
+    payload = load_verified(meta_path)
     if payload.get("format") != "csr-memmap" or payload.get("version") != MEMMAP_FORMAT_VERSION:
         raise CacheIntegrityError(
             f"{meta_path}: not a csr-memmap v{MEMMAP_FORMAT_VERSION} directory "
@@ -348,8 +344,7 @@ def csr_from_coo_chunks(
             "array_sha256": hashes,
             "extra": dict(extra_meta or {}),
         }
-        with open(os.path.join(staging, META_FILENAME), "w", encoding="utf-8") as handle:
-            json.dump(wrap_payload(payload), handle, indent=1, sort_keys=True)
+        atomic_write_document(os.path.join(staging, META_FILENAME), wrap_payload(payload))
         del matrix, offsets, indices, vals, cursor
         if os.path.isdir(directory):
             shutil.rmtree(directory)

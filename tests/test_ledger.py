@@ -47,7 +47,8 @@ class TestRunLedger:
             str(tmp_path), kind="experiment", argv=["experiment", "fig2"],
             config={"profile": "test"},
         )
-        manifest = json.load(open(ledger.manifest_path))
+        with open(ledger.manifest_path) as handle:
+            manifest = json.load(handle)
         assert manifest["status"] == "running"
         assert manifest["kind"] == "experiment"
         assert manifest["argv"] == ["experiment", "fig2"]
@@ -63,7 +64,8 @@ class TestRunLedger:
         instr.gauge("corpus.size", 5)
         ledger.record("failures", {"count": 1})
         document = ledger.finalize(instr, exit_code=0, status="ok")
-        on_disk = json.load(open(ledger.manifest_path))
+        with open(ledger.manifest_path) as handle:
+            on_disk = json.load(handle)
         assert on_disk == json.loads(json.dumps(document, default=str))
         assert on_disk["status"] == "ok"
         assert on_disk["exit_code"] == 0
@@ -108,9 +110,11 @@ class TestQueries:
         self.make_run(tmp_path, "older0000001")
         newer = self.make_run(tmp_path, "newer0000001")
         # Force deterministic ordering regardless of wall-clock ties.
-        manifest = json.load(open(newer.manifest_path))
+        with open(newer.manifest_path) as handle:
+            manifest = json.load(handle)
         manifest["started_at"] += 1000
-        json.dump(manifest, open(newer.manifest_path, "w"))
+        with open(newer.manifest_path, "w") as handle:
+            json.dump(manifest, handle)
         broken = tmp_path / "broken000001"
         broken.mkdir()
         (broken / "manifest.json").write_text("{not json")
@@ -173,10 +177,12 @@ class TestStaleRuns:
         runs_dir = str(tmp_path / "ledger")
         crashed = RunLedger.create(runs_dir, kind="serve", argv=["serve"])
         # Simulate the crash: the stub survives, its pid does not.
-        manifest = json.load(open(crashed.manifest_path))
+        with open(crashed.manifest_path) as handle:
+            manifest = json.load(handle)
         assert manifest["status"] == "running"
         manifest["pid"] = dead_pid()
-        json.dump(manifest, open(crashed.manifest_path, "w"))
+        with open(crashed.manifest_path, "w") as handle:
+            json.dump(manifest, handle)
         live = RunLedger.create(runs_dir, kind="experiment", argv=[])
         finished = RunLedger.create(runs_dir, kind="experiment", argv=[])
         finished.finalize(None, exit_code=0, status="ok")
@@ -199,7 +205,8 @@ class TestRunsCli:
                      "--profile", "test"]) == 0
         runs = os.listdir(runs_dir)
         assert len(runs) == 1
-        manifest = json.load(open(os.path.join(runs_dir, runs[0], "manifest.json")))
+        with open(os.path.join(runs_dir, runs[0], "manifest.json")) as handle:
+            manifest = json.load(handle)
         assert manifest["kind"] == "experiment"
         assert manifest["status"] == "ok"
         assert manifest["exit_code"] == 0

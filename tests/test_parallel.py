@@ -33,10 +33,11 @@ EQUIVALENCE_DRIVERS = {"fig3": fig3.run}
 
 def read_cache(cache_dir):
     """{filename: bytes} of every memo file in the directory."""
-    return {
-        name: open(os.path.join(cache_dir, name), "rb").read()
-        for name in sorted(os.listdir(cache_dir))
-    }
+    out = {}
+    for name in sorted(os.listdir(cache_dir)):
+        with open(os.path.join(cache_dir, name), "rb") as handle:
+            out[name] = handle.read()
+    return out
 
 
 class TestCells:
@@ -412,7 +413,8 @@ class TestTraceStitching:
         ]) == 0
         out = capsys.readouterr().out
         assert "experiment" in out and "cell" in out
-        doc = _json.load(open(chrome_path))
+        with open(chrome_path) as handle:
+            doc = _json.load(handle)
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(complete) == len(spans)
         assert all(

@@ -18,6 +18,7 @@ import random
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import (
     CacheIntegrityError,
@@ -48,6 +49,7 @@ from repro.resilience import (
     is_transient,
     load_or_quarantine,
     load_verified,
+    payload_checksum,
     quarantine_path,
     reset_faults,
     scan_cache,
@@ -298,6 +300,45 @@ class TestConcurrentWriters:
         assert load_verified(path) in payloads
 
 
+def canonical(value):
+    """The envelope writer's encoding, spelled out independently."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def refuse_reencode(_payload):
+    raise AssertionError("the writer's layout must verify without re-encoding")
+
+
+#: JSON values the writer must round-trip through both read paths:
+#: integers past 64 bits, floats the encoder spells specially (-0.0,
+#: subnormals, inf, nan) and text the encoder escapes.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**63) - 1)
+    | st.floats()
+    | st.sampled_from(
+        [-0.0, 5e-324, 2.2e-308, float("inf"), float("-inf"), float("nan")]
+    )
+    | st.text(max_size=8)
+    | st.text(alphabet="\x00\x1f\x7f\"\\\n\u00e9\u2028\ud800\U0001f600", max_size=8)
+)
+JSON_KEYS = st.text(max_size=4)
+JSON_PAYLOADS = st.dictionaries(
+    JSON_KEYS,
+    st.recursive(
+        JSON_SCALARS,
+        lambda children: (
+            st.lists(children, max_size=4) | st.dictionaries(JSON_KEYS, children, max_size=4)
+        ),
+        max_leaves=8,
+    ),
+    max_size=6,
+)
+
+
 class TestIntegrityEnvelope:
     def test_wrap_verify_roundtrip(self):
         payload = {"a": 1, "b": [1, 2, 3]}
@@ -324,6 +365,84 @@ class TestIntegrityEnvelope:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(wrap_payload({"x": 1.5}), handle)
         assert load_verified(path) == {"x": 1.5}
+
+    def test_writer_layout_is_canonical_json(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        payload = {"perm": [2, 0, 1], "name": "caf\u00e9", "seconds": 0.25}
+        atomic_write_document(path, wrap_payload(payload))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data == canonical(wrap_payload(payload)).encode()
+        # Canonical key order puts the envelope first and the checksum
+        # before the schema, so the payload bytes close the file.
+        assert data == (
+            b'{"__repro_cache__":{"checksum":"'
+            + payload_checksum(payload).encode()
+            + b'","schema":1},"payload":'
+            + canonical(payload).encode()
+            + b"}"
+        )
+
+    def test_writer_layout_read_hashes_bytes_without_reencoding(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "entry.json")
+        payload = {"perm": [2, 0, 1], "nested": {"b": None, "a": [1.5, True]}}
+        atomic_write_document(path, wrap_payload(payload))
+        monkeypatch.setattr(
+            "repro.resilience.integrity.payload_checksum", refuse_reencode
+        )
+        assert load_verified(path) == payload
+
+    def test_tampering_that_keeps_valid_json_quarantined(self, tmp_path):
+        cache = tmp_path / "cache"
+        payload = {"perm": [0, 1, 2]}
+        atomic_write_document(str(cache / "digit.json"), wrap_payload(payload))
+        atomic_write_document(str(cache / "checksum.json"), wrap_payload(payload))
+        with open(cache / "digit.json", "rb") as handle:
+            clean = handle.read()
+        tampered = {
+            "digit.json": clean.replace(b"[0,1,2]", b"[0,1,3]"),
+            "checksum.json": clean.replace(
+                payload_checksum(payload).encode(), b"0" * 64
+            ),
+        }
+        for name, data in tampered.items():
+            assert data != clean
+            json.loads(data)  # still valid JSON in the writer's layout
+            with open(cache / name, "wb") as handle:
+                handle.write(data)
+            with pytest.raises(CacheIntegrityError, match="checksum"):
+                load_verified(str(cache / name))
+        for name in tampered:
+            assert load_or_quarantine(str(cache / name), cache_dir=str(cache)) is None
+        assert sorted(os.listdir(quarantine_path(str(cache)))) == sorted(tampered)
+
+    def test_older_indented_layout_still_verifies(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        payload = {"perm": [2, 0, 1], "seconds": 0.25}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(wrap_payload(payload), handle, indent=1, sort_keys=True)
+        assert load_verified(path) == payload
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(payload=JSON_PAYLOADS)
+    def test_both_read_paths_agree_on_written_files(self, tmp_path, payload):
+        path = str(tmp_path / "entry.json")
+        atomic_write_document(path, wrap_payload(payload))
+        with open(path, encoding="utf-8") as handle:
+            whole_document = unwrap_document(json.loads(handle.read()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.resilience.integrity.payload_checksum", refuse_reencode
+            )
+            hashed = load_verified(path)
+        # Encodings, not values: nan != nan.
+        assert canonical(hashed) == canonical(whole_document) == canonical(payload)
 
     def test_truncated_file_quarantined(self, tmp_path):
         cache = tmp_path / "cache"

@@ -230,6 +230,28 @@ def test_miss_then_hit_byte_identical(service):
     assert sorted(perm) == list(range(n))
 
 
+def test_older_indented_store_entry_still_hits(service):
+    # Entries written before the canonical compact layout verify through
+    # the whole-document path and still serve byte-identical hits.
+    request = {"matrix": "test-comm", "technique": "degsort"}
+    first = service.handle(request)
+    assert first.store == "miss"
+    eval_root = os.path.join(service.store.root, "eval")
+    (entry,) = [
+        os.path.join(dirpath, name)
+        for dirpath, _dirnames, names in os.walk(eval_root)
+        for name in names
+    ]
+    with open(entry, encoding="utf-8") as handle:
+        document = json.load(handle)
+    with open(entry, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=1, sort_keys=True)
+    second = service.handle(request)
+    assert second.store == "hit"
+    assert render_body(second.payload) == render_body(first.payload)
+    assert service.store.stats()["quarantine"]["entries"] == 0
+
+
 def test_upload_shares_store_entry_with_corpus_matrix(service, tmp_path):
     # Same structure => same content address: an .mtx upload of a corpus
     # matrix must *hit* the entry the named request created.
