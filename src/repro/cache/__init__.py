@@ -2,10 +2,11 @@
 
 The paper validates its analysis with a simulator of the A6000's L2
 ("within 4% of the real-GPU numbers"); this package is that simulator.
-It consumes line-granular access traces (see :mod:`repro.trace`),
-models a set-associative cache with LRU or Belady (optimal)
-replacement, and reports hits/misses, DRAM traffic, per-region miss
-splits, and dead-line statistics (Table III).
+It consumes line-granular access traces (see :mod:`repro.trace`) —
+one array, or a kernel trace's blocks on the LRU path — models a
+set-associative cache with LRU or Belady (optimal) replacement, and
+reports hits/misses, DRAM traffic, per-region miss splits, and
+dead-line statistics (Table III).
 
 This module is the public simulator surface:
 

@@ -6,11 +6,17 @@ Each engine picks its serial or rounds schedule from the plan's width
 (:func:`repro.cache.fast.bucket.schedule`), and both schedules produce
 bit-identical :class:`~repro.cache.stats.CacheStats`.
 
+A :class:`KernelTrace` reaches the LRU engine block by block
+(:func:`repro.cache.fast.lru.simulate_lru_blocks`), so a lazily built
+trace is never whole in memory.  Belady needs next-use distances over
+the whole trace and takes the materialized ``trace.lines``.
+
 The differential tests hold both engines to the per-access loops in
 ``tests/oracles/cache.py``.
 
 Every call emits one ``cache-sim`` observability span tagged with the
-policy and the access count, plus ``cache.<policy>.*`` counters.
+policy and, at exit, the access count, plus ``cache.<policy>.*``
+counters.
 """
 
 from __future__ import annotations
@@ -20,17 +26,15 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
+from repro.cache.fast import simulate_belady_fast, simulate_lru_blocks, simulate_lru_fast
 from repro.cache.lru import RegionBounds
 from repro.cache.stats import CacheStats
 from repro.errors import ValidationError
 from repro.obs import get_obs
 from repro.trace.kernel_traces import KernelTrace
 
-_ENGINES = {"lru": simulate_lru_fast, "belady": simulate_belady_fast}
-
 #: The replacement policies :func:`simulate` accepts.
-POLICIES = tuple(_ENGINES)
+POLICIES = ("lru", "belady")
 
 
 def simulate(
@@ -47,17 +51,22 @@ def simulate(
     explicitly (pass ``regions=()`` to suppress the split).  ``policy``
     selects LRU or Belady replacement.
     """
-    if isinstance(trace, KernelTrace):
-        if regions is None:
-            regions = trace.regions
-        lines = trace.lines
-    else:
-        lines = trace
     if policy not in POLICIES:
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
+    kernel_trace = isinstance(trace, KernelTrace)
+    if kernel_trace and regions is None:
+        regions = trace.regions
     obs = get_obs()
-    with obs.span("cache-sim", policy=policy, accesses=int(np.size(lines))):
-        stats = _ENGINES[policy](lines, config, regions)
+    with obs.span("cache-sim", policy=policy) as span:
+        if policy == "belady":
+            lines = trace.lines if kernel_trace else trace
+            stats = simulate_belady_fast(lines, config, regions)
+        elif kernel_trace:
+            stats = simulate_lru_blocks(trace.blocks(), config, regions, trace.line_space)
+        else:
+            stats = simulate_lru_fast(trace, config, regions)
+        if span is not None:
+            span.tags["accesses"] = stats.accesses
     if obs.enabled:
         obs.add_counters(stats.as_counters(prefix=f"cache.{policy}"))
     return stats

@@ -17,6 +17,6 @@ Callers should not import this package directly — go through
 """
 
 from repro.cache.fast.belady import simulate_belady_fast
-from repro.cache.fast.lru import simulate_lru_fast
+from repro.cache.fast.lru import simulate_lru_blocks, simulate_lru_fast
 
-__all__ = ["simulate_belady_fast", "simulate_lru_fast"]
+__all__ = ["simulate_belady_fast", "simulate_lru_blocks", "simulate_lru_fast"]

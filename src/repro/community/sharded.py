@@ -49,6 +49,7 @@ from repro.graphs.graph import Graph
 from repro.obs import get_obs
 from repro.sparse.coo import INDEX_DTYPE
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.memmap import stream_row_blocks
 
 #: Max entries materialized per block while aggregating coarse edges;
 #: keeps the scan memmap-friendly (sequential reads, bounded RAM).
@@ -171,13 +172,8 @@ def _aggregate_coarse_edges(
     n_rows = adjacency.n_rows
     acc_keys = np.empty(0, dtype=np.int64)
     acc_weights = np.empty(0, dtype=np.float64)
-    row = 0
-    while row < n_rows:
+    for row, end_row in stream_row_blocks(offsets, n_rows, _AGGREGATE_BLOCK):
         start = int(offsets[row])
-        end_row = row
-        while end_row < n_rows and int(offsets[end_row + 1]) - start <= _AGGREGATE_BLOCK:
-            end_row += 1
-        end_row = max(end_row, row + 1)
         stop = int(offsets[end_row])
         if stop > start:
             block_rows = np.repeat(
@@ -196,7 +192,6 @@ def _aggregate_coarse_edges(
             )
             if acc_keys.size > _CONSOLIDATE_LIMIT:
                 acc_keys, acc_weights = _consolidate(acc_keys, acc_weights)
-        row = end_row
     acc_keys, acc_weights = _consolidate(acc_keys, acc_weights)
     coarse_rows = acc_keys // n_coarse
     coarse_cols = acc_keys % n_coarse

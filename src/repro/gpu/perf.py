@@ -16,10 +16,13 @@ ideal time cancels BW, so only the efficiency split matters.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.cache import compulsory_misses, simulate
+import numpy as np
+
+from repro.cache import simulate
 from repro.cache.stats import CacheStats
 from repro.errors import ValidationError
 from repro.gpu.specs import PlatformSpec
@@ -83,14 +86,27 @@ def model_run(
             f"trace line size ({trace.line_bytes}) != platform line size "
             f"({platform.line_bytes})"
         )
-    config = platform.cache_config()
-    stats = simulate(trace.lines, config, policy=policy, regions=trace.regions)
+    # One walk of the trace: each block is marked in a table of the
+    # lines it touches (the compulsory-miss floor) on its way into the
+    # simulator, so a lazily built trace is generated once.
+    touched = np.zeros(trace.line_space, dtype=bool)
+
+    def marked_blocks():
+        for block in trace.blocks():
+            touched[block] = True
+            yield block
+
+    stats = simulate(
+        dataclasses.replace(trace, blocks=marked_blocks),
+        platform.cache_config(),
+        policy=policy,
+    )
 
     # The cache simulation above carries its own "cache-sim" span; this
     # span covers only the remaining run-time-model arithmetic so the
     # two stages stay disjoint in profile breakdowns.
     with get_obs().span("perf-model", kernel=trace.kernel, platform=platform.name):
-        compulsory_bytes = compulsory_misses(trace.lines) * trace.line_bytes
+        compulsory_bytes = int(np.count_nonzero(touched)) * trace.line_bytes
         irregular = sum(
             stats.region_misses.get(region, 0) for region in trace.irregular_regions
         )

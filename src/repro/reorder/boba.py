@@ -32,7 +32,7 @@ blocks — memmap-backed matrices stream through without materializing.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.graphs.graph import Graph
 from repro.obs import get_obs
 from repro.reorder.base import ReorderingTechnique, stable_order_to_permutation
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.memmap import stream_row_blocks
 
 #: Max adjacency entries materialized per block in the fast anchor scan.
 _SCAN_BLOCK = 4 << 20
@@ -167,7 +168,7 @@ def _shard_anchor_keys(
     (offsets, cols), degrees, hub_pos, n_hubs = payload
     n_local = offsets.size - 1
     keys = np.full(n_local, n_hubs, dtype=np.int64)
-    for row_lo, row_hi in _row_blocks(offsets, n_local):
+    for row_lo, row_hi in stream_row_blocks(offsets, n_local, _SCAN_BLOCK):
         start = int(offsets[row_lo])
         stop = int(offsets[row_hi])
         if stop == start:
@@ -196,16 +197,3 @@ def _shard_anchor_keys(
             anchors = block_cols[best_position]
             keys[row_lo:row_hi][found] = hub_pos[anchors]
     return keys
-
-
-def _row_blocks(offsets: np.ndarray, n_rows: int) -> Iterator[Tuple[int, int]]:
-    """Row ranges whose entry counts stay under ``_SCAN_BLOCK``."""
-    row = 0
-    while row < n_rows:
-        start = int(offsets[row])
-        end_row = row
-        while end_row < n_rows and int(offsets[end_row + 1]) - start <= _SCAN_BLOCK:
-            end_row += 1
-        end_row = max(end_row, row + 1)
-        yield row, end_row
-        row = end_row

@@ -361,16 +361,18 @@ def stream_row_blocks(
 ) -> Iterator[Tuple[int, int]]:
     """Row ranges ``[lo, hi)`` whose entry counts stay under the budget.
 
-    A single row larger than the budget becomes its own block — it must
-    materialize whole anyway.
+    ``offsets`` is any non-decreasing prefix sum with ``n_rows + 1``
+    entries (CSR row offsets, or per-group access counts).  Each block
+    is the longest run of rows from ``lo`` that fits, found by one
+    binary search.  A single row larger than the budget becomes its own
+    block — it must materialize whole anyway.
     """
+    bounds = offsets[: n_rows + 1]
     row = 0
     while row < n_rows:
-        start = int(offsets[row])
-        end_row = row
-        while end_row < n_rows and int(offsets[end_row + 1]) - start <= max_entries:
-            end_row += 1
-        end_row = max(end_row, row + 1)
+        limit = int(bounds[row]) + max_entries
+        end_row = int(np.searchsorted(bounds, limit, side="right")) - 1
+        end_row = min(max(end_row, row + 1), n_rows)
         yield row, end_row
         row = end_row
 
@@ -486,22 +488,16 @@ def _sort_rows_in_place(
     chunk, sorting each block with one :func:`row_major_order` —
     equivalent to per-row sorting because rows are disjoint key groups.
     """
-    row = row_lo
-    while row < row_hi:
-        end_row = row
-        start = int(offsets[row])
-        while end_row < row_hi and int(offsets[end_row + 1]) - start <= _COPY_CHUNK:
-            end_row += 1
-        end_row = max(end_row, row + 1)  # a single giant row still sorts
-        stop = int(offsets[end_row])
+    span = offsets[row_lo: row_hi + 1]
+    for lo, hi in stream_row_blocks(span, row_hi - row_lo):
+        start = int(span[lo])
+        stop = int(span[hi])
         if stop > start:
             # Block-relative rows keep the packed sort keys narrow.
             block_rows = np.repeat(
-                np.arange(end_row - row, dtype=INDEX_DTYPE),
-                np.diff(offsets[row: end_row + 1]),
+                np.arange(hi - lo, dtype=INDEX_DTYPE), np.diff(span[lo: hi + 1])
             )
             block_cols = np.asarray(indices[start:stop])
             order = row_major_order(block_rows, block_cols, n_cols)
             indices[start:stop] = block_cols[order]
             values[start:stop] = np.asarray(values[start:stop])[order]
-        row = end_row

@@ -7,6 +7,8 @@ lays out the kernel's arrays in a virtual address space
 order, the input vector (or dense matrix) gathered through the column
 indices — Algorithm 1 of the paper.  Consecutive accesses to the same
 line are collapsed (they hit trivially and only slow the simulator).
+A :class:`KernelTrace` yields its trace in blocks; the SpGEMM trace,
+which grows with flops, is built lazily one bounded block at a time.
 """
 
 from repro.trace.layout import AddressSpace, Region

@@ -1,4 +1,4 @@
-"""Line-granular access traces for SpMV (CSR/COO) and SpMM (CSR).
+"""Line-granular access traces for SpMV, SpMM and SpGEMM.
 
 Each builder walks the arrays exactly as the reference kernel does
 (paper Algorithm 1 for SpMV-CSR) and emits one line ID per access,
@@ -7,18 +7,33 @@ parameter optionally interleaves row processing across partitions to
 mimic concurrent GPU scheduling; the default sequential walk matches
 the row-major traversal the paper's own simulator validated against
 real-GPU counters (within 4%).
+
+A :class:`KernelTrace` carries its trace as a replayable *block
+source*: calling ``trace.blocks()`` yields the trace as int64 line-ID
+arrays, in order.  The SpMV, SpMM and tiled builders are ``O(nnz)`` (or
+``O(k * nnz)``) and yield their whole trace as one block.  The SpGEMM
+trace grows with the flop count instead, so :func:`spgemm_csr_trace`
+builds it lazily, one block of consecutive row groups at a time, each
+holding at most :data:`BLOCK_ACCESSES` accesses before the collapse.
+A block never starts with the line its predecessor ended on, so the
+concatenated blocks are exactly the collapsed whole trace.  The LRU
+simulator consumes the blocks one by one (:func:`repro.cache.simulate`);
+``trace.lines`` materializes the concatenation for everything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.obs import get_obs
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.memmap import stream_row_blocks
 from repro.trace.layout import AddressSpace
 
 #: Region names holding irregularly-accessed data (gathers through the
@@ -32,13 +47,32 @@ SPGEMM_IRREGULAR_REGIONS = ("b_row_offsets", "b_coords", "b_values")
 
 SCHEDULES = ("sequential", "interleaved", "clustered")
 
+#: Most accesses (before the collapse) in one lazily built SpGEMM trace
+#: block, and most candidate products in one block of the symbolic
+#: pass.  A single row group above it is its own block.
+BLOCK_ACCESSES = 1 << 20
+
+#: Zero-argument callable yielding a trace's line-ID blocks in order.
+BlockSource = Callable[[], Iterator[np.ndarray]]
+
+
+def single_block(lines: np.ndarray) -> BlockSource:
+    """Block source of a trace that is already one array."""
+    return partial(iter, (lines,))
+
 
 @dataclass
 class KernelTrace:
-    """A kernel's memory trace plus the metadata the model needs."""
+    """A kernel's memory trace plus the metadata the model needs.
+
+    ``blocks`` is the replayable block source (see the module
+    docstring); every call walks the trace afresh.  :attr:`lines`
+    concatenates the blocks on each access and does not cache them, so
+    a consumer that can take blocks (the LRU simulator) should.
+    """
 
     kernel: str
-    lines: np.ndarray
+    blocks: BlockSource
     regions: List[Tuple[str, int, int]]
     n_rows: int
     nnz: int
@@ -52,8 +86,23 @@ class KernelTrace:
     schedule: str = "sequential"
 
     @property
+    def lines(self) -> np.ndarray:
+        """The whole trace as one array, built anew on every access."""
+        blocks = list(self.blocks())
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(blocks)
+
+    @property
     def n_accesses(self) -> int:
-        return int(self.lines.size)
+        return sum(int(block.size) for block in self.blocks())
+
+    @property
+    def line_space(self) -> int:
+        """One past the largest line ID the trace's regions hold."""
+        return max((hi for _, _, hi in self.regions), default=0)
 
 
 def _collapse(lines: np.ndarray) -> np.ndarray:
@@ -131,7 +180,7 @@ def spmv_csr_trace(
     analytic = (2 * n + (n + 1) + 2 * nnz) * element_bytes
     return KernelTrace(
         kernel="spmv-csr",
-        lines=_collapse(out),
+        blocks=single_block(_collapse(out)),
         regions=space.region_bounds(),
         n_rows=n,
         nnz=nnz,
@@ -178,7 +227,7 @@ def spmv_coo_trace(
     analytic = (2 * n + 3 * nnz) * element_bytes
     return KernelTrace(
         kernel="spmv-coo",
-        lines=_collapse(out),
+        blocks=single_block(_collapse(out)),
         regions=space.region_bounds(),
         n_rows=n,
         nnz=nnz,
@@ -237,7 +286,7 @@ def spmv_csc_trace(
     analytic = (2 * n + (matrix.n_cols + 1) + 2 * nnz) * element_bytes
     return KernelTrace(
         kernel="spmv-csc",
-        lines=_collapse(out),
+        blocks=single_block(_collapse(out)),
         regions=space.region_bounds(),
         n_rows=n,
         nnz=nnz,
@@ -300,7 +349,7 @@ def spmm_csr_trace(
     analytic = ((n + 1) + 2 * nnz + 2 * n * k) * element_bytes
     return KernelTrace(
         kernel=f"spmm-csr-{k}",
-        lines=_collapse(out),
+        blocks=single_block(_collapse(out)),
         regions=space.region_bounds(),
         n_rows=n,
         nnz=nnz,
@@ -316,8 +365,19 @@ def spgemm_csr_structure(matrix: CSRMatrix) -> Tuple[np.ndarray, int]:
 
     ``flops`` counts multiply-accumulates, i.e. for every non-zero
     ``(i, k)`` of A the length of B's row ``k`` — the standard SpGEMM
-    work measure.  Fully vectorized: the expanded (row, col) candidate
-    pairs are deduplicated with one in-place sort over packed keys.
+    work measure.  Runs in bounded row blocks (:func:`_spgemm_symbolic`).
+    """
+    c_row_nnz, row_flops = _spgemm_symbolic(matrix)
+    return c_row_nnz, int(row_flops.sum())
+
+
+def _spgemm_symbolic(matrix: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row output nnz and per-row flops of ``C = A @ A``.
+
+    Rows are taken in blocks whose candidate ``(row, col)`` products
+    stay under :data:`BLOCK_ACCESSES`; each block's candidates are
+    deduplicated with one in-place sort over packed block-relative
+    keys.  Duplicates never span rows, so per-block counts are exact.
     """
     if matrix.n_rows != matrix.n_cols:
         raise ValidationError(
@@ -325,26 +385,29 @@ def spgemm_csr_structure(matrix: CSRMatrix) -> Tuple[np.ndarray, int]:
             f"operand, got shape {matrix.shape}"
         )
     n = matrix.n_rows
-    degrees = np.diff(matrix.row_offsets)
-    if matrix.nnz == 0:
-        return np.zeros(n, dtype=np.int64), 0
-    b_deg = degrees[matrix.col_indices]
-    flops = int(b_deg.sum())
-    if flops == 0:
-        return np.zeros(n, dtype=np.int64), 0
-    row_of_entry = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    parent = np.repeat(np.arange(matrix.nnz, dtype=np.int64), b_deg)
-    inner_local = _local_indices(b_deg)
-    b_entry = matrix.row_offsets[matrix.col_indices[parent]] + inner_local
-    keys = row_of_entry[parent] * np.int64(n) + matrix.col_indices[b_entry]
-    # Sort + adjacent diff, not np.unique: on NumPy 2.4 values-only
-    # np.unique on integers measured ~50x slower than sorting.
-    keys.sort()
-    distinct = np.empty(keys.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    c_row_nnz = np.bincount(keys[distinct] // n, minlength=n).astype(np.int64)
-    return c_row_nnz, flops
+    offsets = matrix.row_offsets
+    cols = matrix.col_indices
+    degrees = np.diff(offsets)
+    # flops_before[i]: candidate products of the rows before row i.
+    flops_before = _prefix(degrees[cols])[offsets]
+    c_row_nnz = np.zeros(n, dtype=np.int64)
+    for lo, hi in stream_row_blocks(flops_before, n, BLOCK_ACCESSES):
+        if flops_before[hi] == flops_before[lo]:
+            continue
+        block_cols = cols[offsets[lo]: offsets[hi]]
+        b_deg = degrees[block_cols]
+        parent = np.repeat(np.arange(block_cols.size, dtype=np.int64), b_deg)
+        block_row = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees[lo:hi])
+        keys = block_row[parent] * np.int64(n)
+        keys += cols[offsets[block_cols[parent]] + _local_indices(b_deg)]
+        # Sort + adjacent diff, not np.unique: on NumPy 2.4 values-only
+        # np.unique on integers measured ~50x slower than sorting.
+        keys.sort()
+        distinct = np.empty(keys.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        c_row_nnz[lo:hi] = np.bincount(keys[distinct] // n, minlength=hi - lo)
+    return c_row_nnz, np.diff(flops_before)
 
 
 def spgemm_csr_trace(
@@ -378,143 +441,43 @@ def spgemm_csr_trace(
       contiguous clusters and within a cluster the A entries are
       processed sorted by column, so repeated walks of the same B row
       land adjacently and hit in cache.
+
+    The trace grows with the flop count, so only the symbolic pass and
+    the per-row plan run here; the accesses are built lazily, block by
+    block, each time the trace's block source is walked.
     """
     if schedule not in SCHEDULES:
         raise ValidationError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     if n_partitions < 1:
         raise ValidationError(f"n_partitions must be >= 1, got {n_partitions}")
-    c_row_nnz, flops = spgemm_csr_structure(matrix)
+    c_row_nnz, row_flops = _spgemm_symbolic(matrix)
     n = matrix.n_rows
     nnz = matrix.nnz
     nnz_c = int(c_row_nnz.sum())
 
     space = AddressSpace(line_bytes)
-    a_ro = space.allocate("a_row_offsets", n + 1, element_bytes)
-    a_coords = space.allocate("a_coords", nnz, element_bytes)
-    a_values = space.allocate("a_values", nnz, element_bytes)
-    b_ro = space.allocate("b_row_offsets", n + 1, element_bytes)
-    b_coords = space.allocate("b_coords", nnz, element_bytes)
-    b_values = space.allocate("b_values", nnz, element_bytes)
-    c_ro = space.allocate("c_row_offsets", n + 1, element_bytes)
-    c_coords = space.allocate("c_coords", nnz_c, element_bytes)
-    c_values = space.allocate("c_values", nnz_c, element_bytes)
-
-    # Unified group-based emission.  A group emits its rows' header
-    # reads, then its entry segments, then its rows' output segments.
-    # Sequential/interleaved schedules use single-row groups (which
-    # degenerates to the per-row walk); clustered uses contiguous
-    # multi-row clusters with entries sorted by column within a group.
-    if schedule == "clustered":
-        groups = [part for part in np.array_split(np.arange(n, dtype=np.int64), n_partitions)]
-        groups = [part for part in groups if part.size]
-        row_order = np.arange(n, dtype=np.int64)
-        group_sizes = np.array([part.size for part in groups], dtype=np.int64)
-    else:
-        row_order = _row_order(n, schedule, n_partitions)
-        group_sizes = np.ones(row_order.size, dtype=np.int64)
-    n_groups = group_sizes.size
-
-    degrees = np.diff(matrix.row_offsets)
-    deg_in_order = degrees[row_order]
-    c_deg_in_order = c_row_nnz[row_order]
-
-    # Entries in processing order: rows laid out per row_order, then —
-    # for the clustered schedule — stably re-sorted by target column
-    # within each group so same-B-row gathers coalesce.
-    entry_order = _entries_in_row_order(matrix, row_order)
-    group_of_row = np.repeat(np.arange(n_groups, dtype=np.int64), group_sizes)
-    group_of_entry = np.repeat(group_of_row, deg_in_order)
-    if schedule == "clustered" and entry_order.size:
-        key = group_of_entry * np.int64(n + 1) + matrix.col_indices[entry_order]
-        resort = np.argsort(key, kind="stable")
-        entry_order = entry_order[resort]
-
-    targets = matrix.col_indices[entry_order]
-    b_deg = degrees[targets] if entry_order.size else np.empty(0, dtype=np.int64)
-
-    def _group_sums(per_item: np.ndarray, item_group_sizes: np.ndarray) -> np.ndarray:
-        prefix = np.zeros(per_item.size + 1, dtype=np.int64)
-        np.cumsum(per_item, out=prefix[1:])
-        bounds = np.zeros(item_group_sizes.size + 1, dtype=np.int64)
-        np.cumsum(item_group_sizes, out=bounds[1:])
-        return prefix[bounds[1:]] - prefix[bounds[:-1]]
-
-    entries_per_group = _group_sums(deg_in_order, group_sizes)
-    bdeg_per_group = _group_sums(b_deg, entries_per_group)
-    cdeg_per_group = _group_sums(c_deg_in_order, group_sizes)
-    group_lengths = (
-        2 * group_sizes + 3 * entries_per_group + 2 * bdeg_per_group + 2 * cdeg_per_group
-    )
-    group_offsets = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(group_lengths, out=group_offsets[1:])
-    out = np.empty(int(group_offsets[-1]), dtype=np.int64)
-
-    # Header block: a_row_offsets reads for the group's rows.
-    row_starts = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(group_sizes, out=row_starts[1:])
-    local_row = np.arange(row_order.size, dtype=np.int64) - row_starts[group_of_row]
-    header_pos = group_offsets[group_of_row] + local_row
-    out[header_pos] = a_ro.lines_of(row_order)
-
-    # Entry block: per A entry the stream pair, the b_row_offsets
-    # gather, then the full B-row coords/values walk.
-    entry_starts = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(entries_per_group, out=entry_starts[1:])
-    if entry_order.size:
-        bdeg_prefix = np.zeros(entry_order.size + 1, dtype=np.int64)
-        np.cumsum(b_deg, out=bdeg_prefix[1:])
-        local_entry = np.arange(entry_order.size, dtype=np.int64) - entry_starts[group_of_entry]
-        bdeg_before = bdeg_prefix[:-1] - bdeg_prefix[entry_starts[group_of_entry]]
-        seg_start = (
-            group_offsets[group_of_entry]
-            + group_sizes[group_of_entry]
-            + 3 * local_entry
-            + 2 * bdeg_before
-        )
-        out[seg_start] = a_coords.lines_of(entry_order)
-        out[seg_start + 1] = a_values.lines_of(entry_order)
-        out[seg_start + 2] = b_ro.lines_of(targets)
-        if flops:
-            parent = np.repeat(np.arange(entry_order.size, dtype=np.int64), b_deg)
-            inner_local = _local_indices(b_deg)
-            b_entry = matrix.row_offsets[targets[parent]] + inner_local
-            inner_pos = seg_start[parent] + 3 + 2 * inner_local
-            out[inner_pos] = b_coords.lines_of(b_entry)
-            out[inner_pos + 1] = b_values.lines_of(b_entry)
-
-    # Output block: c_row_offsets plus the row's coords/values writes,
-    # emitted after the group's compute in row order.  C entry indices
-    # follow the canonical row-major CSR layout of the output.
-    c_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(c_row_nnz, out=c_offsets[1:])
-    c_area = (
-        group_offsets[np.arange(n_groups, dtype=np.int64)]
-        + group_sizes
-        + 3 * entries_per_group
-        + 2 * bdeg_per_group
-    )
-    c_seg_lengths = 1 + 2 * c_deg_in_order
-    c_prefix = np.zeros(row_order.size + 1, dtype=np.int64)
-    np.cumsum(c_seg_lengths, out=c_prefix[1:])
-    c_before = c_prefix[:-1] - c_prefix[row_starts[group_of_row]]
-    c_start = c_area[group_of_row] + c_before
-    out[c_start] = c_ro.lines_of(row_order)
-    if nnz_c:
-        c_parent = np.repeat(np.arange(row_order.size, dtype=np.int64), c_deg_in_order)
-        c_local = _local_indices(c_deg_in_order)
-        c_entry = c_offsets[row_order[c_parent]] + c_local
-        c_pos = c_start[c_parent] + 1 + 2 * c_local
-        out[c_pos] = c_coords.lines_of(c_entry)
-        out[c_pos + 1] = c_values.lines_of(c_entry)
+    for name, n_elements in (
+        ("a_row_offsets", n + 1),
+        ("a_coords", nnz),
+        ("a_values", nnz),
+        ("b_row_offsets", n + 1),
+        ("b_coords", nnz),
+        ("b_values", nnz),
+        ("c_row_offsets", n + 1),
+        ("c_coords", nnz_c),
+        ("c_values", nnz_c),
+    ):
+        space.allocate(name, n_elements, element_bytes)
+    walk = _SpgemmWalk(matrix, space, schedule, n_partitions, c_row_nnz, row_flops)
 
     analytic = (3 * (n + 1) + 4 * nnz + 2 * nnz_c) * element_bytes
     return KernelTrace(
         kernel="spgemm-csr",
-        lines=_collapse(out),
+        blocks=walk.blocks,
         regions=space.region_bounds(),
         n_rows=n,
         nnz=nnz,
-        n_irregular=nnz + 2 * flops,
+        n_irregular=nnz + 2 * int(row_flops.sum()),
         irregular_regions=SPGEMM_IRREGULAR_REGIONS,
         line_bytes=line_bytes,
         element_bytes=element_bytes,
@@ -523,21 +486,168 @@ def spgemm_csr_trace(
     )
 
 
+class _SpgemmWalk:
+    """The Gustavson walk's group plan, replayed one block at a time.
+
+    A group emits its rows' header reads, then its entry segments, then
+    its rows' output segments.  Sequential/interleaved schedules use
+    single-row groups (which degenerates to the per-row walk);
+    clustered uses contiguous multi-row clusters with entries sorted by
+    column within a group.  The plan holds per-row and per-group arrays
+    only; a block's accesses are built when the walk reaches it.
+    """
+
+    def __init__(
+        self,
+        matrix: CSRMatrix,
+        space: AddressSpace,
+        schedule: str,
+        n_partitions: int,
+        c_row_nnz: np.ndarray,
+        row_flops: np.ndarray,
+    ) -> None:
+        n = matrix.n_rows
+        if schedule == "clustered":
+            parts = np.array_split(np.arange(n, dtype=np.int64), n_partitions)
+            row_order = np.arange(n, dtype=np.int64)
+            group_sizes = np.array([part.size for part in parts if part.size], dtype=np.int64)
+        else:
+            row_order = _row_order(n, schedule, n_partitions)
+            group_sizes = np.ones(row_order.size, dtype=np.int64)
+        self.matrix = matrix
+        self.space = space
+        self.clustered = schedule == "clustered"
+        self.degrees = np.diff(matrix.row_offsets)
+        self.c_row_nnz = c_row_nnz
+        self.c_offsets = _prefix(c_row_nnz)
+        self.row_order = row_order
+        self.group_sizes = group_sizes
+        #: First position in ``row_order`` of each group's rows.
+        self.row_starts = _prefix(group_sizes)
+        self.entries_per_group = _group_sums(self.degrees[row_order], self.row_starts)
+        self.flops_per_group = _group_sums(row_flops[row_order], self.row_starts)
+        c_per_group = _group_sums(c_row_nnz[row_order], self.row_starts)
+        #: First trace position (before the collapse) of each group.
+        self.group_offsets = _prefix(
+            2 * group_sizes
+            + 3 * self.entries_per_group
+            + 2 * self.flops_per_group
+            + 2 * c_per_group
+        )
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Collapsed blocks of at most :data:`BLOCK_ACCESSES` accesses.
+
+        Every group starts with an ``a_row_offsets`` read and ends with
+        a C write, in separate regions, so no block starts with the line
+        its predecessor ended on: collapsing each block collapses the
+        whole trace.  Each block is built inside its own ``trace`` span,
+        so its cost is charged to trace building even when a simulation
+        pulls it.
+        """
+        obs = get_obs()
+        n_groups = self.group_sizes.size
+        for lo, hi in stream_row_blocks(self.group_offsets, n_groups, BLOCK_ACCESSES):
+            with obs.span("trace", kernel="spgemm-csr"):
+                block = _collapse(self._accesses(lo, hi))
+            yield block
+
+    def _accesses(self, lo: int, hi: int) -> np.ndarray:
+        """The uncollapsed accesses of groups ``[lo, hi)``."""
+        matrix = self.matrix
+        cols = matrix.col_indices
+        region = self.space.region
+        sizes = self.group_sizes[lo:hi]
+        rows = self.row_order[self.row_starts[lo]: self.row_starts[hi]]
+        row_starts = self.row_starts[lo: hi + 1] - self.row_starts[lo]
+        group_offsets = self.group_offsets[lo: hi + 1] - self.group_offsets[lo]
+        entries_per_group = self.entries_per_group[lo:hi]
+        out = np.empty(int(group_offsets[-1]), dtype=np.int64)
+        group_of_row = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes)
+
+        # Header block: a_row_offsets reads for the group's rows.
+        local_row = np.arange(rows.size, dtype=np.int64) - row_starts[group_of_row]
+        out[group_offsets[group_of_row] + local_row] = region("a_row_offsets").lines_of(rows)
+
+        # Entries in processing order: rows laid out per row order,
+        # then — for the clustered schedule — stably re-sorted by target
+        # column within each group so same-B-row gathers coalesce.
+        entry_order = _entries_in_row_order(matrix, rows)
+        if entry_order.size:
+            group_of_entry = np.repeat(group_of_row, self.degrees[rows])
+            if self.clustered:
+                key = group_of_entry * np.int64(matrix.n_rows + 1) + cols[entry_order]
+                entry_order = entry_order[np.argsort(key, kind="stable")]
+            # Entry block: per A entry the stream pair, the
+            # b_row_offsets gather, then the full B-row coords/values walk.
+            targets = cols[entry_order]
+            b_deg = self.degrees[targets]
+            bdeg_prefix = _prefix(b_deg)
+            first_entry = _prefix(entries_per_group)[group_of_entry]
+            seg_start = (
+                group_offsets[group_of_entry]
+                + sizes[group_of_entry]
+                + 3 * (np.arange(entry_order.size, dtype=np.int64) - first_entry)
+                + 2 * (bdeg_prefix[:-1] - bdeg_prefix[first_entry])
+            )
+            out[seg_start] = region("a_coords").lines_of(entry_order)
+            out[seg_start + 1] = region("a_values").lines_of(entry_order)
+            out[seg_start + 2] = region("b_row_offsets").lines_of(targets)
+            if bdeg_prefix[-1]:
+                parent = np.repeat(np.arange(entry_order.size, dtype=np.int64), b_deg)
+                inner_local = _local_indices(b_deg)
+                b_entry = matrix.row_offsets[targets[parent]] + inner_local
+                inner_pos = seg_start[parent] + 3 + 2 * inner_local
+                out[inner_pos] = region("b_coords").lines_of(b_entry)
+                out[inner_pos + 1] = region("b_values").lines_of(b_entry)
+
+        # Output block: c_row_offsets plus the row's coords/values
+        # writes, emitted after the group's compute in row order.  C
+        # entry indices follow the canonical row-major CSR layout.
+        c_deg = self.c_row_nnz[rows]
+        c_area = (
+            group_offsets[:-1] + sizes + 3 * entries_per_group + 2 * self.flops_per_group[lo:hi]
+        )
+        c_prefix = _prefix(1 + 2 * c_deg)
+        c_start = c_area[group_of_row] + c_prefix[:-1] - c_prefix[row_starts[group_of_row]]
+        out[c_start] = region("c_row_offsets").lines_of(rows)
+        if c_deg.any():
+            c_parent = np.repeat(np.arange(rows.size, dtype=np.int64), c_deg)
+            c_local = _local_indices(c_deg)
+            c_entry = self.c_offsets[rows[c_parent]] + c_local
+            c_pos = c_start[c_parent] + 1 + 2 * c_local
+            out[c_pos] = region("c_coords").lines_of(c_entry)
+            out[c_pos + 1] = region("c_values").lines_of(c_entry)
+        return out
+
+
+def _prefix(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: exclusive prefix sums plus the total."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _group_sums(per_item: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
+    """Sums of ``per_item`` over consecutive groups starting at ``group_starts``."""
+    prefix = _prefix(per_item)
+    return prefix[group_starts[1:]] - prefix[group_starts[:-1]]
+
+
 def _local_indices(degrees: np.ndarray) -> np.ndarray:
     """Per-entry offset within its row: [0..d0), [0..d1), ..."""
     total = int(degrees.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    row_position = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
-    cumulative = np.concatenate([[0], np.cumsum(degrees)[:-1]])
-    return np.arange(total, dtype=np.int64) - cumulative[row_position]
+    local = np.arange(total, dtype=np.int64)
+    local -= np.repeat(_prefix(degrees)[:-1], degrees)
+    return local
 
 
 def _entries_in_row_order(matrix: CSRMatrix, order: np.ndarray) -> np.ndarray:
     """CSR entry indices laid out in the given row-processing order."""
     if matrix.nnz == 0:
         return np.empty(0, dtype=np.int64)
-    degrees = np.diff(matrix.row_offsets)[order]
     starts = matrix.row_offsets[order]
-    row_position = np.repeat(np.arange(order.size, dtype=np.int64), degrees)
-    return starts[row_position] + _local_indices(degrees)
+    degrees = matrix.row_offsets[order + 1] - starts
+    return np.repeat(starts, degrees) + _local_indices(degrees)

@@ -29,7 +29,7 @@ from repro.errors import ValidationError
 from repro.sparse.coo import row_major_order
 from repro.sparse.csr import CSRMatrix
 from repro.trace.layout import AddressSpace
-from repro.trace.kernel_traces import KernelTrace, _collapse
+from repro.trace.kernel_traces import KernelTrace, _collapse, single_block
 
 
 def spmv_csr_tiled_trace(
@@ -55,7 +55,7 @@ def spmv_csr_tiled_trace(
     if nnz == 0:
         return KernelTrace(
             kernel=f"spmv-csr-tiled-{n_tiles}",
-            lines=np.empty(0, dtype=np.int64),
+            blocks=single_block(np.empty(0, dtype=np.int64)),
             regions=space.region_bounds(),
             n_rows=n,
             nnz=0,
@@ -111,7 +111,7 @@ def spmv_csr_tiled_trace(
     ) * element_bytes
     return KernelTrace(
         kernel=f"spmv-csr-tiled-{n_tiles}",
-        lines=_collapse(out),
+        blocks=single_block(_collapse(out)),
         regions=space.region_bounds(),
         n_rows=n,
         nnz=nnz,

@@ -11,7 +11,8 @@ engines have two schedules (serial per-set replay for narrow plans,
 lockstep rounds for wide ones); the small grid geometries take the
 serial one, the 512-set geometry keeps the rounds loop covered, and
 ``test_schedule_crossover`` pins which side each takes, for both
-policies.
+policies.  ``test_lru_blocks`` replays the LRU traces split into
+blocks, on both schedules, and requires the oracle's counters too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 
 from repro.cache import CacheConfig, simulate
 from repro.cache.fast import bucket as fast_bucket
-from repro.cache.fast import simulate_belady_fast, simulate_lru_fast
+from repro.cache.fast import simulate_belady_fast, simulate_lru_blocks, simulate_lru_fast
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import hash_name, load_graph
 from repro.graphs.generators.powerlaw import rmat
@@ -99,6 +100,48 @@ def test_random_traces(policy, geometry, style):
         assert_identical_stats(
             reference, fast, f"{policy} {n_sets}x{ways} {style} n={n}"
         )
+
+
+def block_cuts(rng, trace: np.ndarray):
+    """Cut positions for ``np.split``: none (the whole trace as one
+    block), then 1-access blocks, a cut inside same-line runs and
+    seeded random cuts."""
+    yield []
+    n = trace.size
+    if n < 2:
+        return
+    in_runs = np.nonzero(trace[1:] == trace[:-1])[0][:16] + 1
+    random_cuts = rng.choice(np.arange(1, n), size=min(n - 1, 8), replace=False)
+    yield np.unique(np.concatenate([np.arange(1, min(n, 12)), in_runs, random_cuts]))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("style", ["uniform", "hot", "stream"])
+def test_lru_blocks(geometry, style, monkeypatch):
+    """``test_random_traces``' LRU traces, replayed in blocks that carry
+    the cache state across each cut, match the per-access oracle on
+    both schedules.  One-set caches skip the forced rounds schedule: it
+    replays one run per round there, and ``test_schedule_crossover``
+    already forces it on a narrow plan."""
+    n_sets, ways = geometry
+    config = config_for(n_sets, ways)
+    rng = np.random.default_rng(hash_name(f"lru-{n_sets}-{ways}-{style}"))
+    cut_rng = np.random.default_rng(hash_name(f"cuts-{n_sets}-{ways}-{style}"))
+    schedules = {"serial": 2**62, "rounds": 0} if n_sets > 1 else {"serial": 2**62}
+    for n in (0, 1, 2, ways, 4 * n_sets * ways, 5000):
+        trace = random_trace(rng, style, n)
+        regions = [("low", 0, max(1, n // 8)), ("mid", max(1, n // 8), n + 1)]
+        reference = simulate_lru(trace, config, regions)
+        line_space = int(trace.max()) + 1 if n else 0
+        for cuts in block_cuts(cut_rng, trace):
+            blocks = np.split(trace, cuts)
+            for schedule, width in schedules.items():
+                monkeypatch.setattr(fast_bucket, "SERIAL_WIDTH", width)
+                assert_identical_stats(
+                    reference,
+                    simulate_lru_blocks(blocks, config, regions, line_space),
+                    f"{schedule} {n_sets}x{ways} {style} n={n} in {len(blocks)} blocks",
+                )
 
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])

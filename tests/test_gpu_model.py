@@ -1,6 +1,7 @@
 """Platform specs, roofline, run-time model and amortization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from repro.gpu.roofline import (
     machine_balance,
 )
 from repro.gpu.specs import A6000, SCALED_A6000, scaled_platform
+from repro.graphs.corpus import load_graph
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
+from repro.trace import kernel_traces
 from repro.trace.kernel_traces import spmv_csr_trace
+from repro.trace.kernelspec import KernelSpec
 
 
 class TestSpecs:
@@ -129,3 +133,23 @@ class TestAmortization:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValidationError):
             amortization_iterations(-1.0, 2.0, 1.0)
+
+
+class TestBoundedMemory:
+    def test_lru_model_run_never_holds_the_whole_spgemm_trace(self, monkeypatch):
+        """With 16K-access blocks, simulating test-rmat's SpGEMM trace
+        allocates less than half of what the materialized trace would
+        take (8 bytes per access).  Building the whole trace before
+        simulating it peaks at about 4x the trace."""
+        monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", 1 << 14)
+        platform = scaled_platform("test")
+        trace = KernelSpec.parse("spgemm-csr").build_trace(
+            load_graph("test-rmat").adjacency, platform
+        )
+        tracemalloc.start()
+        try:
+            run = model_run(trace, platform, policy="lru")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * run.stats.accesses

@@ -11,6 +11,7 @@ from repro.errors import ValidationError
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import load_graph
 from repro.obs import Instrumentation, MemorySink, using
+from repro.trace import kernel_traces
 from repro.trace.kernelspec import KernelSpec
 
 
@@ -65,6 +66,24 @@ class TestObsWiring:
         assert spans[0]["tags"]["policy"] == "lru"
         assert spans[0]["tags"]["accesses"] == trace.size
         assert instr.counters.get("cache.lru.accesses") == trace.size
+
+
+    def test_lazy_blocks_are_charged_to_trace_building(self, monkeypatch):
+        """Each lazily built SpGEMM block gets a ``trace`` span inside the
+        ``cache-sim`` span, which tags the access count it simulated."""
+        monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", 4096)
+        trace = KernelSpec.parse("spgemm-csr").build_trace(
+            load_graph("test-comm").adjacency, scaled_platform("test")
+        )
+        instr = Instrumentation(sink=MemorySink(), enabled=True)
+        with using(instr):
+            stats = simulate(trace, scaled_platform("test").cache_config())
+        spans = instr.sink.by_kind("span")
+        (sim,) = [span for span in spans if span["name"] == "cache-sim"]
+        blocks = [span for span in spans if span["name"] == "trace"]
+        assert len(blocks) > 1
+        assert all(span["parent_id"] == sim["span_id"] for span in blocks)
+        assert sim["tags"]["accesses"] == stats.accesses
 
 
 class TestDeprecatedAliases:

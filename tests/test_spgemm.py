@@ -1,7 +1,10 @@
 """SpGEMM (Gustavson CSR x CSR) workload: structure vs scipy, trace
-invariants, the cluster-wise schedule win, and pipeline integration."""
+invariants, the blocked trace vs the monolithic oracle, the
+cluster-wise schedule win, and pipeline integration."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,15 +16,24 @@ from repro.cache import simulate
 from repro.errors import ValidationError
 from repro.experiments import spgemm
 from repro.experiments.runner import ExperimentRunner
+from repro.gpu.perf import model_run
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import corpus_names
+from repro.predict.features import analytic_compulsory_bytes
 from repro.sparse.csr import CSRMatrix
+from repro.trace import kernel_traces
 from repro.trace.kernel_traces import (
     SPGEMM_IRREGULAR_REGIONS,
+    KernelTrace,
+    single_block,
     spgemm_csr_structure,
     spgemm_csr_trace,
 )
 from repro.trace.kernelspec import KernelSpec
+from tests.oracles import trace as oracle
+
+#: Block budgets: a few rows per block, many rows, the whole trace.
+BUDGETS = (97, 4096, 2**62)
 
 
 def to_scipy(csr: CSRMatrix):
@@ -73,6 +85,13 @@ class TestStructureDifferential:
             n, n, [0, n] + [n] * (n - 1), list(range(n)), [1.0] * n
         )
         assert_structure_matches_scipy(dense_row)
+
+    @pytest.mark.parametrize("name", corpus_names("test"))
+    def test_blocked_symbolic_pass(self, name, monkeypatch):
+        csr = load_graph(name).adjacency
+        monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", 97)
+        assert spgemm_csr_structure(csr)[1] > 20 * 97  # many blocks
+        assert_structure_matches_scipy(csr)
 
     def test_rejects_non_square(self):
         rect = CSRMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, 1.0])
@@ -126,6 +145,69 @@ class TestTrace:
         seq = simulate(spgemm_csr_trace(csr, schedule="sequential"), config)
         clu = simulate(spgemm_csr_trace(csr, schedule="clustered"), config)
         assert clu.misses < seq.misses
+
+
+def dense_row(n: int) -> CSRMatrix:
+    """One dense row referencing every column, the other rows empty."""
+    return CSRMatrix(n, n, [0, n] + [n] * (n - 1), list(range(n)), [1.0] * n)
+
+
+class TestBlocks:
+    """The trace built block by block equals the monolithic oracle."""
+
+    @staticmethod
+    def assert_matches(csr: CSRMatrix, schedule: str, reference) -> KernelTrace:
+        trace = spgemm_csr_trace(csr, schedule=schedule)
+        blocks = list(trace.blocks())
+        assert all(block.size for block in blocks)
+        # No block starts with the line its predecessor ended on.
+        assert all(a[-1] != b[0] for a, b in zip(blocks, blocks[1:]))
+        lines = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+        assert np.array_equal(lines, reference.lines)
+        assert trace.regions == reference.regions
+        assert trace.n_irregular == reference.n_irregular
+        assert trace.analytic_compulsory_bytes == reference.analytic_compulsory_bytes
+        assert analytic_compulsory_bytes(csr, "spgemm-csr") == (
+            reference.analytic_compulsory_bytes
+        )
+        return trace
+
+    @pytest.mark.parametrize("schedule", ["sequential", "interleaved", "clustered"])
+    @pytest.mark.parametrize("name", corpus_names("test"))
+    def test_corpus(self, name, schedule, monkeypatch):
+        csr = load_graph(name).adjacency
+        reference = oracle.spgemm_csr_trace(csr, schedule=schedule)
+        for budget in BUDGETS:
+            monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", budget)
+            self.assert_matches(csr, schedule, reference)
+
+    @pytest.mark.parametrize("budget", BUDGETS, ids=["97", "4096", "unbounded"])
+    def test_edge_cases(self, budget, monkeypatch):
+        monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", budget)
+        empty = CSRMatrix(0, 0, [0], [], [])
+        self_loop = CSRMatrix(1, 1, [0, 1], [0], [1.0])
+        for csr in (empty, self_loop, dense_row(64)):
+            self.assert_matches(csr, "sequential", oracle.spgemm_csr_trace(csr))
+        assert spgemm_csr_trace(empty).n_accesses == 0
+        # Row 0's group (450 of the 576 accesses) exceeds the 97 budget
+        # and still comes whole, as the first block.
+        first = next(spgemm_csr_trace(dense_row(64)).blocks())
+        assert first.size == (450 if budget == 97 else 576)
+
+    @pytest.mark.parametrize("name, budget", [("test-kmer", 97), ("test-rmat", 4096)])
+    def test_model_run_matches_single_block(self, name, budget, monkeypatch):
+        """Simulating the trace block by block gives the whole trace's
+        cache counters and compulsory bytes."""
+        csr = load_graph(name).adjacency
+        platform = scaled_platform("test")
+        monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", budget)
+        trace = spgemm_csr_trace(csr)
+        whole = dataclasses.replace(
+            trace, blocks=single_block(oracle.spgemm_csr_trace(csr).lines)
+        )
+        blocked, reference = model_run(trace, platform), model_run(whole, platform)
+        assert blocked.stats == reference.stats
+        assert blocked.compulsory_bytes == reference.compulsory_bytes
 
 
 class TestPipeline:
