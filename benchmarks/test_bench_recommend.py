@@ -23,8 +23,8 @@ from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.graph import Graph
 from repro.obs import Instrumentation
 from repro.serve.service import BASELINE_TECHNIQUE, ReorderService, ServeConfig
-from repro.serve.store import structure_digest
 from repro.sparse.convert import coo_to_csr
+from repro.store import structure_digest
 
 #: Acceptance floor from ISSUE 8.
 MIN_SPEEDUP = 5.0

@@ -2,10 +2,10 @@
 
 Shape expectations vs. the paper: insular grouping helps (columns),
 HUBSORT hurts relative to HUBGROUP (rows), and the full RABBIT++
-(HUBGROUP + insular) is the best ALL-matrices cell.  These checks stay
-here, not in tier-1: the HUBSORT regression reverses on the ``test``
-profile (without insular grouping, RABBIT+HUBSORT 1.817 against
-RABBIT 1.963).
+(HUBGROUP + insular) is the best ALL-matrices cell.  They hold on the
+``bench`` profile (the HUBSORT regression reverses on ``test``), so
+``tests/test_paper_claims.py`` asserts them in tier-1 on ``bench``;
+this benchmark only regenerates the table.
 """
 
 from conftest import PROFILE, emit
@@ -22,17 +22,3 @@ def test_table2_design_space(benchmark, bench_runner):
         iterations=1,
     )
     emit(report)
-    summary = report.summary
-    # Insular grouping never hurts the ALL mean for the RABBIT row.
-    assert (
-        summary["RABBIT|with-insular|all"]
-        <= summary["RABBIT|without-insular|all"] + 0.02
-    )
-    # HUBGROUP beats HUBSORT (hub community structure preserved).
-    assert (
-        summary["RABBIT+HUBGROUP|with-insular|all"]
-        <= summary["RABBIT+HUBSORT|with-insular|all"] + 0.02
-    )
-    # The paper's RABBIT++ cell is the best (or ties within noise).
-    best = min(value for key, value in summary.items() if key.endswith("|all"))
-    assert summary["RABBIT+HUBGROUP|with-insular|all"] <= best + 0.05

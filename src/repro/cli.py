@@ -76,11 +76,6 @@ from repro.reorder.registry import available_techniques
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
-#: Memo-file kinds recognized by ``repro cache-stats`` (longest first,
-#: so ``reorder-time-...json`` is not misread as kind ``reorder``).
-_CACHE_KINDS = ("reorder-time", "metrics", "run")
-
-
 #: Subcommands that write a run ledger (manifest + event files) under
 #: ``runs/<run_id>/`` unless ``--no-ledger``; the value is the manifest
 #: ``kind`` field.
@@ -260,24 +255,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run_all.set_defaults(handler=_cmd_run_all)
 
     doctor = subparsers.add_parser(
-        "doctor", help="verify memo-cache integrity (CI guard: exits 1 on damage)"
+        "doctor", help="verify result-store integrity (CI guard: exits 1 on damage)"
     )
     doctor.add_argument(
         "--cache-dir",
         default=None,
-        help="memo directory (default: $REPRO_CACHE_DIR or ./.repro_cache); "
-        "with --store, the store root to scan instead",
+        help="store root (default: $REPRO_CACHE_DIR or ./.repro_cache); "
+        "with --store, the serve store root to scan instead",
     )
     doctor.add_argument(
         "--store",
         action="store_true",
-        help="scan the serve permutation store (default root: "
-        "$REPRO_SERVE_STORE or <cache>/serve-store) instead of the memo cache",
+        help="scan the serve tier's store (default root: "
+        "$REPRO_SERVE_STORE or <cache>/serve-store) instead of the runner's",
     )
     doctor.add_argument(
         "--quarantine",
         action="store_true",
-        help="move damaged/legacy files to <cache>/quarantine/ instead of "
+        help="move damaged/legacy entries to <root>/quarantine/ instead of "
         "only reporting them",
     )
     doctor.set_defaults(handler=_cmd_doctor)
@@ -294,12 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(handler=_cmd_profile)
 
     cache_stats = subparsers.add_parser(
-        "cache-stats", help="report .repro_cache/ memoization effectiveness"
+        "cache-stats", help="report the result store's entries and hit ratio"
     )
     cache_stats.add_argument(
         "--cache-dir",
         default=None,
-        help="memo directory (default: $REPRO_CACHE_DIR or ./.repro_cache)",
+        help="store root (default: $REPRO_CACHE_DIR or ./.repro_cache)",
     )
     cache_stats.set_defaults(handler=_cmd_cache_stats)
 
@@ -876,52 +871,35 @@ def _print_reorder_breakdown(totals) -> None:
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
+    from repro.store import KINDS, ResultStore
+
     cache_dir = resolve_cache_dir(args.cache_dir)
-    entries = {kind: [0, 0] for kind in _CACHE_KINDS}  # kind -> [count, bytes]
-    other = [0, 0]
-    if os.path.isdir(cache_dir):
-        for name in os.listdir(cache_dir):
-            path = os.path.join(cache_dir, name)
-            if not (name.endswith(".json") and os.path.isfile(path)):
-                continue
-            size = os.path.getsize(path)
-            for kind in _CACHE_KINDS:
-                if name.startswith(f"{kind}-"):
-                    entries[kind][0] += 1
-                    entries[kind][1] += size
-                    break
-            else:
-                other[0] += 1
-                other[1] += size
-    rows = [[kind, count, size] for kind, (count, size) in entries.items()]
-    if other[0]:
-        rows.append(["other", other[0], other[1]])
-    total_count = sum(row[1] for row in rows)
-    total_bytes = sum(row[2] for row in rows)
-    rows.append(["total", total_count, total_bytes])
+    stats = ResultStore(cache_dir).stats()
+    rows = [[kind, stats[kind]["entries"], stats[kind]["bytes"]] for kind in KINDS]
+    rows.append(["total", sum(row[1] for row in rows), sum(row[2] for row in rows)])
     print(f"cache dir: {cache_dir}" + ("" if os.path.isdir(cache_dir) else " (missing)"))
     print(render_table(["kind", "entries", "bytes"], rows))
     _print_quarantine_stats(cache_dir)
 
     counters = get_obs().counters.snapshot()["counters"]
-    hits = sum(v for k, v in counters.items() if k.startswith("memo.") and k.endswith(".hit"))
-    misses = sum(v for k, v in counters.items() if k.startswith("memo.") and k.endswith(".miss"))
+    hits = sum(v for k, v in counters.items() if k.startswith("store.") and k.endswith(".hit"))
+    misses = sum(v for k, v in counters.items() if k.startswith("store.") and k.endswith(".miss"))
     print()
     if hits + misses:
         print(
-            f"this process: {int(hits)} memo hits, {int(misses)} misses "
+            f"this process: {int(hits)} store hits, {int(misses)} misses "
             f"(hit ratio {hits / (hits + misses):.1%})"
         )
     else:
-        print("this process: no memo lookups recorded (enable with --log-level/--log-file)")
+        print("this process: no store lookups recorded (enable with --log-level/--log-file)")
     return 0
 
 
 def _print_quarantine_stats(cache_dir: str) -> None:
     """Quarantine subdirectory contents: count, bytes, newest entry.
 
-    Quarantined files are damaged/legacy memo files ``repro doctor
-    --quarantine`` (or a failed read) moved out of the cache's read
+    Quarantined files are damaged/legacy store entries ``repro doctor
+    --quarantine`` (or a failed read) moved out of the store's read
     path; surfacing them here keeps silent data loss visible.
     """
     from repro.resilience import quarantine_path
@@ -950,68 +928,23 @@ def _print_quarantine_stats(cache_dir: str) -> None:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    """``repro doctor`` — memo-cache integrity scan (CI guard).
+    """``repro doctor`` — result-store integrity scan (CI guard).
 
-    Exits 0 when every in-cache memo file verifies; 1 when any file is
-    damaged (bad JSON, checksum or schema mismatch) or predates cache
+    Exits 0 when every entry verifies; 1 when any entry is damaged
+    (bad JSON, checksum or schema mismatch) or predates cache
     versioning.  Already-quarantined files are reported but don't fail
-    the scan — they are out of the cache's read path.
+    the scan — they are out of the store's read path.
 
-    With ``--store`` the scan targets the serve permutation store
-    instead (same integrity report, nested layout); the server runs the
-    same scrub with quarantine at startup.
+    The scan covers the runner's store (``$REPRO_CACHE_DIR``); with
+    ``--store`` it covers the serve tier's root instead, the one the
+    server scrubs with quarantine at startup.
     """
-    from repro.resilience import quarantine_file, scan_cache
+    from repro.store import ResultStore, resolve_store_dir
 
-    if args.store:
-        return _doctor_store(args)
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    scan = scan_cache(cache_dir)
-    print(f"cache dir: {cache_dir}" + ("" if os.path.isdir(cache_dir) else " (missing)"))
-    rows = [
-        ["ok", len(scan.ok)],
-        ["legacy (unversioned)", len(scan.legacy)],
-        ["damaged", len(scan.damaged)],
-        ["quarantined", len(scan.quarantined)],
-    ]
-    print(render_table(["status", "files"], rows))
-    for name, reason in scan.damaged:
-        print(f"DAMAGED {name}: {reason}")
-    for name in scan.legacy:
-        print(f"LEGACY  {name}: missing cache envelope (will be quarantined on read)")
-    for name in scan.quarantined:
-        print(f"QUARANTINED {name}")
-    if args.quarantine:
-        for name, _reason in scan.damaged:
-            quarantine_file(os.path.join(cache_dir, name), cache_dir=cache_dir)
-        for name in scan.legacy:
-            quarantine_file(
-                os.path.join(cache_dir, name), cache_dir=cache_dir, reason="legacy"
-            )
-        moved = len(scan.damaged) + len(scan.legacy)
-        if moved:
-            print(f"quarantined {moved} file(s) to {os.path.join(cache_dir, 'quarantine')}")
-    if scan.healthy:
-        print("cache integrity: OK")
-        return 0
-    print(
-        f"cache integrity: {len(scan.damaged)} damaged, "
-        f"{len(scan.legacy)} legacy file(s)",
-        file=sys.stderr,
-    )
-    return 1
-
-
-def _doctor_store(args: argparse.Namespace) -> int:
-    """``repro doctor --store`` — serve permutation-store integrity scan."""
-    from repro.serve.store import PermutationStore
-
-    store = PermutationStore(args.cache_dir)
+    resolve = resolve_store_dir if args.store else resolve_cache_dir
+    store = ResultStore(resolve(args.cache_dir))
     scan = store.scan(quarantine=args.quarantine)
-    print(
-        f"serve store: {store.root}"
-        + ("" if os.path.isdir(store.root) else " (missing)")
-    )
+    print(f"store: {store.root}" + ("" if os.path.isdir(store.root) else " (missing)"))
     rows = [
         ["ok", len(scan.ok)],
         ["legacy (unversioned)", len(scan.legacy)],

@@ -20,14 +20,9 @@ from typing import Optional, Sequence
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import ExperimentRunner
 from repro.gpu.amortization import amortization_iterations
-from repro.gpu.perf import model_run
 from repro.graphs.generators import dcsbm
 from repro.graphs.graph import Graph
-from repro.reorder.base import reorder_with_timing
-from repro.reorder.registry import make_technique
 from repro.sparse.convert import coo_to_csr
-from repro.sparse.permute import permute_symmetric
-from repro.trace.kernel_traces import spmv_csr_trace
 
 TECHNIQUES = ("gorder", "rabbit", "rabbit++")
 
@@ -47,7 +42,7 @@ SWEEP_SIZES = {
 
 def plan(profile: str = "full"):
     """No shareable pipeline cells: the size sweep runs on generated
-    (non-corpus) graphs with its own ``fig9-*`` memo entries, so the
+    (non-corpus) graphs that pool workers cannot load by name, so the
     parallel executor has nothing to precompute here."""
     return []
 
@@ -57,54 +52,6 @@ def _sweep_graph(n: int) -> Graph:
     return Graph(coo_to_csr(matrix))
 
 
-def _sweep_cache_path(runner: ExperimentRunner, platform, n: int, technique: str) -> str:
-    return runner._cache_path("fig9", f"{platform.name}|{n}|{technique}")
-
-
-def _sweep_point(runner: ExperimentRunner, platform, n: int, technique: str):
-    """Load a cached sweep measurement, or None.
-
-    Reads through the runner's verified loader, so a damaged sweep memo
-    is quarantined and re-measured instead of crashing the driver.
-    """
-    path = _sweep_cache_path(runner, platform, n, technique)
-    point = runner._load_payload(path, kind="fig9")
-    if point is None:
-        return None
-    if point["iterations"] is None:
-        point["iterations"] = float("inf")
-    return point
-
-
-def _measure_sweep_point(
-    runner: ExperimentRunner, platform, n: int, graph: Graph, technique: str
-):
-    """Time one (size, technique) sweep cell and persist it."""
-    random_perm = make_technique("random").compute(graph)
-    random_csr = permute_symmetric(graph.adjacency, random_perm)
-    random_run = model_run(
-        spmv_csr_trace(random_csr, line_bytes=platform.line_bytes), platform
-    )
-    timed = reorder_with_timing(make_technique(technique), graph)
-    reordered = permute_symmetric(graph.adjacency, timed.permutation)
-    reordered_run = model_run(
-        spmv_csr_trace(reordered, line_bytes=platform.line_bytes), platform
-    )
-    iterations = amortization_iterations(
-        timed.seconds, random_run.modeled_seconds, reordered_run.modeled_seconds
-    )
-    point = {
-        "n": n,
-        "nnz": int(graph.adjacency.nnz),
-        "technique": technique,
-        "seconds": timed.seconds,
-        "iterations": None if iterations == float("inf") else iterations,
-    }
-    runner._write_json(_sweep_cache_path(runner, platform, n, technique), point)
-    point["iterations"] = iterations
-    return point
-
-
 def run(
     profile: str = "full",
     runner: Optional[ExperimentRunner] = None,
@@ -112,30 +59,28 @@ def run(
 ) -> ExperimentReport:
     runner = runner if runner is not None else ExperimentRunner(profile)
     sizes = SWEEP_SIZES.get(profile, SWEEP_SIZES["full"])
-    platform = runner.platform
 
     rows = []
     iteration_sums = {t: 0.0 for t in techniques}
     counted = {t: 0 for t in techniques}
     for n in sizes:
-        graph = None  # built lazily; cached sweep points never need it
-        row: list = [n]
-        nnz_cell = None
+        # Generated on every run: the graph's structure keys its store
+        # entries, so a changed generator can never hit an old point.
+        name = f"fig9-dcsbm-{n}"
+        runner.add_graph(name, _sweep_graph(n))
+        random_run = runner.run(name, "random")
+        row: list = [n, int(runner.graph(name).adjacency.nnz)]
         for technique_name in techniques:
-            point = _sweep_point(runner, platform, n, technique_name)
-            if point is None:
-                if graph is None:
-                    graph = _sweep_graph(n)
-                point = _measure_sweep_point(
-                    runner, platform, n, graph, technique_name
-                )
-            nnz_cell = point["nnz"]
-            iterations = point["iterations"]
-            row.extend([point["seconds"], iterations])
+            reordered = runner.run(name, technique_name)
+            iterations = amortization_iterations(
+                reordered.reorder_seconds,
+                random_run.modeled_seconds,
+                reordered.modeled_seconds,
+            )
+            row.extend([reordered.reorder_seconds, iterations])
             if iterations != float("inf"):
                 iteration_sums[technique_name] += iterations
                 counted[technique_name] += 1
-        row.insert(1, nnz_cell)
         rows.append(row)
 
     headers = ["n", "nnz"]

@@ -7,32 +7,37 @@ The experiment drivers all need the same pipeline:
 
 plus the matrix-structure metrics (insularity, skew, community stats)
 computed from the RABBIT detection.  Both stages are deterministic, so
-the runner memoizes simulation records and matrix metrics as JSON files
-under ``.repro_cache/`` (permutations are additionally memoized
-in-process).  Delete the cache directory to force recomputation.
-Detection runs once per loaded graph: the metrics, the insular mask,
-RABBIT and RABBIT++ all read :func:`repro.community.rabbit.detect`.
+the runner keeps their results in the content-addressed result store
+(:mod:`repro.store`): a cell's ``eval`` entry is keyed by the matrix's
+structure digest, the technique, kernel, policy, platform, schedule
+and mask, so a matrix whose recipe or generator changed misses instead
+of reading the old matrix's numbers.  Permutations are stored too
+(``perm``), with their measured reordering seconds in a ``time`` entry
+of their own, the only wall-clock value stored.  Keying a corpus
+matrix means generating it once per runner.  Delete the cache
+directory to force recomputation.  Detection runs once per loaded
+graph: the metrics, the insular mask, RABBIT and RABBIT++ all read
+:func:`repro.community.rabbit.detect`.
 
-The memo directory can be redirected without code changes by setting
-the ``REPRO_CACHE_DIR`` environment variable (useful for CI and
-multi-run jobs); an explicit ``cache_dir=`` argument still wins, and
+The store root can be redirected without code changes by setting the
+``REPRO_CACHE_DIR`` environment variable (useful for CI and multi-run
+jobs); an explicit ``cache_dir=`` argument still wins, and
 ``DEFAULT_CACHE_DIR`` (``./.repro_cache``) is the fallback.
 
 Every pipeline stage runs inside an observability span (``load``,
 ``reorder``, ``permute``, ``mask``, ``trace``, ``cache-sim``,
-``perf-model``, ``memo-load``, ``memo-store``) and memoization
-effectiveness is exported as ``memo.<kind>.hit`` / ``memo.<kind>.miss``
-counters — see :mod:`repro.obs` and the ``repro profile`` /
-``repro cache-stats`` commands.
+``perf-model``, and the store's ``memo-load`` / ``memo-store``) and
+store effectiveness is exported as ``store.<kind>.hit`` /
+``store.<kind>.miss`` counters — see :mod:`repro.obs` and the
+``repro profile`` / ``repro cache-stats`` commands.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -47,23 +52,26 @@ from repro.graphs.graph import Graph
 from repro.metrics.community_stats import community_size_stats
 from repro.metrics.insularity import insular_mask, insular_node_fraction, insularity
 from repro.metrics.skew import degree_skew
-from repro.obs import get_obs, logger
-from repro.resilience.faults import fault_point
-from repro.resilience.integrity import (
-    atomic_write_document,
-    load_or_quarantine,
-    wrap_payload,
-)
+from repro.obs import get_obs
 from repro.reorder.base import TimedReordering, reorder_with_timing
 from repro.reorder.registry import make_technique
 from repro.sparse.mask import restrict_to_nodes
 from repro.sparse.permute import permute_symmetric
+from repro.store import (
+    ResultStore,
+    eval_key,
+    eval_payload,
+    metrics_key,
+    perm_key,
+    perm_payload,
+    structure_digest,
+)
 from repro.trace.kernelspec import KernelSpec
 
 KERNELS = ("spmv-csr", "spmv-coo", "spmm-csr-4", "spmm-csr-256", "spgemm-csr")
 MASKS = ("none", "insular")
 
-#: Default memo directory *name*, resolved against the working
+#: Default store directory *name*, resolved against the working
 #: directory at call time (not import time) by :func:`resolve_cache_dir`.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -138,8 +146,10 @@ class MatrixMetrics:
         return cls(**payload)  # type: ignore[arg-type]
 
 
+
+
 class ExperimentRunner:
-    """Pipeline executor with on-disk memoization."""
+    """Pipeline executor backed by the content-addressed result store."""
 
     def __init__(
         self,
@@ -152,10 +162,13 @@ class ExperimentRunner:
         self.profile = profile
         self.platform = platform if platform is not None else scaled_platform(profile)
         self.cache_dir = resolve_cache_dir(cache_dir)
+        self.store = ResultStore(self.cache_dir)
         self.use_cache = bool(use_cache)
         self.schedule = schedule
-        self._permutations: Dict[Tuple[str, str], TimedReordering] = {}
+        #: perm key -> permutation and its seconds, recalled in-process.
+        self._permutations: Dict[str, TimedReordering] = {}
         self._graphs: Dict[str, Graph] = {}
+        self._digests: Dict[str, str] = {}
 
     # -- corpus ---------------------------------------------------------
 
@@ -168,37 +181,70 @@ class ExperimentRunner:
                 self._graphs[matrix] = load_graph(matrix)
         return self._graphs[matrix]
 
+    def add_graph(self, name: str, graph: Graph) -> None:
+        """Run a generated, non-corpus graph under ``name`` (Fig. 9's
+        size sweep).  The name never enters a store key; the graph's
+        structure does."""
+        self._graphs[name] = graph
+        self._digests.pop(name, None)
+
+    def digest(self, matrix: str) -> str:
+        """Structure digest of ``matrix``: the root of all its store keys."""
+        if matrix not in self._digests:
+            self._digests[matrix] = structure_digest(self.graph(matrix).adjacency)
+        return self._digests[matrix]
+
     # -- permutations ---------------------------------------------------
 
     def permutation(self, matrix: str, technique: str) -> TimedReordering:
-        """Compute (or recall) the permutation and its wall time."""
-        key = (matrix, technique)
-        if key not in self._permutations:
-            graph = self.graph(matrix)
-            self._permutations[key] = reorder_with_timing(make_technique(technique), graph)
-            self._store_reorder_time(matrix, technique, self._permutations[key].seconds)
-        return self._permutations[key]
+        """Compute (or recall) the permutation and its wall time.
+
+        A stored permutation is used only together with its ``time``
+        entry; when either is missing the technique reruns and both
+        entries are written.
+        """
+        key = perm_key(self.digest(matrix), technique)
+        timed = self._permutations.get(key)
+        if timed is None:
+            stored = self._get("perm", key)
+            timing = self._get("time", key) if stored is not None else None
+            if timing is not None:
+                timed = TimedReordering(
+                    technique,
+                    np.asarray(stored["permutation"], dtype=np.int64),
+                    float(timing["seconds"]),
+                )
+            else:
+                timed = reorder_with_timing(make_technique(technique), self.graph(matrix))
+                self._put(
+                    "perm",
+                    key,
+                    perm_payload(key, self.digest(matrix), technique, timed.permutation),
+                )
+                self._put("time", key, {"perm_key": key, "seconds": timed.seconds})
+            self._permutations[key] = timed
+        return timed
 
     def reorder_seconds(self, matrix: str, technique: str) -> float:
-        """Pre-processing time; prefers the persisted measurement."""
-        cached = self._load_reorder_time(matrix, technique)
-        if cached is not None:
-            return cached
+        """Pre-processing time; prefers the persisted measurement, so a
+        stored cell never reruns its technique just to time it."""
+        key = perm_key(self.digest(matrix), technique)
+        if key not in self._permutations:
+            timing = self._get("time", key)
+            if timing is not None:
+                return float(timing["seconds"])
         return self.permutation(matrix, technique).seconds
 
     # -- metrics --------------------------------------------------------
 
     def matrix_metrics(self, matrix: str) -> MatrixMetrics:
         """Insularity/skew/community statistics of the graph's shared detection."""
-        obs = get_obs()
-        path = self.metrics_cache_path(matrix)
-        payload = self._load_payload(path, kind="metrics", matrix=matrix)
+        key = metrics_key(self.digest(matrix))
+        payload = self._get("metrics", key)
         if payload is not None:
-            obs.counter("memo.metrics.hit")
-            return MatrixMetrics.from_json(payload)
-        obs.counter("memo.metrics.miss")
+            return MatrixMetrics(matrix=matrix, **payload)
         graph = self.graph(matrix)
-        with obs.span("metrics", matrix=matrix):
+        with get_obs().span("metrics", matrix=matrix):
             assignment = detect(graph).assignment
             stats = community_size_stats(assignment)
             metrics = MatrixMetrics(
@@ -214,7 +260,9 @@ class ExperimentRunner:
                 normalized_avg_community_size=stats.normalized_average_size,
                 largest_community_fraction=stats.largest_fraction,
             )
-        self._write_json(path, metrics.to_json())
+        payload = metrics.to_json()
+        del payload["matrix"]
+        self._put("metrics", key, payload)
         return metrics
 
     # -- simulation -----------------------------------------------------
@@ -234,59 +282,53 @@ class ExperimentRunner:
             raise ValidationError(f"mask must be one of {MASKS}, got {mask!r}")
         if policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
-        obs = get_obs()
-        cache_key = self.run_cache_path(matrix, technique, kernel, policy, mask)
-        payload = self._load_payload(
-            cache_key, kind="run", matrix=matrix, technique=technique
+        key = self._eval_key(matrix, technique, kernel, policy, mask)
+        payload = self._get("eval", key)
+        if payload is None:
+            payload = self._simulate(matrix, technique, kernel, policy, mask, key)
+        return RunRecord(
+            matrix=matrix,
+            technique=technique,
+            kernel=kernel,
+            policy=policy,
+            mask=mask,
+            platform=payload["platform"],
+            reorder_seconds=self.reorder_seconds(matrix, technique),
+            **payload["model"],
         )
-        if payload is not None:
-            obs.counter("memo.run.hit")
-            logger.debug(
-                "memo hit: %s/%s/%s/%s/%s", matrix, technique, kernel, policy, mask
-            )
-            return RunRecord.from_json(payload)
 
-        obs.counter("memo.run.miss")
+    def _simulate(
+        self, matrix: str, technique: str, kernel: str, policy: str, mask: str, key: str
+    ) -> Dict[str, object]:
+        """Run the pipeline for one cell and store its ``eval`` entry."""
+        obs = get_obs()
         timed = self.permutation(matrix, technique)
         graph = self.graph(matrix)
         with obs.span("permute", matrix=matrix, technique=technique):
             permuted = permute_symmetric(graph.adjacency, timed.permutation)
         if mask == "insular":
             with obs.span("mask", matrix=matrix):
-                permuted = self._apply_insular_mask(
-                    matrix, permuted, timed.permutation
-                )
+                permuted = self._apply_insular_mask(graph, permuted, timed.permutation)
         with obs.span("trace", matrix=matrix, kernel=kernel):
             trace = self._build_trace(permuted, kernel)
         platform = self._platform_for_kernel(kernel)
         run = model_run(trace, platform, policy=policy)
-        record = RunRecord(
-            matrix=matrix,
-            technique=technique,
-            kernel=kernel,
-            policy=policy,
-            mask=mask,
-            platform=platform.name,
-            normalized_traffic=run.normalized_traffic,
-            normalized_runtime=run.normalized_runtime,
-            traffic_bytes=run.traffic_bytes,
-            compulsory_bytes=run.compulsory_bytes,
-            modeled_seconds=run.modeled_seconds,
-            ideal_seconds=run.ideal_seconds,
-            hit_rate=run.stats.hit_rate,
-            dead_line_fraction=run.stats.dead_line_fraction,
-            accesses=run.stats.accesses,
-            misses=run.stats.misses,
-            reorder_seconds=timed.seconds,
+        payload = eval_payload(
+            key,
+            perm_key(self.digest(matrix), technique),
+            kernel,
+            policy,
+            platform.name,
+            self.schedule,
+            mask,
+            run,
         )
-        self._write_json(cache_key, record.to_json())
-        return record
+        self._put("eval", key, payload)
+        return payload
 
-    def _apply_insular_mask(
-        self, matrix: str, permuted, permutation: np.ndarray
-    ):
+    @staticmethod
+    def _apply_insular_mask(graph: Graph, permuted, permutation: np.ndarray):
         """Keep only non-zeros connecting to insular nodes (Figure 6)."""
-        graph = self.graph(matrix)
         mask_original_ids = insular_mask(graph, detect(graph).assignment)
         mask_new_ids = np.zeros_like(mask_original_ids)
         mask_new_ids[permutation] = mask_original_ids
@@ -320,7 +362,7 @@ class ExperimentRunner:
             permuted, self.platform, schedule=self.schedule
         )
 
-    # -- cache plumbing --------------------------------------------------
+    # -- store plumbing --------------------------------------------------
 
     def run_cache_path(
         self,
@@ -330,74 +372,30 @@ class ExperimentRunner:
         policy: str = "lru",
         mask: str = "none",
     ) -> str:
-        """Memo file of one simulated cell (shared with repro.parallel)."""
-        return self._cache_path(
-            "run",
-            f"{self.platform.name}|{self.schedule}|{matrix}|{technique}|{kernel}|{policy}|{mask}",
+        """Store entry of one simulated cell (shared with repro.parallel)."""
+        return self.store.path(
+            "eval", self._eval_key(matrix, technique, kernel, policy, mask)
         )
 
     def metrics_cache_path(self, matrix: str) -> str:
-        """Memo file of one matrix's structure metrics."""
-        return self._cache_path("metrics", matrix)
+        """Store entry of one matrix's structure metrics."""
+        return self.store.path("metrics", metrics_key(self.digest(matrix)))
 
-    def _cache_path(self, kind: str, key: str) -> str:
-        digest = hashlib.sha1(f"{kind}|{key}".encode("utf-8")).hexdigest()[:20]
-        safe = key.replace("|", "_").replace("/", "-")[:80]
-        return os.path.join(self.cache_dir, f"{kind}-{safe}-{digest}.json")
-
-    def _write_json(self, path: str, payload: Dict[str, object]) -> None:
-        """Persist one memo payload in a versioned checksum envelope.
-
-        Reads verify the envelope (:meth:`_load_payload`); damaged or
-        legacy files are quarantined and recomputed instead of crashing
-        the sweep — see :mod:`repro.resilience.integrity`.  The write
-        itself goes through :func:`atomic_write_document`, whose
-        per-write unique temp names keep concurrent same-key writers
-        (two serve threads completing the same computation) from
-        tearing each other's files.
-        """
-        if not self.use_cache:
-            return
-        document = wrap_payload(payload)
-        with get_obs().span("memo-store"):
-            atomic_write_document(path, document)
-        fault_point("memo.write", path=path)
-
-    def _load_payload(
-        self, path: str, kind: str = "", **tags: object
-    ) -> Optional[Dict[str, object]]:
-        """Verified memo payload, or ``None`` when absent or damaged.
-
-        A file that fails its integrity check (truncated JSON, checksum
-        or schema mismatch, legacy unversioned entry) is moved to
-        ``<cache>/quarantine/`` and treated as a miss, so a corrupt
-        cache degrades to recomputation instead of an exception.
-        """
-        if not self.use_cache or not os.path.exists(path):
-            return None
-        with get_obs().span("memo-load", kind=kind, **tags):
-            return load_or_quarantine(path, cache_dir=self.cache_dir)
-
-    def _reorder_time_path(self, matrix: str, technique: str) -> str:
-        return self._cache_path("reorder-time", f"{matrix}|{technique}")
-
-    def _store_reorder_time(self, matrix: str, technique: str, seconds: float) -> None:
-        self._write_json(
-            self._reorder_time_path(matrix, technique),
-            {"matrix": matrix, "technique": technique, "seconds": seconds},
+    def _eval_key(
+        self, matrix: str, technique: str, kernel: str, policy: str, mask: str
+    ) -> str:
+        return eval_key(
+            perm_key(self.digest(matrix), technique),
+            kernel,
+            policy,
+            self._platform_for_kernel(kernel).name,
+            self.schedule,
+            mask,
         )
 
-    def _load_reorder_time(self, matrix: str, technique: str) -> Optional[float]:
-        path = self._reorder_time_path(matrix, technique)
-        payload = self._load_payload(path, kind="reorder-time", matrix=matrix)
-        if payload is None:
-            return None
-        try:
-            return float(payload["seconds"])  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError):
-            # Checksum-valid but structurally foreign (e.g. written by
-            # a future payload layout): quarantine and re-measure.
-            from repro.resilience.integrity import quarantine_file
+    def _get(self, kind: str, key: str) -> Optional[Dict[str, object]]:
+        return self.store.get(kind, key) if self.use_cache else None
 
-            quarantine_file(path, cache_dir=self.cache_dir, reason="bad payload shape")
-            return None
+    def _put(self, kind: str, key: str, payload: Dict[str, object]) -> None:
+        if self.use_cache:
+            self.store.put(kind, key, payload)

@@ -11,7 +11,7 @@ from repro.obs.histogram import Histogram
 class CounterRegistry:
     """Monotonic counters, gauges, and log-bucketed histograms.
 
-    Counters accumulate (``memo.run.hit``, ``cache.lru.misses``);
+    Counters accumulate (``store.eval.hit``, ``cache.lru.misses``);
     gauges record a point-in-time value (``corpus.size``); histograms
     record latency distributions (span durations, per-cell wall time).
     All methods are safe to call from multiple threads.

@@ -2,12 +2,13 @@
 
 The paper's artifacts decompose into thousands of independent
 ``(matrix, technique, kernel, policy, mask)`` pipeline cells, all
-memoized as JSON files by :class:`ExperimentRunner`.  This package
-enumerates the cells a set of drivers will request
-(:mod:`~repro.parallel.planner`), precomputes them in ``N`` worker
-processes sharing that on-disk memo (:mod:`~repro.parallel.executor`),
+kept in the result store (:mod:`repro.store`) by
+:class:`ExperimentRunner`.  This package enumerates the cells a set of
+drivers will request (:mod:`~repro.parallel.planner`), precomputes
+them in ``N`` worker
+processes sharing that on-disk store (:mod:`~repro.parallel.executor`),
 and merges worker-side observability back into the parent — after
-which the drivers themselves replay the sweep as pure memo hits.
+which the drivers themselves replay the sweep as pure store hits.
 
 Entry points: ``run_all(jobs=N)``, ``repro run-all --jobs N`` and
 ``repro experiment <name> --jobs N``; ``jobs=1`` preserves the

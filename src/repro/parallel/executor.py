@@ -1,22 +1,23 @@
-"""Process-pool execution of pipeline cells against a shared memo.
+"""Process-pool execution of pipeline cells against a shared result store.
 
 The executor makes a whole experiment sweep multicore without touching
 driver logic: it precomputes every planned cell in ``jobs`` worker
-processes, each writing its result into the same on-disk JSON memo the
-sequential path uses (``os.replace`` makes those writes atomic, so
-workers race safely).  Afterwards the drivers run unchanged in the
-parent and find every cell already memoized — which is also the core
-correctness invariant: the parallel path must produce byte-identical
-``RunRecord`` / ``MatrixMetrics`` JSON to the sequential path.
+processes, each writing its result into the same content-addressed
+store (:mod:`repro.store`) the sequential path uses (``os.replace``
+makes those writes atomic, so workers race safely).  Afterwards the
+drivers run unchanged in the parent and find every cell already
+stored — which is also the core correctness invariant: the parallel
+path must leave byte-identical ``perm/``, ``eval/`` and ``metrics/``
+entries to the sequential path.
 
 De-duplication happens *before* submission (:func:`dedupe_cells`), so
-no two workers ever simulate the same memo key; cells whose memo file
-already exists are skipped entirely.  Cells sharing a ``(matrix,
-technique)`` pair are grouped into one worker task: the reordering
-permutation is memoized only in-process (spans show it at ~50% of
-pipeline time), so scattering those cells across workers would
-recompute it per worker — grouping runs it exactly once, like the
-sequential path.
+no two workers ever simulate the same store key; cells whose entry
+already exists are skipped entirely (keying a cell generates its
+matrix, so the parent loads each planned matrix once).  Cells sharing
+a ``(matrix, technique)`` pair are grouped into one worker task: the
+group computes its permutation once and stores it, instead of two
+workers racing to compute the same one (spans show reordering at ~50%
+of pipeline time).
 
 Resilience (:mod:`repro.resilience`): every cell runs under the
 caller's :class:`~repro.resilience.RetryPolicy` and optional per-cell
@@ -28,7 +29,7 @@ strict mode (the default) any permanent failure raises
 :class:`~repro.errors.SweepFailure`; under ``keep_going`` it is
 recorded in the stats' :class:`~repro.resilience.FailureReport` and the
 sweep completes with partial results.  A retried group replays its
-already-finished cells as memo hits, so progress is never lost.
+already-finished cells as store hits, so progress is never lost.
 Completed cell labels are checkpointed to the optional
 :class:`~repro.resilience.SweepManifest` as they finish, enabling
 ``--resume`` after a kill.
@@ -66,7 +67,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import SweepFailure, ValidationError
+from repro.errors import CorpusError, SweepFailure, ValidationError
 from repro.experiments.runner import ExperimentRunner
 from repro.gpu.specs import PlatformSpec
 from repro.obs import (
@@ -96,8 +97,8 @@ class RunnerConfig:
     """Picklable construction recipe for an :class:`ExperimentRunner`.
 
     Workers rebuild their runner from this, so parent and workers agree
-    on profile, memo directory, schedule and platform — and therefore
-    on every memo key.
+    on profile, store directory, schedule and platform — and therefore
+    on every store key.
     """
 
     profile: str
@@ -235,8 +236,8 @@ class _CellFailure(Exception):
 
 
 def _group_key(cell: Cell) -> Tuple[str, str]:
-    # Cells sharing (matrix, technique) share the expensive in-process
-    # reorder memo; metrics cells (technique == "") group per matrix.
+    # Cells sharing (matrix, technique) share one permutation, computed
+    # once per group; metrics cells (technique == "") group per matrix.
     return (cell.matrix, cell.technique)
 
 
@@ -250,7 +251,7 @@ def _group_cells(cells: List[Cell]) -> List[Tuple[Cell, ...]]:
 def _run_group(
     cells: Tuple[Cell, ...],
 ) -> Tuple[List[str], Dict[str, Dict[str, object]], Dict[str, Tuple[int, float]]]:
-    """Worker entry point: simulate one cell group into the shared memo.
+    """Worker entry point: simulate one cell group into the shared store.
 
     Returns the completed cell labels plus the full counter snapshot
     (counters, gauges, histograms) and span-total deltas the group
@@ -307,11 +308,27 @@ def _run_group(
     return done, snapshot, spans
 
 
-def _cell_memo_path(runner: ExperimentRunner, cell: Cell) -> str:
-    if cell.kind == METRICS:
-        return runner.metrics_cache_path(cell.matrix)
-    return runner.run_cache_path(
-        cell.matrix, cell.technique, cell.kernel, cell.policy, cell.mask
+def _is_stored(runner: ExperimentRunner, cell: Cell) -> bool:
+    """Whether the cell's store entry exists.  A matrix that cannot be
+    loaded to key it counts as not stored, so its cell fails where it
+    runs, under its own label."""
+    try:
+        if cell.kind == METRICS:
+            path = runner.metrics_cache_path(cell.matrix)
+        else:
+            path = runner.run_cache_path(
+                cell.matrix, cell.technique, cell.kernel, cell.policy, cell.mask
+            )
+    except CorpusError:
+        return False
+    return os.path.exists(path)
+
+
+def _merge_into(obs: Instrumentation, instr: Instrumentation) -> None:
+    """Fold a local instrumentation's counters and span totals into ``obs``."""
+    obs.merge_counter_snapshot(instr.counters.snapshot())
+    obs.merge_span_totals(
+        {n: (t.calls, t.seconds) for n, t in instr.span_totals().items()}
     )
 
 
@@ -367,13 +384,14 @@ def execute_cells(
     manifest: Optional[SweepManifest] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ParallelStats:
-    """Precompute ``cells`` into the shared memo with ``jobs`` workers.
+    """Precompute ``cells`` into the shared store with ``jobs`` workers.
 
     ``jobs <= 1`` executes in-process (no pool, no spawning) — the same
     code path a sequential driver run would take.  ``worker_clock``
-    injects a deterministic clock into the workers (tests use a
-    zero-tick :class:`~repro.obs.FakeClock` so timing fields memoize
-    byte-identically across process counts).
+    injects a deterministic clock into the workers and the parent's
+    keying pass (tests use a :class:`~repro.obs.FakeClock` so span
+    durations, and the reordering seconds of ``time`` entries, are the
+    same across process counts).
 
     Failure handling: transient failures retry up to
     ``retry.max_attempts`` total attempts (default: 1, i.e. no
@@ -389,11 +407,10 @@ def execute_cells(
     retry = retry if retry is not None else RetryPolicy()
     cells = dedupe_cells(cells)
     obs = get_obs()
-    runner = config.make_runner()
     stats = ParallelStats(planned=len(cells), jobs=jobs)
 
     if not config.use_cache:
-        # Workers could not share results through the memo; running the
+        # Workers could not share results through the store; running the
         # pool would simulate everything and throw it away.
         logger.warning(
             "parallel precompute skipped: memoization is disabled "
@@ -403,16 +420,22 @@ def execute_cells(
 
     pending = []
     already_done: List[str] = []
-    for cell in cells:
-        label = cell.label()
-        if manifest is not None and label in manifest.completed_cells:
-            stats.skipped += 1
-            obs.counter("resilience.cells_resumed")
-        elif os.path.exists(_cell_memo_path(runner, cell)):
-            stats.skipped += 1
-            already_done.append(label)
-        else:
-            pending.append(cell)
+    # Keying a cell generates its matrix.  Those loads run on a runner
+    # of their own and are measured like in-process cells, so jobs=1
+    # and the pool record the same spans.
+    keys = config.make_runner()
+    with using(Instrumentation(clock=worker_clock, enabled=True)) as instr:
+        for cell in cells:
+            label = cell.label()
+            if manifest is not None and label in manifest.completed_cells:
+                stats.skipped += 1
+                obs.counter("resilience.cells_resumed")
+            elif _is_stored(keys, cell):
+                stats.skipped += 1
+                already_done.append(label)
+            else:
+                pending.append(cell)
+    _merge_into(obs, instr)
     if manifest is not None and already_done:
         manifest.mark_cells(already_done)
     obs.counter("parallel.cells.planned", stats.planned)
@@ -421,6 +444,7 @@ def execute_cells(
         return stats
 
     if jobs == 1:
+        runner = config.make_runner()
         with using(Instrumentation(clock=worker_clock, enabled=True)) as instr:
             for cell in pending:
                 failure = _run_cell_with_retry(
@@ -444,10 +468,7 @@ def execute_cells(
                     manifest.mark_cell(cell.label())
                 if progress is not None:
                     progress.update(cell.label())
-        obs.merge_counter_snapshot(instr.counters.snapshot())
-        obs.merge_span_totals(
-            {n: (t.calls, t.seconds) for n, t in instr.span_totals().items()}
-        )
+        _merge_into(obs, instr)
         obs.counter("parallel.cells.executed", stats.executed)
         _finish(stats, keep_going, manifest)
         return stats
@@ -635,12 +656,12 @@ def _handle_group_failure(
             return [rest]
         return []
     # Unknown failing cell with the budget exhausted: record every cell
-    # of the group that never reached the memo, so none vanish silently.
+    # of the group that never reached the store, so none vanish silently.
     runner = config.make_runner()
     for cell in group:
         if cell.label() == label:
             continue
-        if not os.path.exists(_cell_memo_path(runner, cell)):
+        if not _is_stored(runner, cell):
             stats.failures.add(
                 CellFailure(
                     label=cell.label(),
@@ -670,7 +691,7 @@ def precompute(
     """Plan every driver's cells and execute them with ``jobs`` workers.
 
     After this returns, running the drivers against ``runner`` (or any
-    runner sharing its memo directory) replays the sweep as memo hits.
+    runner sharing its store directory) replays the sweep as store hits.
     """
     cells = plan_cells(drivers, runner.profile)
     stats = execute_cells(

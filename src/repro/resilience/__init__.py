@@ -2,7 +2,7 @@
 
 A full-profile reproduction sweep is a long multi-process job; this
 package is what lets it survive crashed workers, wall-clock blowups,
-corrupted memo files and outright kills:
+corrupted store entries and outright kills:
 
 * **retry/timeout policy** (:class:`RetryPolicy`, :func:`cell_deadline`,
   :func:`is_transient`) — transient failures retry with exponential
@@ -11,10 +11,10 @@ corrupted memo files and outright kills:
   ``--keep-going`` failed cells are recorded, not fatal, and the sweep
   ends with a loud summary;
 * **checkpoint/resume** (:class:`SweepManifest`) — completed cells are
-  journaled next to the memo cache so ``--resume`` skips finished work;
-* **cache integrity** (:mod:`repro.resilience.integrity`) — memo files
-  carry a schema-version + checksum envelope; damaged files are
-  quarantined to ``<cache>/quarantine/`` and recomputed;
+  journaled next to the result store so ``--resume`` skips finished work;
+* **cache integrity** (:mod:`repro.resilience.integrity`) — result-store
+  entries carry a schema-version + checksum envelope; damaged entries
+  are quarantined to ``<root>/quarantine/`` and recomputed;
 * **fault injection** (:class:`FaultPlan`, :func:`fault_point`) — a
   deterministic harness (``REPRO_FAULT_PLAN``) that exercises all of
   the above in tests and CI chaos jobs.
@@ -43,7 +43,6 @@ from repro.resilience.integrity import (
     payload_checksum,
     quarantine_file,
     quarantine_path,
-    scan_cache,
     unwrap_document,
     wrap_payload,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "quarantine_file",
     "quarantine_path",
     "reset_faults",
-    "scan_cache",
     "unwrap_document",
     "wrap_payload",
 ]

@@ -2,16 +2,18 @@
 
 A sweep (``repro run-all`` / ``repro experiment``) writes a versioned
 manifest — ``sweep-manifest.json``, wrapped in the same integrity
-envelope as every other cache file — next to the memo cache.  The
+envelope as every other cache file — next to the result store.  The
 manifest records every completed cell label and driver, so a killed
 sweep restarted with ``--resume`` skips finished work without even
-stat'ing the per-cell memo files, and the final
+stat'ing the per-cell store entries, and the final
 :class:`~repro.resilience.FailureReport` of a ``--keep-going`` run is
 persisted for post-mortems.
 
-The manifest content is deterministic (sorted labels, no timestamps),
-so resumed and uninterrupted sweeps converge to byte-identical cache
-directories.
+Resumed and uninterrupted sweeps converge to byte-identical ``perm/``,
+``eval/`` and ``metrics/`` store entries, which depend only on their
+keys.  The rest of the directory does not converge: ``time/`` entries
+hold measured reordering seconds, and the manifest lists the
+``run_ids`` of every sweep that touched it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ into spawned pool workers automatically)::
         {"site": "cell.execute", "match": "soc-forum", "action": "raise",
          "exception": "transient", "times": 2},
         {"site": "cell.execute", "action": "kill", "times": 1},
-        {"site": "memo.write", "match": "run-", "action": "corrupt",
+        {"site": "store.put", "match": "eval:", "action": "corrupt",
          "mode": "truncate", "times": 1},
         {"site": "cell.execute", "action": "delay", "seconds": 0.5}
       ]
@@ -28,19 +28,18 @@ Known sites:
 * ``cell.execute`` — immediately before a pipeline cell runs (both the
   in-process ``jobs=1`` path and pool workers); ``match`` tests against
   the cell label.
-* ``memo.write`` — immediately after a memo file is written; ``match``
-  tests against the file's basename, and ``corrupt`` damages the
-  just-written bytes (truncate or bit-flip).
+* ``store.get`` — before a verified result-store read (``corrupt``
+  damages the entry so the read quarantines it; ``raise`` simulates a
+  failing disk); ``match`` tests against ``kind:key-prefix``, e.g.
+  ``eval:4f19c2``.
+* ``store.put`` — immediately after a result-store entry is written
+  (``corrupt`` damages the just-written bytes, truncate or bit-flip;
+  ``raise`` simulates a failed persist, which the serve tier's store
+  breaker absorbs); ``match`` tests against ``kind:key-prefix``.
 * ``serve.compute`` — inside the serve tier's admitted compute path,
   before the reorder+simulate pipeline; ``match`` tests against
   ``technique|kernel``.  ``raise`` faults here drive the serve tier's
   compute circuit breaker.
-* ``serve.store.get`` — before a verified permutation-store read
-  (``corrupt`` damages the entry so the read quarantines it); ``match``
-  tests against ``kind:key-prefix``.
-* ``serve.store.put`` — after a permutation-store entry is written,
-  mirroring ``memo.write`` (``corrupt`` damages the entry on disk,
-  ``raise`` simulates a failed persist feeding the store breaker).
 * ``serve.render`` — between a successful service call and the HTTP
   response write (the lost-response path); ``match`` tests against
   ``path|store-state``.

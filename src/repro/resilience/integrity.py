@@ -1,8 +1,9 @@
-"""Versioned, checksummed envelopes for memo cache files.
+"""Versioned, checksummed envelopes for cache files.
 
-Every memo JSON the :class:`~repro.experiments.runner.ExperimentRunner`
-writes is wrapped in an envelope, and :func:`atomic_write_document`
-writes it as canonical JSON (sorted keys, compact separators)::
+Every entry of the result store (:mod:`repro.store`), the sweep
+manifest and the matrix cache is wrapped in an envelope, and
+:func:`atomic_write_document` writes it as canonical JSON (sorted
+keys, compact separators)::
 
     {"__repro_cache__":{"checksum":"<sha256 of payload>","schema":1},"payload":{...}}
 
@@ -22,8 +23,8 @@ deleted, so it stays available for debugging — the
 ``resilience.quarantined`` counter ticks, and the caller recomputes
 instead of crashing.
 
-:func:`scan_cache` backs the ``repro doctor`` CLI: a read-only sweep of
-a cache directory classifying every memo file without touching it.
+:class:`CacheScan` is the integrity report ``repro doctor`` prints,
+filled by :meth:`repro.store.ResultStore.scan`.
 """
 
 from __future__ import annotations
@@ -266,14 +267,10 @@ def atomic_write_document(path: str, document: Dict[str, object]) -> None:
 
 # -- doctor support -----------------------------------------------------
 
-OK = "ok"
-LEGACY = "legacy"
-DAMAGED = "damaged"
-
 
 @dataclass
 class CacheScan:
-    """Read-only integrity classification of one cache directory."""
+    """Read-only integrity classification of one store."""
 
     cache_dir: str
     ok: List[str] = field(default_factory=list)
@@ -283,28 +280,5 @@ class CacheScan:
 
     @property
     def healthy(self) -> bool:
-        """True when every in-cache memo file verifies."""
+        """True when every in-store entry verifies."""
         return not self.legacy and not self.damaged
-
-
-def scan_cache(cache_dir: str) -> CacheScan:
-    """Classify every ``*.json`` memo file under ``cache_dir``."""
-    scan = CacheScan(cache_dir=cache_dir)
-    if not os.path.isdir(cache_dir):
-        return scan
-    for name in sorted(os.listdir(cache_dir)):
-        path = os.path.join(cache_dir, name)
-        if not (name.endswith(".json") and os.path.isfile(path)):
-            continue
-        try:
-            load_verified(path)
-        except LegacyCacheEntry:
-            scan.legacy.append(name)
-        except CacheIntegrityError as exc:
-            scan.damaged.append((name, str(exc)))
-        else:
-            scan.ok.append(name)
-    qdir = quarantine_path(cache_dir)
-    if os.path.isdir(qdir):
-        scan.quarantined = sorted(os.listdir(qdir))
-    return scan

@@ -4,11 +4,11 @@ A long-lived HTTP/JSON tier that turns the single-shot pipeline into
 something that can absorb heavy repeat traffic by caching permutations
 instead of recomputing them:
 
-* :class:`~repro.serve.store.PermutationStore` — a content-addressed
-  on-disk store: key = SHA-256 of the CSR *structure* + technique,
-  every entry wrapped in the PR 4 checksummed cache envelope, so
-  a damaged entry quarantines and recomputes instead of poisoning the
-  service;
+* :class:`~repro.store.ResultStore` — the content-addressed on-disk
+  store it shares with the experiment runner: keys derive from the
+  CSR *structure* digest, every entry is wrapped in the checksummed
+  cache envelope, so a damaged entry quarantines and recomputes
+  instead of poisoning the service;
 * :class:`~repro.serve.coalesce.SingleFlight` — request coalescing:
   concurrent requests for the same key block on one in-flight
   computation via a keyed-lock table;
@@ -42,17 +42,14 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import ClientResponse, ServeClient
 from repro.serve.coalesce import SingleFlight
 from repro.serve.service import ReorderService, ServeConfig, ServeResult
-from repro.serve.store import PermutationStore, structure_digest
 
 __all__ = [
     "Admission",
     "CircuitBreaker",
     "ClientResponse",
-    "PermutationStore",
     "ReorderService",
     "ServeClient",
     "ServeConfig",
     "ServeResult",
     "SingleFlight",
-    "structure_digest",
 ]

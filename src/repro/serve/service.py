@@ -39,9 +39,12 @@ chosen technique is then evaluated — and ``/v1/recommend``
 (:meth:`ReorderService.handle_recommend`) skips even that.
 
 Responses are *deterministic* given the store contents: a store hit is
-byte-identical to the miss response that created the entry, because
-both are rendered from the same stored evaluation payload.  Wall-clock
-metadata lives in transport headers, never in the body.
+byte-identical to the miss response that created the entries, because
+both are rendered from the same stored ``eval``, ``perm`` and ``time``
+entries (:mod:`repro.store`).  The body's one wall-clock value,
+``reorder_seconds``, is the measurement stored in the ``time`` entry
+when the permutation was first computed; every other wall-clock
+metadatum lives in transport headers.
 
 Concurrency: every (structure, technique, kernel, policy) key is
 computed at most once at a time (:class:`SingleFlight`), each stage
@@ -81,18 +84,31 @@ from repro.resilience.faults import fault_point
 from repro.serve.admission import Admission
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.coalesce import SingleFlight
-from repro.serve.store import PermutationStore, eval_key, perm_key, structure_digest
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.ops import is_symmetric
 from repro.sparse.permute import permute_symmetric
+from repro.store import (
+    ResultStore,
+    eval_key,
+    eval_payload,
+    perm_key,
+    perm_payload,
+    resolve_store_dir,
+    structure_digest,
+)
 from repro.trace.kernelspec import KernelSpec
 
-#: Response/entry payload schema; bump on incompatible layout changes.
+#: Response body schema; bump on incompatible layout changes.
 RESPONSE_SCHEMA = 1
 
 #: Wire version of the request/response format, carried as ``"v"`` in
 #: every response body so clients can pin what they parse.
 WIRE_VERSION = 1
+
+#: The trace schedule and mask of every served evaluation; with the
+#: platform name they complete the eval key the experiment runner shares.
+SCHEDULE = "sequential"
+MASK = "none"
 
 #: The no-reordering baseline the amortization comparison runs against.
 BASELINE_TECHNIQUE = "original"
@@ -189,7 +205,7 @@ class ReorderService:
             if self.config.platform is not None
             else scaled_platform(self.config.profile)
         )
-        self.store = PermutationStore(self.config.store_dir)
+        self.store = ResultStore(resolve_store_dir(self.config.store_dir))
         self.admission = Admission(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue,
@@ -282,7 +298,7 @@ class ReorderService:
                     graph, digest, kernel, iterations
                 )
             try:
-                payload, store_state = self._evaluate(
+                cell, store_state = self._evaluate(
                     graph, digest, technique, kernel, policy
                 )
             except BreakerOpenError as exc:
@@ -314,11 +330,11 @@ class ReorderService:
             "platform": self.platform.name,
             "iterations": iterations,
             "recommendation": recommendation,
-            "reorder_seconds": payload["reorder_seconds"],
-            "perm_key": payload["perm_key"],
-            "eval_key": payload["eval_key"],
-            "model": payload["model"],
-            "permutation": payload["permutation"] if include_permutation else None,
+            "reorder_seconds": cell["seconds"],
+            "perm_key": cell["eval"]["perm_key"],
+            "eval_key": cell["eval"]["eval_key"],
+            "model": cell["eval"]["model"],
+            "permutation": cell["permutation"] if include_permutation else None,
         }
         return ServeResult(payload=body, store=store_state)
 
@@ -412,7 +428,7 @@ class ReorderService:
 
     # -- store access behind its circuit breaker -------------------------
     #
-    # A sick store (failing disk, injected serve.store.* faults) must
+    # A sick store (failing disk, injected store.* faults) must
     # degrade the service to recompute-and-skip-persist, never fail a
     # request: reads become misses, writes become no-ops, and once the
     # failure rate trips the breaker the store is bypassed outright
@@ -450,16 +466,18 @@ class ReorderService:
     def _evaluate(
         self, graph: Graph, digest: str, technique: str, kernel: str, policy: str
     ) -> Tuple[Dict[str, object], str]:
-        """Evaluated (permutation, kernel) payload plus its store state."""
-        key = eval_key(digest, technique, kernel, policy, self.platform.name)
-        cached = self._store_get("eval", key)
+        """Evaluated cell (its ``eval`` payload, permutation and
+        reordering seconds) plus its store state."""
+        pkey = perm_key(digest, technique)
+        key = eval_key(pkey, kernel, policy, self.platform.name, SCHEDULE, MASK)
+        cached = self._stored_cell(key, pkey)
         if cached is not None:
             return cached, "hit"
 
         def compute() -> Dict[str, object]:
             # A concurrent flight (or another process) may have landed
-            # the entry between our miss and winning the flight lead.
-            landed = self._store_get("eval", key)
+            # the entries between our miss and winning the flight lead.
+            landed = self._stored_cell(key, pkey)
             if landed is not None:
                 return landed
             # Only genuine compute passes the breaker + admission gate:
@@ -479,41 +497,22 @@ class ReorderService:
                         "serve-eval", technique=technique, kernel=kernel,
                         policy=policy,
                     ):
-                        perm_payload = self._permutation(graph, digest, technique)
-                        check_deadline()
-                        perm = np.asarray(
-                            perm_payload["permutation"], dtype=np.int64
+                        permutation, seconds = self._permutation(
+                            graph, digest, technique
                         )
-                        permuted = permute_symmetric(graph.adjacency, perm)
+                        check_deadline()
+                        permuted = permute_symmetric(
+                            graph.adjacency, np.asarray(permutation, dtype=np.int64)
+                        )
                         check_deadline()
                         trace = KernelSpec.parse(kernel).build_trace(
-                            permuted, self.platform
+                            permuted, self.platform, schedule=SCHEDULE
                         )
                         run = model_run(trace, self.platform, policy=policy)
-                    payload: Dict[str, object] = {
-                        "schema": RESPONSE_SCHEMA,
-                        "eval_key": key,
-                        "perm_key": perm_payload["perm_key"],
-                        "matrix_digest": digest,
-                        "technique": technique,
-                        "kernel": kernel,
-                        "policy": policy,
-                        "platform": self.platform.name,
-                        "reorder_seconds": perm_payload["seconds"],
-                        "permutation": perm_payload["permutation"],
-                        "model": {
-                            "normalized_traffic": run.normalized_traffic,
-                            "normalized_runtime": run.normalized_runtime,
-                            "traffic_bytes": run.traffic_bytes,
-                            "compulsory_bytes": run.compulsory_bytes,
-                            "modeled_seconds": run.modeled_seconds,
-                            "ideal_seconds": run.ideal_seconds,
-                            "hit_rate": run.stats.hit_rate,
-                            "dead_line_fraction": run.stats.dead_line_fraction,
-                            "accesses": run.stats.accesses,
-                            "misses": run.stats.misses,
-                        },
-                    }
+                    payload = eval_payload(
+                        key, pkey, kernel, policy, self.platform.name,
+                        SCHEDULE, MASK, run,
+                    )
                     self._store_put("eval", key, payload)
             except OverloadedError:
                 # Shed before the pipeline ran: says nothing about the
@@ -532,40 +531,47 @@ class ReorderService:
                 breaker.failure()
                 raise
             breaker.success()
-            return payload
+            return {"eval": payload, "permutation": permutation, "seconds": seconds}
 
         result, led = self._flight.do(f"eval:{key}", compute)
         return result, ("miss" if led else "coalesced")
 
+    def _stored_cell(self, key: str, pkey: str) -> Optional[Dict[str, object]]:
+        """The cell from its ``eval``, ``perm`` and ``time`` entries, or
+        ``None`` when any of them is missing."""
+        evaluation = self._store_get("eval", key)
+        perm = self._store_get("perm", pkey) if evaluation is not None else None
+        timing = self._store_get("time", pkey) if perm is not None else None
+        if timing is None:
+            return None
+        return {
+            "eval": evaluation,
+            "permutation": perm["permutation"],
+            "seconds": timing["seconds"],
+        }
+
     def _permutation(
         self, graph: Graph, digest: str, technique: str
-    ) -> Dict[str, object]:
-        """Store-backed, coalesced permutation computation."""
-        key = perm_key(digest, technique)
-        cached = self._store_get("perm", key)
-        if cached is not None:
-            return cached
+    ) -> Tuple[List[int], float]:
+        """Store-backed, coalesced permutation and its measured seconds.
 
-        def compute() -> Dict[str, object]:
-            # Runs under the eval flight's admission slot and breaker
-            # accounting — no second gate here.
-            landed = self._store_get("perm", key)
-            if landed is not None:
-                return landed
+        Runs under the eval flight's admission slot and breaker
+        accounting — no second gate here.
+        """
+        key = perm_key(digest, technique)
+
+        def compute() -> Tuple[List[int], float]:
+            stored = self._store_get("perm", key)
+            timing = self._store_get("time", key) if stored is not None else None
+            if timing is not None:
+                return stored["permutation"], timing["seconds"]
             get_obs().counter("serve.compute.permutation")
             check_deadline()
             timed = reorder_with_timing(make_technique(technique), graph)
-            payload: Dict[str, object] = {
-                "schema": RESPONSE_SCHEMA,
-                "perm_key": key,
-                "matrix_digest": digest,
-                "technique": technique,
-                "n_nodes": graph.n_nodes,
-                "seconds": timed.seconds,
-                "permutation": timed.permutation.tolist(),
-            }
+            payload = perm_payload(key, digest, technique, timed.permutation)
             self._store_put("perm", key, payload)
-            return payload
+            self._store_put("time", key, {"perm_key": key, "seconds": timed.seconds})
+            return payload["permutation"], timed.seconds
 
         result, _led = self._flight.do(f"perm:{key}", compute)
         return result

@@ -77,7 +77,7 @@ class TestObservabilityCli:
         assert main(["cache-stats"]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path / "memo") in out
-        assert "run" in out and "metrics" in out
+        assert "eval" in out and "metrics" in out
         assert "total" in out
 
     def test_log_file_emits_valid_jsonl(self, tmp_path, capsys, monkeypatch):
@@ -95,7 +95,7 @@ class TestObservabilityCli:
         assert "experiment.fig2" in span_names
         assert "cache-sim" in span_names
         counters = [e for e in events if e["kind"] == "counters"][-1]
-        assert counters["counters"].get("memo.run.miss", 0) >= 1
+        assert counters["counters"].get("store.eval.miss", 0) >= 1
 
     def test_quiet_flag_accepted_without_observability(self, capsys):
         assert main(["--quiet", "techniques"]) == 0
@@ -126,8 +126,8 @@ class TestObservabilityCli:
         memo = tmp_path / "memo"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(memo))
         assert main(["--quiet", "metrics", "test-mesh", "--profile", "test"]) == 0
-        # Damage a memo file, then let doctor quarantine it.
-        victim = next(f for f in memo.iterdir() if f.name.startswith("metrics-"))
+        # Damage a store entry, then let doctor quarantine it.
+        (victim,) = (memo / "metrics").rglob("*.json")
         victim.write_text("{corrupt")
         assert main(["doctor", "--quarantine"]) == 1
         capsys.readouterr()
@@ -175,7 +175,7 @@ class TestParallelCli:
         ) == 0
         out = capsys.readouterr().out
         assert "fig3" in out
-        run_files = [f for f in memo.iterdir() if f.name.startswith("run-")]
+        run_files = list((memo / "eval").rglob("*.json"))
         assert len(run_files) == 6  # one rabbit spmv-csr cell per test matrix
 
     def test_experiment_jobs_default_is_sequential(self, tmp_path, monkeypatch):
@@ -205,19 +205,19 @@ class TestDoctorCli:
         self.write_cache(tmp_path / "memo", monkeypatch)
         capsys.readouterr()
         assert main(["doctor"]) == 0
-        assert "cache integrity: OK" in capsys.readouterr().out
+        assert "store integrity: OK" in capsys.readouterr().out
 
     def test_corrupt_cache_exits_nonzero_naming_file(
         self, tmp_path, capsys, monkeypatch
     ):
         memo = tmp_path / "memo"
         self.write_cache(memo, monkeypatch)
-        victim = next(f for f in memo.iterdir() if f.name.startswith("metrics-"))
+        (victim,) = (memo / "metrics").rglob("*.json")
         victim.write_text("{ truncated", encoding="utf-8")
         capsys.readouterr()
         assert main(["doctor"]) == 1
         captured = capsys.readouterr()
-        assert f"DAMAGED {victim.name}" in captured.out
+        assert f"DAMAGED {victim.relative_to(memo)}" in captured.out
         assert "damaged" in captured.err
 
     def test_quarantine_flag_moves_damaged_files(
@@ -225,7 +225,7 @@ class TestDoctorCli:
     ):
         memo = tmp_path / "memo"
         self.write_cache(memo, monkeypatch)
-        victim = next(f for f in memo.iterdir() if f.name.startswith("metrics-"))
+        (victim,) = (memo / "metrics").rglob("*.json")
         victim.write_text("{ truncated", encoding="utf-8")
         assert main(["doctor", "--quarantine"]) == 1
         assert not victim.exists()
@@ -239,10 +239,10 @@ class TestDoctorCli:
         assert "(missing)" in capsys.readouterr().out
 
     def test_store_scan_and_quarantine(self, tmp_path, capsys):
-        from repro.serve.store import PermutationStore, perm_key
+        from repro.store import ResultStore, perm_key
 
         store_dir = str(tmp_path / "serve-store")
-        store = PermutationStore(store_dir)
+        store = ResultStore(store_dir)
         store.put("perm", perm_key("d0", "rcm"), {"permutation": [0]})
         victim = store.put("perm", perm_key("d1", "rcm"), {"permutation": [1]})
         assert main(["doctor", "--store", "--cache-dir", store_dir]) == 0

@@ -172,15 +172,14 @@ class TestCacheDir:
 class TestWriteJson:
     def test_failed_write_leaves_no_temp_file(self, runner):
         os.makedirs(runner.cache_dir, exist_ok=True)
-        path = os.path.join(runner.cache_dir, "broken.json")
         with pytest.raises(TypeError):
-            runner._write_json(path, {"bad": object()})
-        assert os.listdir(runner.cache_dir) == []
+            runner.store.put("eval", "ab" * 32, {"bad": object()})
+        assert [files for _, _, files in os.walk(runner.cache_dir)] == [[]]
 
     def test_successful_write_leaves_only_target(self, runner):
-        path = os.path.join(runner.cache_dir, "ok.json")
-        runner._write_json(path, {"fine": 1})
-        assert os.listdir(runner.cache_dir) == ["ok.json"]
+        path = runner.store.put("eval", "ab" * 32, {"fine": 1})
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        assert runner.store.entries() == [path]
 
 
 class TestMemoCounters:
@@ -188,23 +187,23 @@ class TestMemoCounters:
         cold = Instrumentation(enabled=True)
         with using(cold):
             runner.run("test-mesh", "rabbit")
-        assert cold.counters.get("memo.run.miss") == 1
-        assert cold.counters.get("memo.run.hit") == 0
+        assert cold.counters.get("store.eval.miss") == 1
+        assert cold.counters.get("store.eval.hit") == 0
 
         warm = Instrumentation(enabled=True)
         fresh = ExperimentRunner(profile="test", cache_dir=runner.cache_dir)
         with using(warm):
             fresh.run("test-mesh", "rabbit")
-        assert warm.counters.get("memo.run.hit") == 1
-        assert warm.counters.get("memo.run.miss") == 0
+        assert warm.counters.get("store.eval.hit") == 1
+        assert warm.counters.get("store.eval.miss") == 0
 
     def test_metrics_memo_counters(self, runner):
         instr = Instrumentation(enabled=True)
         with using(instr):
             runner.matrix_metrics("test-mesh")
             runner.matrix_metrics("test-mesh")
-        assert instr.counters.get("memo.metrics.miss") == 1
-        assert instr.counters.get("memo.metrics.hit") == 1
+        assert instr.counters.get("store.metrics.miss") == 1
+        assert instr.counters.get("store.metrics.hit") == 1
 
     def test_stage_spans_recorded(self, runner):
         instr = Instrumentation(enabled=True)
@@ -243,8 +242,7 @@ class TestTolerantCacheReads:
 
     def test_invalid_json_cache_entry_recomputed(self, runner):
         record = runner.run("test-mesh", "original")
-        names = [n for n in os.listdir(runner.cache_dir) if n.startswith("run-")]
-        with open(os.path.join(runner.cache_dir, names[0]), "w") as handle:
+        with open(runner.run_cache_path("test-mesh", "original"), "w") as handle:
             handle.write("{ not json")
         fresh = ExperimentRunner(profile="test", cache_dir=runner.cache_dir)
         redone = fresh.run("test-mesh", "original")

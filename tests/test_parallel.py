@@ -1,10 +1,11 @@
 """repro.parallel: planning, pool execution, and sequential equivalence.
 
 The core invariant: precomputing cells with ``jobs=N`` must leave the
-on-disk memo byte-identical to the sequential path, so the drivers
-replaying the sweep produce the same ``RunRecord``s either way.  Both
-sides run under a zero-tick :class:`FakeClock` so the one
-nondeterministic field (``reorder_seconds``) memoizes identically.
+store's ``perm/``, ``eval/`` and ``metrics/`` entries byte-identical to
+the sequential path, so the drivers replaying the sweep produce the
+same ``RunRecord``s either way.  Those entries hold no wall-clock
+value, so the comparison runs under the real clock; measured
+reordering seconds live in ``time/`` entries, which it leaves out.
 """
 
 import os
@@ -25,19 +26,12 @@ from repro.parallel import (
     plan_cells,
     run_cell,
 )
+from repro.store import DETERMINISTIC_KINDS
+from tests.test_store import store_files
 
 #: Drivers used for the (relatively) expensive equivalence tests; kept
 #: small so the suite stays fast — fig3 covers metrics + run cells.
 EQUIVALENCE_DRIVERS = {"fig3": fig3.run}
-
-
-def read_cache(cache_dir):
-    """{filename: bytes} of every memo file in the directory."""
-    out = {}
-    for name in sorted(os.listdir(cache_dir)):
-        with open(os.path.join(cache_dir, name), "rb") as handle:
-            out[name] = handle.read()
-    return out
 
 
 class TestCells:
@@ -189,8 +183,8 @@ class TestExecutor:
                 cells, RunnerConfig("test", str(tmp_path / "memo")), jobs=2
             )
         assert stats.executed == 3
-        assert instr.counters.get("memo.run.miss") == 2
-        assert instr.counters.get("memo.metrics.miss") == 1
+        assert instr.counters.get("store.eval.miss") == 2
+        assert instr.counters.get("store.metrics.miss") == 1
         assert instr.counters.get("parallel.cells.executed") == 3
         totals = instr.span_totals()
         for stage in ("load", "reorder", "trace", "cache-sim", "reorder-detect"):
@@ -199,18 +193,15 @@ class TestExecutor:
 
 class TestParallelEquivalence:
     def test_parallel_memo_byte_identical_to_sequential(self, tmp_path):
-        """jobs=2 and jobs=1 must write byte-identical memo files."""
+        """jobs=2 and jobs=1 must write byte-identical store entries."""
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
         seq_dir = str(tmp_path / "seq")
         par_dir = str(tmp_path / "par")
-        execute_cells(
-            cells, RunnerConfig("test", seq_dir), jobs=1, worker_clock=FakeClock()
-        )
-        execute_cells(
-            cells, RunnerConfig("test", par_dir), jobs=2, worker_clock=FakeClock()
-        )
-        seq_files = read_cache(seq_dir)
-        par_files = read_cache(par_dir)
+        execute_cells(cells, RunnerConfig("test", seq_dir), jobs=1)
+        execute_cells(cells, RunnerConfig("test", par_dir), jobs=2)
+        seq_files = store_files(seq_dir, DETERMINISTIC_KINDS)
+        par_files = store_files(par_dir, DETERMINISTIC_KINDS)
+        assert {path.split(os.sep)[0] for path in seq_files} == set(DETERMINISTIC_KINDS)
         assert seq_files.keys() == par_files.keys()
         assert seq_files == par_files
 
@@ -227,8 +218,8 @@ class TestParallelEquivalence:
             par_report = fig3.run(
                 profile="test", runner=ExperimentRunner("test", cache_dir=par_dir)
             )
-        assert replay.counters.get("memo.run.miss") == 0
-        assert replay.counters.get("memo.run.hit") > 0
+        assert replay.counters.get("store.eval.miss") == 0
+        assert replay.counters.get("store.eval.hit") > 0
 
         seq_dir = str(tmp_path / "seq")
         with using(Instrumentation(enabled=True, clock=FakeClock())):

@@ -52,11 +52,12 @@ from repro.resilience import (
     payload_checksum,
     quarantine_path,
     reset_faults,
-    scan_cache,
     unwrap_document,
     wrap_payload,
 )
 from repro.resilience.integrity import atomic_write_document, unique_tmp_path
+from repro.store import ResultStore
+from tests.test_store import store_files
 
 EQUIVALENCE_DRIVERS = {"fig3": fig3.run}
 
@@ -66,18 +67,6 @@ def _clean_faults():
     reset_faults()
     yield
     reset_faults()
-
-
-def memo_files(cache_dir):
-    """{filename: bytes} of memo files, excluding manifest/quarantine."""
-    out = {}
-    for name in sorted(os.listdir(cache_dir)):
-        path = os.path.join(cache_dir, name)
-        if name == "sweep-manifest.json" or not os.path.isfile(path):
-            continue
-        with open(path, "rb") as handle:
-            out[name] = handle.read()
-    return out
 
 
 def install_plan(document):
@@ -469,55 +458,38 @@ class TestIntegrityEnvelope:
             "entry.json.1",
         ]
 
-    def test_scan_cache_classifies(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        with open(cache / "good.json", "w", encoding="utf-8") as handle:
-            json.dump(wrap_payload({"ok": True}), handle)
-        with open(cache / "legacy.json", "w", encoding="utf-8") as handle:
-            json.dump({"old": True}, handle)
-        with open(cache / "bad.json", "w", encoding="utf-8") as handle:
-            handle.write("{ nope")
-        scan = scan_cache(str(cache))
-        assert scan.ok == ["good.json"]
-        assert scan.legacy == ["legacy.json"]
-        assert [name for name, _ in scan.damaged] == ["bad.json"]
-        assert not scan.healthy
-
-
 class TestRunnerCacheRecovery:
     """A damaged memo never crashes the runner — quarantine + recompute."""
 
-    def damage_one(self, cache_dir, prefix):
-        names = [n for n in os.listdir(cache_dir) if n.startswith(prefix)]
-        assert names, f"no {prefix} memo written"
-        path = os.path.join(cache_dir, names[0])
-        with open(path, "r+b") as handle:
-            handle.truncate(os.path.getsize(path) // 2)
-        return names[0]
+    def damage_one(self, cache_dir, kind):
+        paths = ResultStore(cache_dir).entries((kind,))
+        assert paths, f"no {kind} entry written"
+        with open(paths[0], "r+b") as handle:
+            handle.truncate(os.path.getsize(paths[0]) // 2)
+        return paths[0]
 
     def test_truncated_run_entry_recomputed(self, tmp_path):
         cache = str(tmp_path / "cache")
         runner = ExperimentRunner(profile="test", cache_dir=cache)
         with using(Instrumentation(enabled=True, clock=FakeClock())):
             clean = runner.run("test-mesh", "degsort")
-        damaged_name = self.damage_one(cache, "run-")
+        damaged = self.damage_one(cache, "eval")
 
         fresh = ExperimentRunner(profile="test", cache_dir=cache)
         with using(Instrumentation(enabled=True, clock=FakeClock())) as instr:
             recomputed = fresh.run("test-mesh", "degsort")
         assert recomputed.to_json() == clean.to_json()
         assert instr.counters.get("resilience.quarantined") == 1
-        assert instr.counters.get("memo.run.miss") == 1
-        assert damaged_name in os.listdir(quarantine_path(cache))
+        assert instr.counters.get("store.eval.miss") == 1
+        assert os.path.basename(damaged) in os.listdir(quarantine_path(cache))
         # The recomputed entry is valid again.
-        assert load_verified(os.path.join(cache, damaged_name))
+        assert load_verified(damaged)
 
     def test_truncated_metrics_entry_recomputed(self, tmp_path):
         cache = str(tmp_path / "cache")
         runner = ExperimentRunner(profile="test", cache_dir=cache)
         clean = runner.matrix_metrics("test-mesh")
-        self.damage_one(cache, "metrics-")
+        self.damage_one(cache, "metrics")
         fresh = ExperimentRunner(profile="test", cache_dir=cache)
         assert fresh.matrix_metrics("test-mesh").to_json() == clean.to_json()
 
@@ -525,7 +497,7 @@ class TestRunnerCacheRecovery:
         cache = str(tmp_path / "cache")
         runner = ExperimentRunner(profile="test", cache_dir=cache)
         runner.run("test-mesh", "degsort")
-        self.damage_one(cache, "reorder-time-")
+        self.damage_one(cache, "time")
         fresh = ExperimentRunner(profile="test", cache_dir=cache)
         assert fresh.reorder_seconds("test-mesh", "degsort") >= 0.0
 
@@ -546,7 +518,7 @@ class TestRunnerCacheRecovery:
         with using(Instrumentation(enabled=True)) as instr:
             again.matrix_metrics("test-mesh")
         assert instr.counters.get("resilience.quarantined") == 0
-        assert instr.counters.get("memo.metrics.hit") == 1
+        assert instr.counters.get("store.metrics.hit") == 1
 
 
 class TestSweepManifest:
@@ -646,8 +618,8 @@ class TestFaultPlan:
         victim = tmp_path / "memo.json"
         victim.write_text(json.dumps(wrap_payload({"x": 1})), encoding="utf-8")
         size = victim.stat().st_size
-        install_plan({"faults": [{"site": "memo.write", "action": "corrupt"}]})
-        fault_point("memo.write", path=str(victim))
+        install_plan({"faults": [{"site": "store.put", "action": "corrupt"}]})
+        fault_point("store.put", path=str(victim))
         assert victim.stat().st_size == size // 2
 
     def test_env_plan_parsed_once_per_value(self, monkeypatch, tmp_path):
@@ -825,26 +797,23 @@ class TestKillResumeEquivalence:
         execute_cells(
             cells, RunnerConfig("test", clean), jobs=1, worker_clock=FakeClock()
         )
-        assert memo_files(interrupted) == memo_files(clean)
+        assert store_files(interrupted) == store_files(clean)
 
 
 class TestCorruptCacheRecovery:
-    """Acceptance: 10% of memo files damaged -> quarantine + identical results."""
+    """Acceptance: 10% of store entries damaged -> quarantine + identical results."""
 
     def test_sweep_completes_over_randomly_damaged_cache(self, tmp_path):
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
         cache = str(tmp_path / "memo")
         config = RunnerConfig("test", cache)
         execute_cells(cells, config, jobs=1, worker_clock=FakeClock())
-        clean_bytes = memo_files(cache)
+        clean_bytes = store_files(cache)
 
         rng = random.Random(42)
-        # Damage only files the fig3 replay actually reads (reorder-time
-        # entries are bookkeeping the driver never touches).
-        names = sorted(
-            n for n in clean_bytes
-            if n.startswith("run-") or n.startswith("metrics-")
-        )
+        # Damage only entries the fig3 replay reads whole (a stored
+        # cell's perm entry is never read on a replay).
+        names = sorted(n for n in clean_bytes if n.startswith(("eval", "metrics")))
         damaged = rng.sample(names, max(2, len(names) // 10))
         for name in damaged:
             path = os.path.join(cache, name)
@@ -866,7 +835,7 @@ class TestCorruptCacheRecovery:
             )
         assert instr.counters.get("resilience.quarantined") == len(damaged)
         quarantined = os.listdir(quarantine_path(cache))
-        assert sorted(quarantined) == sorted(damaged)
+        assert sorted(quarantined) == sorted(os.path.basename(n) for n in damaged)
 
         # Recompute wrote fresh valid entries; results match a clean run.
         with using(Instrumentation(enabled=True, clock=FakeClock())):
@@ -914,7 +883,7 @@ class TestWorkerCrashRecovery:
         execute_cells(
             cells, RunnerConfig("test", seq_dir), jobs=1, worker_clock=FakeClock()
         )
-        assert memo_files(par_dir) == memo_files(seq_dir)
+        assert store_files(par_dir) == store_files(seq_dir)
 
     def test_strict_mode_still_raises_parallel_execution_error(self, tmp_path):
         bogus = metrics_cell("no-such-matrix")

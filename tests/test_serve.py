@@ -39,9 +39,10 @@ from repro.serve.client import ClientResponse, ServeClient, idempotency_key
 from repro.serve.coalesce import SingleFlight
 from repro.serve.httpd import make_server, render_body
 from repro.serve.service import ReorderService, ServeConfig
-from repro.serve.store import (
-    PermutationStore,
+from repro.store import (
+    ResultStore,
     eval_key,
+    metrics_key,
     perm_key,
     structure_digest,
 )
@@ -93,20 +94,25 @@ def test_structure_digest_ignores_values():
 
 
 def test_keys_depend_on_every_component():
+    perm = perm_key("d1", "rcm")
     keys = {
-        perm_key("d1", "rcm"),
+        perm,
         perm_key("d2", "rcm"),
         perm_key("d1", "rabbit"),
-        eval_key("d1", "rcm", "spmv-csr", "lru", "p"),
-        eval_key("d1", "rcm", "spmv-csr", "belady", "p"),
-        eval_key("d1", "rcm", "spmm-csr-4", "lru", "p"),
-        eval_key("d1", "rcm", "spmv-csr", "lru", "q"),
+        metrics_key("d1"),
+        eval_key(perm, "spmv-csr", "lru", "p", "sequential", "none"),
+        eval_key(perm_key("d2", "rcm"), "spmv-csr", "lru", "p", "sequential", "none"),
+        eval_key(perm, "spmv-csr", "belady", "p", "sequential", "none"),
+        eval_key(perm, "spmm-csr-4", "lru", "p", "sequential", "none"),
+        eval_key(perm, "spmv-csr", "lru", "q", "sequential", "none"),
+        eval_key(perm, "spmv-csr", "lru", "p", "interleaved", "none"),
+        eval_key(perm, "spmv-csr", "lru", "p", "sequential", "insular"),
     }
-    assert len(keys) == 7
+    assert len(keys) == 11
 
 
 def test_store_roundtrip_and_quarantine(tmp_path, instr):
-    store = PermutationStore(str(tmp_path / "store"))
+    store = ResultStore(str(tmp_path / "store"))
     key = perm_key("digest", "rcm")
     assert store.get("perm", key) is None
     path = store.put("perm", key, {"permutation": [0, 1, 2]})
@@ -349,7 +355,7 @@ def test_compute_counters_tick_once_per_entry(service, instr):
     service.handle({"matrix": "test-comm", "technique": "degsort"})
     assert instr.counters.get("serve.compute.permutation") == 1
     assert instr.counters.get("serve.compute.eval") == 1
-    assert instr.counters.get("serve.store.eval.hit") == 1
+    assert instr.counters.get("store.eval.hit") == 1
 
 
 # -- HTTP over a real socket ---------------------------------------------
@@ -912,7 +918,7 @@ def test_store_breaker_degrades_to_recompute(fragile_service, instr, faults):
 
     # Two failing reads (outer lookup + in-flight re-check) trip the
     # store breaker; the request must still succeed by recomputing.
-    _install_fault("serve.store.get", action="raise", exception="oserror", times=2)
+    _install_fault("store.get", action="raise", exception="oserror", times=2)
     result = service.handle(request)
     assert (result.status, result.store) == (200, "miss")
     assert instr.counters.get("serve.breaker.store.opened") == 1
@@ -952,7 +958,7 @@ def test_client_errors_inside_compute_do_not_trip_breaker(
 
 def test_corrupt_put_quarantines_on_next_read(service, instr, faults):
     _install_fault(
-        "serve.store.put", action="corrupt", mode="flip", match="eval:", times=1
+        "store.put", action="corrupt", mode="flip", match="eval:", times=1
     )
     request = {"matrix": "test-comm", "technique": "degsort"}
     assert service.handle(request).store == "miss"
@@ -983,10 +989,12 @@ def test_stats_report_admission_breakers_and_errors(service):
 
 
 def test_store_scan_classifies_and_quarantines(tmp_path, instr):
-    store = PermutationStore(str(tmp_path / "store"))
+    store = ResultStore(str(tmp_path / "store"))
     store.put("perm", perm_key("d", "rcm"), {"permutation": [0]})
     victim = store.put(
-        "eval", eval_key("d", "rcm", "spmv-csr", "lru", "p"), {"x": 1}
+        "eval",
+        eval_key(perm_key("d", "rcm"), "spmv-csr", "lru", "p", "sequential", "none"),
+        {"x": 1},
     )
     with open(victim, "r+b") as handle:
         handle.truncate(10)
