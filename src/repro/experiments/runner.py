@@ -58,6 +58,7 @@ from repro.reorder.registry import make_technique
 from repro.sparse.mask import restrict_to_nodes
 from repro.sparse.permute import permute_symmetric
 from repro.store import (
+    PermutationText,
     ResultStore,
     eval_key,
     eval_payload,
@@ -211,7 +212,7 @@ class ExperimentRunner:
             if timing is not None:
                 timed = TimedReordering(
                     technique,
-                    np.asarray(stored["permutation"], dtype=np.int64),
+                    np.asarray(PermutationText(stored["permutation"]), dtype=np.int64),
                     float(timing["seconds"]),
                 )
             else:
@@ -345,17 +346,19 @@ class ExperimentRunner:
         sizes at once, so the modeled capacity is scaled by
         ``max(1, k // 16)``: larger caches for larger gathers, while
         keeping the B-row capacity a small fraction of the node count
-        (the paper's capacity-starved SpMM regime; see DESIGN.md).
+        (the paper's capacity-starved SpMM regime; see DESIGN.md).  A
+        factor of 1 is the base platform under its own name, so an
+        unscaled SpMM cell shares its eval key with the serve tier.
         """
         spec = KernelSpec.coerce(kernel)
-        if spec.kind == "spmm-csr":
-            factor = max(1, spec.k // 16)
-            return dataclasses.replace(
-                self.platform,
-                name=f"{self.platform.name}-x{factor}",
-                l2_capacity_bytes=self.platform.l2_capacity_bytes * factor,
-            )
-        return self.platform
+        factor = spec.k // 16 if spec.kind == "spmm-csr" else 1
+        if factor <= 1:
+            return self.platform
+        return dataclasses.replace(
+            self.platform,
+            name=f"{self.platform.name}-x{factor}",
+            l2_capacity_bytes=self.platform.l2_capacity_bytes * factor,
+        )
 
     def _build_trace(self, permuted, kernel: str):
         return KernelSpec.coerce(kernel).build_trace(

@@ -39,11 +39,10 @@ from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.graph import Graph
 from repro.obs import get_obs, logger
 from repro.resilience.integrity import (
-    atomic_write_document,
+    atomic_write_payload,
     load_verified,
     quarantine_path,
     unique_tmp_path,
-    wrap_payload,
 )
 from repro.sparse.coo import COOMatrix
 from repro.sparse.memmap import csr_from_coo_chunks, load_csr_memmap, symmetrize_to_memmap
@@ -190,9 +189,7 @@ def build_rmat_cache(directory: str, scale: int, edge_factor: int, seed: int) ->
                 "undirected_nnz": int(undirected.nnz),
             }
             del adjacency, undirected
-            atomic_write_document(
-                os.path.join(staging, GRAPH_META_FILENAME), wrap_payload(payload)
-            )
+            atomic_write_payload(os.path.join(staging, GRAPH_META_FILENAME), payload)
         os.makedirs(os.path.dirname(os.path.abspath(directory)), exist_ok=True)
         if os.path.isdir(directory):
             shutil.rmtree(directory)  # concurrent rebuild: last writer wins

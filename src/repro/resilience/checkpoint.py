@@ -24,11 +24,7 @@ from typing import Optional, Set
 
 from repro.obs import get_obs, logger
 from repro.resilience.failures import FailureReport
-from repro.resilience.integrity import (
-    atomic_write_document,
-    load_or_quarantine,
-    wrap_payload,
-)
+from repro.resilience.integrity import atomic_write_payload, load_or_quarantine
 
 MANIFEST_NAME = "sweep-manifest.json"
 
@@ -170,4 +166,4 @@ class SweepManifest:
             "failures": self.failures.to_json(),
             "run_ids": sorted(self.run_ids),
         }
-        atomic_write_document(self.path, wrap_payload(payload))
+        atomic_write_payload(self.path, payload)

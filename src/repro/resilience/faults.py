@@ -53,7 +53,8 @@ Determinism: each rule fires at most ``times`` times.  With a
 ``state_dir`` the count is shared across *processes* via exclusive
 marker-file creation — a rule with ``times: 1`` fires exactly once
 per sweep no matter how many workers race past the site or how often a
-retried group re-runs; without one, counts are per-process.
+retried group re-runs; without one, counts are per-process, held under
+a lock so threads racing past a site (serve workers) share one budget.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
@@ -178,6 +180,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._fired: List[int] = [0] * len(plan.rules)
+        self._lock = threading.Lock()
 
     def fire(self, site: str, label: str = "", path: str = "") -> None:
         for index, rule in enumerate(self.plan.rules):
@@ -203,10 +206,11 @@ class FaultInjector:
                 os.close(handle)
                 return True
             return False
-        if self._fired[index] >= rule.times:
-            return False
-        self._fired[index] += 1
-        return True
+        with self._lock:
+            if self._fired[index] >= rule.times:
+                return False
+            self._fired[index] += 1
+            return True
 
     def _act(self, rule: FaultRule, label: str, path: str) -> None:
         where = label or path or rule.site
@@ -251,6 +255,9 @@ def _corrupt_file(path: str, mode: str) -> None:
 #: process; an explicit injector installed by tests overrides the env.
 _cached: "tuple[str, Optional[FaultInjector]]" = ("", None)
 _override: Optional[FaultInjector] = None
+#: Serializes building the env injector, so threads reaching their
+#: first fault site together share one injector and its budget.
+_build_lock = threading.Lock()
 
 
 def get_injector() -> Optional[FaultInjector]:
@@ -258,11 +265,13 @@ def get_injector() -> Optional[FaultInjector]:
     if _override is not None:
         return _override
     env = os.environ.get(ENV_VAR, "")
-    if _cached[0] == env:
+    cached = _cached
+    if cached[0] == env:
+        return cached[1]
+    with _build_lock:
+        if _cached[0] != env:
+            _cached = (env, FaultInjector(FaultPlan.parse(env)) if env else None)
         return _cached[1]
-    injector = FaultInjector(FaultPlan.parse(env)) if env else None
-    _cached = (env, injector)
-    return injector
 
 
 def fault_point(site: str, label: str = "", path: str = "") -> None:

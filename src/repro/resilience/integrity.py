@@ -1,15 +1,18 @@
 """Versioned, checksummed envelopes for cache files.
 
 Every entry of the result store (:mod:`repro.store`), the sweep
-manifest and the matrix cache is wrapped in an envelope, and
-:func:`atomic_write_document` writes it as canonical JSON (sorted
-keys, compact separators)::
+manifest and the matrix cache is wrapped in an envelope, written as
+canonical JSON (sorted keys, compact separators)::
 
     {"__repro_cache__":{"checksum":"<sha256 of payload>","schema":1},"payload":{...}}
 
 The checksum covers the same canonical encoding of the payload, so the
 checksummed bytes appear verbatim after ``"payload":`` and any
 truncation, bit-flip or half-written file is detected on read.
+:func:`atomic_write_payload` encodes the payload once, hashes those
+bytes and writes them between the envelope's fixed head and tail; it
+gives the same bytes as :func:`atomic_write_document` of
+:func:`wrap_payload`, which encodes the payload twice.
 :func:`load_verified` has two paths.  A file in this layout is verified
 by hashing its stored payload bytes; only the payload is then parsed,
 once.  Any other file (the older ``indent=1`` layout, a hand-written
@@ -111,7 +114,7 @@ def unwrap_document(
     return payload
 
 
-#: The bytes :func:`atomic_write_document` puts around an envelope's
+#: The bytes :func:`atomic_write_payload` puts around an envelope's
 #: 64-hex checksum and its payload.  Canonical key order puts
 #: ``__repro_cache__`` before ``payload`` and ``checksum`` before ``schema``.
 _HEAD = ('{"%s":{"checksum":"' % ENVELOPE_KEY).encode("ascii")
@@ -241,16 +244,32 @@ def unique_tmp_path(path: str) -> str:
     )
 
 
-def atomic_write_document(path: str, document: Dict[str, object]) -> None:
-    """Write a JSON document atomically (unique tmp + ``os.replace``).
+def atomic_write_payload(path: str, payload: Dict[str, object]) -> None:
+    """Write ``payload`` in its checksum envelope, atomically.
 
-    The file holds the document's canonical encoding, so an envelope's
-    payload bytes are exactly the ones its checksum covers.  Safe under
-    concurrent same-key writers: every writer renames its own private
-    temp file over ``path``, so readers only ever see a complete
-    document (last writer wins).
+    The payload is encoded once: those bytes are hashed and written
+    between the envelope's head and ``}``, byte for byte what
+    :func:`atomic_write_document` writes for :func:`wrap_payload`.
     """
-    data = _canonical_bytes(document)
+    body = _canonical_bytes(payload)
+    checksum = hashlib.sha256(body).hexdigest().encode("ascii")
+    _atomic_write_bytes(path, b"".join((_HEAD, checksum, _NECK, body, b"}")))
+
+
+def atomic_write_document(path: str, document: Dict[str, object]) -> None:
+    """Write a JSON document atomically, as its canonical encoding, so
+    an envelope's payload bytes are exactly the ones its checksum covers.
+    """
+    _atomic_write_bytes(path, _canonical_bytes(document))
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` atomically (unique tmp + ``os.replace``).
+
+    Safe under concurrent same-key writers: every writer renames its
+    own private temp file over ``path``, so readers only ever see a
+    complete file (last writer wins).
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = unique_tmp_path(path)
     try:

@@ -12,8 +12,7 @@ connection, no new dependencies) exposing:
 
   The *body* of a store hit is byte-identical to the body of the miss
   that created the entry — everything nondeterministic travels in
-  headers (``json.dumps(..., sort_keys=True)`` keeps the rendering
-  canonical).
+  headers (:func:`render_body` keeps the rendering canonical).
 
 * ``POST /v1/recommend`` (and ``GET /v1/recommend?matrix=...``) — the
   predictor-backed "is reordering worth it?" endpoint
@@ -56,7 +55,7 @@ import traceback
 import uuid
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -69,6 +68,7 @@ from repro.errors import (
 from repro.obs import get_obs, logger
 from repro.resilience.faults import fault_point
 from repro.serve.service import ReorderService
+from repro.store import PermutationText
 
 
 def _retry_after(seconds: float) -> str:
@@ -76,14 +76,34 @@ def _retry_after(seconds: float) -> str:
     return str(max(1, math.ceil(seconds)))
 
 
+def _canonical(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def render_body(payload: Dict[str, object]) -> bytes:
     """Canonical JSON rendering — the byte-identity contract.
 
     Sorted keys and fixed separators mean two renderings of equal
     payloads are equal as *bytes*, which is what the store-hit
-    integration test asserts against the original miss response.
+    integration test asserts against the original miss response.  A
+    top-level :class:`~repro.store.PermutationText` value is spliced in
+    as its text at its sorted key, which gives the bytes of the decoded
+    list without decoding it.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    members: List[str] = []
+    plain: Dict[str, object] = {}
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, PermutationText):
+            if plain:
+                members.append(_canonical(plain)[1:-1])
+                plain = {}
+            members.append(f"{_canonical(key)}:{value.text}")
+        else:
+            plain[key] = value
+    if plain:
+        members.append(_canonical(plain)[1:-1])
+    return ("{" + ",".join(members) + "}").encode("utf-8")
 
 
 class ReorderHTTPServer(ThreadingHTTPServer):

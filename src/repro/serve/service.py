@@ -46,6 +46,13 @@ entries (:mod:`repro.store`).  The body's one wall-clock value,
 when the permutation was first computed; every other wall-clock
 metadatum lives in transport headers.
 
+A hit never parses the permutation.  The ``perm`` entry holds it as
+JSON array text, which the body carries as a
+:class:`~repro.store.PermutationText` and
+:func:`~repro.serve.httpd.render_body` splices in unchanged.  A miss
+encodes the computed permutation once, and that one text is both the
+stored entry and the body's, so hit and miss bodies cannot differ.
+
 Concurrency: every (structure, technique, kernel, policy) key is
 computed at most once at a time (:class:`SingleFlight`), each stage
 checks the cooperative per-request deadline
@@ -88,6 +95,7 @@ from repro.sparse.convert import coo_to_csr
 from repro.sparse.ops import is_symmetric
 from repro.sparse.permute import permute_symmetric
 from repro.store import (
+    PermutationText,
     ResultStore,
     eval_key,
     eval_payload,
@@ -497,13 +505,11 @@ class ReorderService:
                         "serve-eval", technique=technique, kernel=kernel,
                         policy=policy,
                     ):
-                        permutation, seconds = self._permutation(
+                        permutation, text, seconds = self._permutation(
                             graph, digest, technique
                         )
                         check_deadline()
-                        permuted = permute_symmetric(
-                            graph.adjacency, np.asarray(permutation, dtype=np.int64)
-                        )
+                        permuted = permute_symmetric(graph.adjacency, permutation)
                         check_deadline()
                         trace = KernelSpec.parse(kernel).build_trace(
                             permuted, self.platform, schedule=SCHEDULE
@@ -531,7 +537,7 @@ class ReorderService:
                 breaker.failure()
                 raise
             breaker.success()
-            return {"eval": payload, "permutation": permutation, "seconds": seconds}
+            return {"eval": payload, "permutation": text, "seconds": seconds}
 
         result, led = self._flight.do(f"eval:{key}", compute)
         return result, ("miss" if led else "coalesced")
@@ -546,32 +552,34 @@ class ReorderService:
             return None
         return {
             "eval": evaluation,
-            "permutation": perm["permutation"],
+            "permutation": PermutationText(perm["permutation"]),
             "seconds": timing["seconds"],
         }
 
     def _permutation(
         self, graph: Graph, digest: str, technique: str
-    ) -> Tuple[List[int], float]:
-        """Store-backed, coalesced permutation and its measured seconds.
+    ) -> Tuple[np.ndarray, PermutationText, float]:
+        """Store-backed, coalesced permutation (as an array and as its
+        ``perm`` entry's text) and its measured seconds.
 
         Runs under the eval flight's admission slot and breaker
         accounting — no second gate here.
         """
         key = perm_key(digest, technique)
 
-        def compute() -> Tuple[List[int], float]:
+        def compute() -> Tuple[np.ndarray, PermutationText, float]:
             stored = self._store_get("perm", key)
             timing = self._store_get("time", key) if stored is not None else None
             if timing is not None:
-                return stored["permutation"], timing["seconds"]
+                text = PermutationText(stored["permutation"])
+                return np.asarray(text, dtype=np.int64), text, timing["seconds"]
             get_obs().counter("serve.compute.permutation")
             check_deadline()
             timed = reorder_with_timing(make_technique(technique), graph)
             payload = perm_payload(key, digest, technique, timed.permutation)
             self._store_put("perm", key, payload)
             self._store_put("time", key, {"perm_key": key, "seconds": timed.seconds})
-            return payload["permutation"], timed.seconds
+            return timed.permutation, PermutationText(payload["permutation"]), timed.seconds
 
         result, _led = self._flight.do(f"perm:{key}", compute)
         return result

@@ -40,10 +40,9 @@ import numpy as np
 
 from repro.errors import CacheIntegrityError, FormatError
 from repro.resilience.integrity import (
-    atomic_write_document,
+    atomic_write_payload,
     load_verified,
     unique_tmp_path,
-    wrap_payload,
 )
 from repro.sparse.coo import INDEX_DTYPE, VALUE_DTYPE, row_major_order
 from repro.sparse.csr import CSRMatrix
@@ -131,7 +130,7 @@ def save_csr_memmap(
             "array_sha256": hashes,
             "extra": dict(extra_meta or {}),
         }
-        atomic_write_document(os.path.join(staging, META_FILENAME), wrap_payload(payload))
+        atomic_write_payload(os.path.join(staging, META_FILENAME), payload)
         # Atomic publish: a concurrent saver of the same directory wins
         # last, and readers only ever see a complete directory.
         if os.path.isdir(directory):
@@ -344,7 +343,7 @@ def csr_from_coo_chunks(
             "array_sha256": hashes,
             "extra": dict(extra_meta or {}),
         }
-        atomic_write_document(os.path.join(staging, META_FILENAME), wrap_payload(payload))
+        atomic_write_payload(os.path.join(staging, META_FILENAME), payload)
         del matrix, offsets, indices, vals, cursor
         if os.path.isdir(directory):
             shutil.rmtree(directory)

@@ -11,7 +11,8 @@ changed can never hit an entry of the old one.  Four entry kinds live
 under one root:
 
 * ``perm``    — key = SHA-256(structure digest | technique):
-  the permutation;
+  the permutation, held as its canonical JSON array text inside a JSON
+  string (``"permutation":"[3,0,2,1]"``, see :class:`PermutationText`);
 * ``time``    — the same key as its ``perm`` entry: the measured
   reordering seconds, the only wall-clock value the store holds;
 * ``eval``    — key = SHA-256(perm key | kernel | policy | platform |
@@ -24,11 +25,17 @@ Every kind but ``time`` is a pure function of its key, so two cold
 sweeps into separate roots write byte-identical ``perm/``, ``eval/``
 and ``metrics/`` trees.
 
+Reading a ``perm`` entry therefore parses one string, not a
+permutation element, and a serve-tier hit carries that string from
+disk into the response body unparsed.  ``STORE_VERSION`` 3 introduced
+this layout; entries written under older versions have other keys, so
+they miss and are recomputed.
+
 Every entry is wrapped in the versioned checksum envelope
 (:mod:`repro.resilience.integrity`), so truncated or bit-flipped
 entries are detected on read, quarantined under ``<root>/quarantine/``
 and recomputed — a damaged store degrades to recomputation, never to a
-wrong answer.  Writes go through :func:`atomic_write_document`, whose
+wrong answer.  Writes go through :func:`atomic_write_payload`, whose
 per-write unique temp names make concurrent same-key writers safe.
 
 Layout::
@@ -44,6 +51,7 @@ Layout::
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from typing import Dict, List, Optional, Sequence
 
@@ -55,17 +63,16 @@ from repro.resilience.faults import fault_point
 from repro.resilience.integrity import (
     CacheScan,
     LegacyCacheEntry,
-    atomic_write_document,
+    atomic_write_payload,
     load_or_quarantine,
     load_verified,
     quarantine_file,
     quarantine_path,
-    wrap_payload,
 )
 
 #: Key-derivation version: bump when the key derivation or an entry
 #: payload layout changes incompatibly (old entries then simply miss).
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 KINDS = ("perm", "time", "eval", "metrics")
 
@@ -128,14 +135,45 @@ def metrics_key(digest: str) -> str:
     return _key(f"metrics-v{STORE_VERSION}", digest)
 
 
+class PermutationText:
+    """A permutation as its canonical JSON array text, e.g. ``[3,0,2,1]``.
+
+    A ``perm`` entry holds this text as a JSON string, so a store read
+    hands it over without parsing an element, and
+    :func:`repro.serve.httpd.render_body` splices it into a response
+    verbatim.  NumPy's ``__array__`` protocol is the only decoder
+    (``np.asarray(text, dtype=np.int64)``); the type neither iterates
+    nor compares like a list.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    @classmethod
+    def encode(cls, permutation) -> "PermutationText":
+        """The text ``json.dumps`` gives the permutation as a list of
+        ints, with compact separators."""
+        values = np.asarray(permutation, dtype=np.int64).tolist()
+        return cls(json.dumps(values, separators=(",", ":")))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("decoding a PermutationText always makes a new array")
+        array = np.array(json.loads(self.text), dtype=np.int64)
+        return array if dtype is None else array.astype(dtype, copy=False)
+
+
 def perm_payload(key: str, digest: str, technique: str, permutation) -> Dict[str, object]:
-    """The ``perm`` entry of one computed permutation."""
+    """The ``perm`` entry of one computed permutation (an index array)."""
+    values = np.asarray(permutation, dtype=np.int64)
     return {
         "perm_key": key,
         "matrix_digest": digest,
         "technique": technique,
-        "n_nodes": int(len(permutation)),
-        "permutation": np.asarray(permutation, dtype=np.int64).tolist(),
+        "n_nodes": int(values.size),
+        "permutation": PermutationText.encode(values).text,
     }
 
 
@@ -212,7 +250,7 @@ class ResultStore:
         """Persist ``payload`` under ``key``; returns the entry path."""
         path = self.path(kind, key)
         with get_obs().span("memo-store", kind=kind):
-            atomic_write_document(path, wrap_payload(payload))
+            atomic_write_payload(path, payload)
         # Chaos site: ``corrupt`` damages the just-written entry (caught
         # by the next verified read or the startup scrub), ``raise``
         # simulates a failed persist.

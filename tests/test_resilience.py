@@ -15,6 +15,7 @@ The acceptance-level scenarios live here too:
 import json
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -55,7 +56,11 @@ from repro.resilience import (
     unwrap_document,
     wrap_payload,
 )
-from repro.resilience.integrity import atomic_write_document, unique_tmp_path
+from repro.resilience.integrity import (
+    atomic_write_document,
+    atomic_write_payload,
+    unique_tmp_path,
+)
 from repro.store import ResultStore
 from tests.test_store import store_files
 
@@ -371,6 +376,11 @@ class TestIntegrityEnvelope:
             + canonical(payload).encode()
             + b"}"
         )
+        # The one-step writer encodes the payload once, to the same bytes.
+        single = str(tmp_path / "single.json")
+        atomic_write_payload(single, payload)
+        with open(single, "rb") as handle:
+            assert handle.read() == data
 
     def test_writer_layout_read_hashes_bytes_without_reencoding(
         self, tmp_path, monkeypatch
@@ -423,6 +433,10 @@ class TestIntegrityEnvelope:
     def test_both_read_paths_agree_on_written_files(self, tmp_path, payload):
         path = str(tmp_path / "entry.json")
         atomic_write_document(path, wrap_payload(payload))
+        single = str(tmp_path / "single.json")
+        atomic_write_payload(single, payload)
+        with open(path, "rb") as two_step, open(single, "rb") as one_step:
+            assert one_step.read() == two_step.read()
         with open(path, encoding="utf-8") as handle:
             whole_document = unwrap_document(json.loads(handle.read()))
         with pytest.MonkeyPatch.context() as patch:
@@ -621,6 +635,52 @@ class TestFaultPlan:
         install_plan({"faults": [{"site": "store.put", "action": "corrupt"}]})
         fault_point("store.put", path=str(victim))
         assert victim.stat().st_size == size // 2
+
+    def test_times_cap_holds_across_racing_threads(self, monkeypatch, tmp_path):
+        # Eight threads reach the site together, on its first use too:
+        # the env plan must become one injector, whose budget they share.
+        # Each round starts from an unparsed plan, so the first-use race
+        # is run ten times.
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps({"faults": [{"site": "s", "action": "raise", "times": 4}]}),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan))
+
+        def race():
+            barrier = threading.Barrier(8)
+            fired = []
+
+            def worker():
+                barrier.wait(timeout=30)
+                count = 0
+                for _ in range(50):
+                    try:
+                        fault_point("s", label="cell")
+                    except TransientError:
+                        count += 1
+                fired.append(count)
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(fired) == 8
+            return sum(fired)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            totals = []
+            for _ in range(10):
+                reset_faults()
+                totals.append(race())
+        finally:
+            sys.setswitchinterval(interval)
+        assert totals == [4] * 10
 
     def test_env_plan_parsed_once_per_value(self, monkeypatch, tmp_path):
         from repro.resilience.faults import get_injector

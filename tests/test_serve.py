@@ -14,7 +14,9 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.errors import (
@@ -40,6 +42,7 @@ from repro.serve.coalesce import SingleFlight
 from repro.serve.httpd import make_server, render_body
 from repro.serve.service import ReorderService, ServeConfig
 from repro.store import (
+    PermutationText,
     ResultStore,
     eval_key,
     metrics_key,
@@ -231,9 +234,67 @@ def test_miss_then_hit_byte_identical(service):
     assert first.store == "miss"
     assert second.store == "hit"
     assert render_body(first.payload) == render_body(second.payload)
-    perm = first.payload["permutation"]
+    perm = np.asarray(first.payload["permutation"])
     n = first.payload["matrix"]["n_nodes"]
-    assert sorted(perm) == list(range(n))
+    assert np.array_equal(np.sort(perm), np.arange(n))
+
+
+def test_hit_never_decodes_the_permutation(service, monkeypatch):
+    request = {"matrix": "test-comm", "technique": "degsort"}
+    first = service.handle(request)
+    assert first.store == "miss"
+
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a store hit must not decode its permutation")
+
+    monkeypatch.setattr(PermutationText, "__array__", refuse)
+    second = service.handle(request)
+    assert second.store == "hit"
+    assert render_body(second.payload) == render_body(first.payload)
+
+
+#: Body fields beside ``permutation``: keys that sort before and after
+#: it (some sharing its prefix) and JSON values with nested objects.
+BODY_KEYS = st.sampled_from(
+    ["matrix", "model", "perm", "perm_key", "permutatio", "permutations",
+     "permutation_", "v", "zz", "", "Z"]
+) | st.text(max_size=6)
+BODY_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+PERMUTATIONS = (
+    st.just([])
+    | st.lists(INT64, min_size=1, max_size=1)
+    | st.lists(st.integers(min_value=2**62, max_value=2**63 - 1), max_size=8)
+    | st.lists(INT64, max_size=64)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.dictionaries(
+        BODY_KEYS.filter(lambda key: key != "permutation"), BODY_VALUES, max_size=8
+    ),
+    permutation=PERMUTATIONS,
+    include_permutation=st.booleans(),
+)
+def test_render_body_splices_permutation_text(fields, permutation, include_permutation):
+    text = PermutationText.encode(permutation)
+    decoded = np.asarray(text, dtype=np.int64).tolist()
+    assert decoded == permutation
+    payload = {**fields, "permutation": text if include_permutation else None}
+    canonical = {**fields, "permutation": decoded if include_permutation else None}
+    assert render_body(payload) == json.dumps(
+        canonical, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 def test_older_indented_store_entry_still_hits(service):
@@ -269,7 +330,10 @@ def test_upload_shares_store_entry_with_corpus_matrix(service, tmp_path):
     )
     assert uploaded.store == "hit"
     assert uploaded.payload["matrix"]["digest"] == named.payload["matrix"]["digest"]
-    assert uploaded.payload["permutation"] == named.payload["permutation"]
+    assert np.array_equal(
+        np.asarray(uploaded.payload["permutation"]),
+        np.asarray(named.payload["permutation"]),
+    )
 
 
 def test_auto_recommendation_is_predicted_and_amortization_framed(service, instr):

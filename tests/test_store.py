@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import os
 
+import numpy as np
+import pytest
+
 from repro.experiments import fig3, fig6, fig9
 from repro.experiments.runner import ExperimentRunner
 from repro.graphs import corpus
@@ -70,26 +73,34 @@ def test_replaced_recipe_misses_and_returns_the_new_numbers(tmp_path, monkeypatc
     assert (new.accesses, new.misses) != (old.accesses, old.misses)
 
 
-def test_runner_cell_is_a_serve_hit_and_back(tmp_path):
+@pytest.mark.parametrize("kernel", ["spmv-csr", "spmm-csr-4"])
+def test_runner_cell_is_a_serve_hit_and_back(tmp_path, kernel):
     root = str(tmp_path / "store")
     runner = ExperimentRunner(profile="test", cache_dir=root)
-    record = runner.run("test-comm", "rabbit")
+    record = runner.run("test-comm", "rabbit", kernel=kernel)
     service = ReorderService(ServeConfig(profile="test", store_dir=root))
 
-    result = service.handle({"matrix": "test-comm", "technique": "rabbit"})
+    result = service.handle(
+        {"matrix": "test-comm", "technique": "rabbit", "kernel": kernel}
+    )
     assert result.store == "hit"
     model = result.payload["model"]
     assert model == {field: getattr(record, field) for field in model}
     assert result.payload["reorder_seconds"] == record.reorder_seconds
-    assert result.payload["permutation"] == (
-        runner.permutation("test-comm", "rabbit").permutation.tolist()
+    assert np.array_equal(
+        np.asarray(result.payload["permutation"]),
+        runner.permutation("test-comm", "rabbit").permutation,
     )
 
     # And the other way: a served cell is a runner hit.
-    served = service.handle({"matrix": "test-comm", "technique": "degsort"})
+    served = service.handle(
+        {"matrix": "test-comm", "technique": "degsort", "kernel": kernel}
+    )
     assert served.store == "miss"
     with using(Instrumentation(enabled=True)) as instr:
-        replay = ExperimentRunner(profile="test", cache_dir=root).run("test-comm", "degsort")
+        replay = ExperimentRunner(profile="test", cache_dir=root).run(
+            "test-comm", "degsort", kernel=kernel
+        )
     assert instr.counters.get("store.eval.hit") == 1
     assert served.payload["model"] == {
         field: getattr(replay, field) for field in served.payload["model"]
