@@ -2,9 +2,10 @@
 
 :func:`simulate` replays one trace on its policy's bucketed engine in
 :mod:`repro.cache.fast` — one engine per policy, whatever the input.
-Each engine picks its serial or rounds schedule from the plan's width
-(:func:`repro.cache.fast.bucket.schedule`), and both schedules produce
-bit-identical :class:`~repro.cache.stats.CacheStats`.
+Each engine picks its narrow or rounds schedule from the plan's width
+(:func:`repro.cache.fast.bucket.schedule`): LRU's narrow schedule is
+the reuse-window replay, Belady's a serial per-set loop.  Both
+schedules produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 
 A :class:`KernelTrace` reaches the LRU engine block by block
 (:func:`repro.cache.fast.lru.simulate_lru_blocks`), so a lazily built

@@ -10,11 +10,11 @@ The offline next-use index (:func:`next_use_index`) is computed
 vectorially (lexsort by line then position).  The bucketed trace (see
 :mod:`repro.cache.fast.bucket`) then replays on the schedule
 :func:`repro.cache.fast.bucket.schedule` picks, the same width rule as
-LRU:
+LRU with Belady's own width:
 
 * **rounds** — lockstep numpy rounds over per-way next-use stamps
   instead of LRU's ages;
-* **serial** — each set's runs in a Python loop, with a dict of
+* **narrow** — each set's runs in a serial Python loop, with a dict of
   resident lines and a lazy max-heap of ``(-next_use, line)`` entries.
 
 In both, the victim in a full set is the resident line with the
@@ -73,11 +73,11 @@ def simulate_belady_fast(
         miss_positions = np.empty(0, dtype=np.int64)
         evictions = dead_evictions = dead_at_end = 0
     else:
-        plan = bucket_trace(trace, config.n_sets)
+        plan = bucket_trace(trace, config.n_sets, run_ends=True)
         # Next use *after* a collapsed run is the next use of its last
         # access; the in-run accesses are guaranteed hits either way.
         run_future = next_use_index(trace)[plan.pos_last]
-        if schedule(plan) == "serial":
+        if schedule(plan, "belady") == "narrow":
             result = _belady_serial(plan, run_future, config.ways)
         else:
             result = _belady_rounds(plan, run_future, config.n_sets, config.ways)

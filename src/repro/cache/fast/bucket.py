@@ -4,10 +4,10 @@ Set-associative replacement is sequential *within* a set but
 independent *across* sets, so the trace is grouped by cache set and
 replayed in rounds: round ``r`` performs the ``r``-th access of every
 set that still has one, each round a handful of numpy array
-operations over the active sets.  Narrow plans replay set by set in a
-Python loop instead; :func:`schedule` is the one width rule both the
-LRU and the Belady engine use to choose.  Two observations make the
-rounds fast:
+operations over the active sets.  Narrow plans take each engine's
+narrow schedule instead (LRU's reuse windows, Belady's serial loop);
+:func:`schedule` is the one width rule both engines use, each with its
+own measured width.  Two observations make the rounds fast:
 
 * **Run collapse.**  Within one set's sub-trace, consecutive accesses
   to the same line are guaranteed hits under both LRU and Belady (no
@@ -28,14 +28,20 @@ is considerably faster than ``np.argsort(..., kind="stable")``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-#: Average runs per round below which the serial schedule beats the
-#: rounds loop.  A round costs a fixed ~20 numpy calls however many sets
-#: it touches, a serial run a few dict or heap operations.
-SERIAL_WIDTH = 64
+#: Per policy, the average runs per round below which the engine's
+#: narrow schedule beats the rounds loop, whose rounds cost a fixed ~20
+#: numpy calls however many sets they touch.  Belady's narrow schedule
+#: is a serial loop at a few heap operations per run (crossover measured
+#: near 64 on the profile L2s' spmv-csr traces).  LRU's decides a
+#: whole block in a fixed number of numpy passes: on SpGEMM, SpMV and
+#: SpMM-256 traces over 32 to 12288 sets (16 ways, 2-core Xeon) it won
+#: up to 830 runs per round and lost from 2234; a uniform random trace
+#: whose lines nearly fit the cache (long hit windows) lost from 493.
+NARROW_WIDTH = {"lru": 1024, "belady": 64}
 
 
 class BucketPlan(NamedTuple):
@@ -45,8 +51,9 @@ class BucketPlan(NamedTuple):
     lines: np.ndarray
     #: original trace position of each run's first access
     pos_first: np.ndarray
-    #: original trace position of each run's last access
-    pos_last: np.ndarray
+    #: original trace position of each run's last access (``None``
+    #: unless asked for: only Belady reads it)
+    pos_last: Optional[np.ndarray]
     #: run length > 1 (the inserted line was re-referenced in-run)
     multi: np.ndarray
     #: start offset of each set's runs within the bucketed arrays
@@ -59,8 +66,9 @@ class BucketPlan(NamedTuple):
     rounds: int
 
 
-def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
-    """Group ``trace`` by cache set and collapse within-set runs."""
+def bucket_trace(trace: np.ndarray, n_sets: int, *, run_ends: bool = False) -> BucketPlan:
+    """Group ``trace`` by cache set and collapse within-set runs;
+    ``run_ends`` also records each run's last position."""
     n = trace.size
     shift = max(1, int(n - 1).bit_length())
     key_bits = (n_sets - 1).bit_length() + shift
@@ -99,7 +107,7 @@ def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
 
     lines = bucketed[idx_start]
     pos_first = order[idx_start].astype(np.int64)
-    pos_last = order[idx_start + run_len - 1].astype(np.int64)
+    pos_last = order[idx_start + run_len - 1].astype(np.int64) if run_ends else None
     multi = run_len > 1
 
     counts = np.bincount(bucketed_sets[idx_start], minlength=n_sets)
@@ -115,9 +123,11 @@ def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
     )
 
 
-def schedule(plan: BucketPlan) -> str:
-    """``"serial"`` for narrow plans, ``"rounds"`` for wide ones."""
-    return "serial" if plan.lines.size < SERIAL_WIDTH * plan.rounds else "rounds"
+def schedule(plan: BucketPlan, policy: str) -> str:
+    """``"narrow"`` or ``"rounds"``: the schedule ``policy``'s engine
+    replays ``plan`` on."""
+    narrow = plan.lines.size < NARROW_WIDTH[policy] * plan.rounds
+    return "narrow" if narrow else "rounds"
 
 
 def compact_line_ids(lines: np.ndarray) -> "tuple[np.ndarray, int]":

@@ -19,10 +19,18 @@ block's plan:
   so one gather replaces a ``ways``-wide tag compare.  The table spans
   the trace's whole line-id space, and ages count on from the rounds
   earlier blocks played.
-* **serial** — each set's runs are replayed in a plain Python loop
-  with a dict as the LRU list (insertion order = recency, values = the
-  reused bit).  It costs per run rather than per round, so it wins
-  when few sets carry the runs and the rounds are long and narrow.
+* **narrow** (reuse windows) — LRU's stack property (Mattson et al.,
+  1970): a run hits iff fewer than ``ways`` distinct lines of its set
+  occur since its line's previous run.  One packed-key sort links each
+  run to that previous run; a gap under ``ways`` runs hits outright, a
+  window holding ``ways`` lines new to the block misses outright, and
+  a lockstep scan settles the rest.  Evictions are misses minus
+  fills, and a residency is dead iff its last access is a miss of a
+  one-access run.  The carried state is each set's LRU stack (at most
+  ``ways`` lines, oldest first, each with a never-reused bit), which
+  the next block replays in front of the set's own runs.  Its cost is a
+  fixed number of numpy passes per block, so it wins when the rounds
+  are long and narrow.
 
 A same-line run cut by a block boundary needs no special case: its
 continuation in the next block hits on the set's most recent line,
@@ -107,8 +115,8 @@ class _LruCache:
         """Replay one non-empty block; its missing positions, by set."""
         plan = bucket_trace(block, self.config.n_sets)
         if self._engine is None:
-            if schedule(plan) == "serial":
-                self._engine = _SerialSets(self.config.n_sets, self.config.ways)
+            if schedule(plan, "lru") == "narrow":
+                self._engine = _StackWindows(self.config.n_sets, self.config.ways)
             else:
                 self._engine = _RoundSets(self.config, plan, self.line_space)
         return self._engine.replay(plan)
@@ -129,45 +137,151 @@ class _LruCache:
         return stats
 
 
-class _SerialSets:
-    """Serial schedule: one dict per set, insertion order = recency."""
+class _StackWindows:
+    """Narrow schedule: each block's hits decided from reuse windows."""
 
     def __init__(self, n_sets: int, ways: int) -> None:
-        self.sets = [{} for _ in range(n_sets)]
         self.ways = ways
+        #: carried stacks, set by set, each oldest line first
+        self.stack = np.empty(0, dtype=np.int64)
+        #: the never-reused bit of each carried line
+        self.stack_dead = np.empty(0, dtype=bool)
+        #: carried lines per set
+        self.depth = np.zeros(n_sets, dtype=np.int64)
         self.evictions = 0
         self.dead_evictions = 0
 
     def replay(self, plan: BucketPlan) -> np.ndarray:
         ways = self.ways
-        missed = bytearray(plan.lines.size)
-        evictions = 0
-        dead_evictions = 0
-        ends = np.append(plan.set_offsets[1:], plan.lines.size)
-        spans = zip(self.sets, plan.set_offsets.tolist(), ends.tolist())
-        for resident, lo, hi in spans:
-            if lo == hi:
-                continue
-            runs = zip(
-                range(lo, hi), plan.lines[lo:hi].tolist(), plan.multi[lo:hi].tolist()
-            )
-            for i, line, multi in runs:
-                if line in resident:
-                    del resident[line]
-                    resident[line] = True
-                else:
-                    missed[i] = 1
-                    resident[line] = multi
-                    if len(resident) > ways:
-                        evictions += 1
-                        if not resident.pop(next(iter(resident))):
-                            dead_evictions += 1
-        self.evictions += evictions
-        self.dead_evictions += dead_evictions
-        return plan.pos_first[np.frombuffer(missed, dtype=bool)]
+        n_carried = int(self.stack.size)
+        m = plan.lines.size + n_carried
+        index = np.int32 if m < 2**31 else np.int64
+        # The extended block: each set's carried stack, then its runs.
+        carried_pos = np.repeat(plan.set_offsets, self.depth) + np.arange(n_carried)
+        is_run = np.ones(m, dtype=bool)
+        is_run[carried_pos] = False
+        prev, last = self._link(plan.lines, carried_pos, is_run, index)
+
+        # Fewer than ``ways`` runs since the line's previous run: a hit.
+        gap = np.arange(m, dtype=index)
+        gap -= prev
+        hit = prev >= 0
+        pending = np.flatnonzero(hit & (gap > ways))
+        hit &= gap <= ways
+        del gap
+        if pending.size:
+            hit[pending[_window_hits(prev, pending, ways)]] = True
+        miss = is_run & ~hit
+        del hit
+
+        # A residency ends at its line's last run or at the run before a
+        # miss of its line, and is dead iff that is a one-access miss.
+        dead = np.zeros(m, dtype=bool)
+        dead[is_run] = ~plan.multi
+        dead &= miss
+        dead[carried_pos] = self.stack_dead
+        ended = prev[miss]
+        n_dead = int(np.count_nonzero(dead[ended[ended >= 0]]))
+        n_dead += int(np.count_nonzero(dead[last]))
+
+        # The new stacks: each set's last ``ways`` distinct lines.
+        set_ends = np.append(plan.set_offsets[1:] + np.cumsum(self.depth)[:-1], m)
+        stop = np.searchsorted(last, set_ends)
+        first = np.maximum(np.append(0, stop[:-1]), stop - ways)
+        depth = stop - first
+        # last[first[s]:stop[s]] of every set s, concatenated.
+        kept = last[np.repeat(first - np.cumsum(depth) + depth, depth) + np.arange(depth.sum())]
+        carried = ~is_run[kept]
+        before = np.searchsorted(carried_pos, kept)
+        stack = np.empty(kept.size, dtype=np.int64)
+        stack[carried] = self.stack[before[carried]]
+        stack[~carried] = plan.lines[(kept - before)[~carried]]
+        stack_dead = dead[kept]
+
+        miss_runs = miss[is_run]
+        fills = kept.size - n_carried
+        self.evictions += int(np.count_nonzero(miss_runs)) - fills
+        self.dead_evictions += n_dead - int(np.count_nonzero(stack_dead))
+        self.stack, self.stack_dead, self.depth = stack, stack_dead, depth
+        return plan.pos_first[miss_runs]
+
+    def _link(self, lines, carried_pos, is_run, index):
+        """Each extended run's previous run of its line (``-1`` if none),
+        and the positions of every line's last run, ascending."""
+        m = is_run.size
+        key = np.empty(m, dtype=np.int64)
+        key[is_run] = lines
+        key[carried_pos] = self.stack
+        lo, hi = int(key.min()), int(key.max())
+        shift = max(1, (m - 1).bit_length())
+        if (hi - lo).bit_length() + shift > 63:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1).astype(np.int64)
+            lo = 0
+        # Sorting packed (line, position) keys lines up each line's runs.
+        key -= lo
+        key <<= shift
+        key |= np.arange(m, dtype=index)
+        key.sort()
+        pos = key.astype(index)
+        pos &= (1 << shift) - 1
+        key >>= shift
+        same = key[1:] == key[:-1]
+        del key
+        prev = np.empty(m, dtype=index)
+        prev[pos[0]] = -1
+        prev[pos[1:]] = np.where(same, pos[:-1], -1)
+        has_next = np.zeros(m, dtype=bool)
+        has_next[pos[:-1]] = same
+        return prev, np.flatnonzero(~has_next)
 
     def dead_at_end(self) -> int:
-        return sum(not reused for resident in self.sets for reused in resident.values())
+        return int(np.count_nonzero(self.stack_dead))
+
+
+#: Window positions one lockstep step of the reuse scan gathers, at most.
+_SCAN_BUDGET = 1 << 16
+
+
+def _window_hits(prev: np.ndarray, queries: np.ndarray, ways: int) -> np.ndarray:
+    """Which queried runs hit: fewer than ``ways`` distinct lines lie
+    between each and its line's previous run.
+
+    A position holds a line new to a window iff its own previous run
+    lies before the window.  A line with no earlier run in the extended
+    block is new to every window, so a window holding ``ways`` of those
+    misses outright.  The other windows advance in lockstep, by strides
+    that double, and stop once they have counted ``ways`` new lines (a
+    miss) or reached their end (a hit).
+    """
+    hits = np.zeros(queries.size, dtype=bool)
+    index = prev.dtype
+    fresh = np.cumsum(prev < 0, dtype=index)
+    scan = np.flatnonzero(fresh[queries - 1] - fresh[prev[queries]] < ways)
+    del fresh
+    batch = max(1, _SCAN_BUDGET // ways)
+    for lo in range(0, scan.size, batch):
+        rows = scan[lo:lo + batch]
+        end = queries[rows].astype(index)
+        start = prev[end]
+        cursor = start + 1
+        count = np.zeros(rows.size, dtype=index)
+        stride = ways
+        while rows.size:
+            window = cursor[:, None] + np.arange(stride, dtype=index)
+            inside = window < end[:, None]
+            np.minimum(window, (end - 1)[:, None], out=window)
+            new = prev[window] < start[:, None]
+            new &= inside
+            count += np.count_nonzero(new, axis=1).astype(index)
+            cursor += stride
+            missed = count >= ways
+            done = missed | (cursor >= end)
+            hits[rows[done & ~missed]] = True
+            rows, end, start, cursor, count = (
+                a[~done] for a in (rows, end, start, cursor, count)
+            )
+            stride = min(2 * stride, max(ways, _SCAN_BUDGET // max(1, rows.size)))
+    return hits
 
 
 class _RoundSets:

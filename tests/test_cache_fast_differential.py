@@ -7,12 +7,15 @@ the bucketed engines in ``repro.cache.fast``; the resulting
 accesses, hits, misses, evictions, dead-line counters and the
 per-region miss split).  The geometry grid includes the direct-mapped
 (``ways=1``) and fully-associative (``n_sets=1``) edge cases.  Both
-engines have two schedules (serial per-set replay for narrow plans,
-lockstep rounds for wide ones); the small grid geometries take the
-serial one, the 512-set geometry keeps the rounds loop covered, and
-``test_schedule_crossover`` pins which side each takes, for both
-policies.  ``test_lru_blocks`` replays the LRU traces split into
-blocks, on both schedules, and requires the oracle's counters too.
+engines have two schedules, a narrow one (LRU's reuse windows,
+Belady's serial per-set loop) and lockstep rounds for wide plans; the
+grid's random traces take the narrow ones, Belady's 512-set geometry
+keeps its rounds loop covered, and ``test_schedule_crossover`` pins
+which side each policy takes and forces the other.  ``test_lru_blocks``
+replays the LRU traces split into blocks, on both schedules, and
+requires the oracle's counters too; ``test_lru_reuse_windows`` does the
+same for reuse windows of 10^4 runs cut while the carried LRU stacks
+are still filling.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def test_lru_blocks(geometry, style, monkeypatch):
     config = config_for(n_sets, ways)
     rng = np.random.default_rng(hash_name(f"lru-{n_sets}-{ways}-{style}"))
     cut_rng = np.random.default_rng(hash_name(f"cuts-{n_sets}-{ways}-{style}"))
-    schedules = {"serial": 2**62, "rounds": 0} if n_sets > 1 else {"serial": 2**62}
+    schedules = {"narrow": 2**62, "rounds": 0} if n_sets > 1 else {"narrow": 2**62}
     for n in (0, 1, 2, ways, 4 * n_sets * ways, 5000):
         trace = random_trace(rng, style, n)
         regions = [("low", 0, max(1, n // 8)), ("mid", max(1, n // 8), n + 1)]
@@ -136,12 +139,69 @@ def test_lru_blocks(geometry, style, monkeypatch):
         for cuts in block_cuts(cut_rng, trace):
             blocks = np.split(trace, cuts)
             for schedule, width in schedules.items():
-                monkeypatch.setattr(fast_bucket, "SERIAL_WIDTH", width)
+                monkeypatch.setitem(fast_bucket.NARROW_WIDTH, "lru", width)
                 assert_identical_stats(
                     reference,
                     simulate_lru_blocks(blocks, config, regions, line_space),
                     f"{schedule} {n_sets}x{ways} {style} n={n} in {len(blocks)} blocks",
                 )
+
+
+#: Runs between the two uses of each reused line in ``reuse_window_trace``.
+WINDOW_RUNS = 10_000
+
+
+def reuse_window_trace(n_sets: int, ways: int, base: int) -> np.ndarray:
+    """Three long reuse windows over sets 0-2 (one after another where
+    they share a set).  Each touches line 1, then its reused line 0,
+    which comes back after ``WINDOW_RUNS`` runs cycling over ``ways - 1``
+    lines (a hit), cycling over ``ways`` lines (a miss), or cycling over
+    ``ways - 1`` lines and then one more (a miss only the window's end
+    shows).  Line 1 is in every cycle, so no window holds ``ways`` lines
+    new to the whole trace.  Line ids start at ``base``."""
+    cycle = [1 + r % max(1, ways - 1) for r in range(WINDOW_RUNS)]
+    phases = [
+        [1, 0] + cycle + [0],
+        [1, 0] + [1 + r % ways for r in range(WINDOW_RUNS)] + [0],
+        [1, 0] + cycle + [ways, 0],
+    ]
+    sets = [[] for _ in range(min(n_sets, len(phases)))]
+    for k, phase in enumerate(phases):
+        s = k % len(sets)
+        fresh = (k // len(sets)) * (ways + 1)
+        sets[s] += [(line + fresh) * n_sets + s for line in phase]
+    # Round robin over the sets; a set that ends early repeats its last
+    # line, which only lengthens its last run.
+    length = max(len(lines) for lines in sets)
+    padded = [lines + lines[-1:] * (length - len(lines)) for lines in sets]
+    return np.asarray(padded, dtype=np.int64).T.reshape(-1) + base
+
+
+@pytest.mark.parametrize("base", [0, 2**33])
+@pytest.mark.parametrize("geometry", [(1, 1), (1, 16), (2, 1), (2, 3), (4, 16), (4, 64)])
+def test_lru_reuse_windows(geometry, base):
+    """Reuse windows of 10^4 runs match the oracle whole, and cut by a
+    block boundary right after each set's reused line first runs, while
+    each carried stack holds at most two lines.  ``base = 2**33`` keeps
+    every line id above 2**31; ``ways = 1`` and one set are covered
+    too."""
+    n_sets, ways = geometry
+    config = config_for(n_sets, ways)
+    trace = reuse_window_trace(n_sets, ways, base)
+    regions = [("hit", base, base + 2 * n_sets), ("rest", base + 2 * n_sets, base + 2**20)]
+    reference = simulate_lru(trace, config, regions)
+    if ways > 1:
+        # One miss per distinct line, plus the two windows that miss.
+        assert reference.misses == 3 * ways + 4
+    early = 2 * min(n_sets, 3)
+    rng = np.random.default_rng(hash_name(f"windows-{n_sets}-{ways}"))
+    inside = np.sort(rng.choice(np.arange(early + 1, trace.size - 1), size=3, replace=False))
+    for cuts in ([], [early], [early, *inside, trace.size - 1]):
+        assert_identical_stats(
+            reference,
+            simulate_lru_blocks(np.split(trace, cuts), config, regions, base + 2**20),
+            f"{n_sets}x{ways} base={base} cuts={cuts}",
+        )
 
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])
@@ -175,30 +235,37 @@ def test_real_kernel_traces(policy, kernel, matrix):
         assert reference.region_misses  # the split actually exercised
 
 
-@pytest.mark.parametrize("policy", ["lru", "belady"])
 @pytest.mark.parametrize(
-    "geometry, schedule", [((4, 4), "serial"), ((512, 4), "rounds")]
+    "policy, geometry, schedule",
+    [
+        pytest.param("lru", (512, 4), "narrow", id="geometry0-windows-lru"),
+        pytest.param("lru", (4096, 4), "rounds", id="geometry1-rounds-lru"),
+        pytest.param("belady", (4, 4), "narrow", id="geometry0-serial-belady"),
+        pytest.param("belady", (512, 4), "rounds", id="geometry1-rounds-belady"),
+    ],
 )
 def test_schedule_crossover(policy, geometry, schedule, monkeypatch):
-    """A narrow plan replays serially, a wide one in rounds; both agree.
+    """Each policy replays a narrow plan on its narrow schedule and a
+    wide one in rounds, and both agree with the oracle.  LRU's reuse
+    windows take plans far wider than Belady's serial loop.
 
-    Each geometry is also replayed with the width rule forced to the
-    other schedule, so both schedules are checked on both sides.
+    Each geometry is also replayed with the policy's width forced to
+    the other schedule, so both schedules are checked on both sides.
     """
     n_sets, ways = geometry
     config = config_for(n_sets, ways)
     rng = np.random.default_rng(7)
-    trace = rng.integers(0, 4096, size=20000)
-    regions = [("low", 0, 1024), ("mid", 1024, 3000)]
+    trace = rng.integers(0, 1 << 16, size=20000)
+    regions = [("low", 0, 1 << 14), ("mid", 1 << 14, 3 << 14)]
     plan = fast_bucket.bucket_trace(trace, n_sets)
-    assert fast_bucket.schedule(plan) == schedule
+    assert fast_bucket.schedule(plan, policy) == schedule
     reference = REFERENCE[policy](trace, config, regions)
     assert_identical_stats(
         reference, FAST[policy](trace, config, regions), f"{policy} {schedule}"
     )
-    forced = {"serial": 0, "rounds": 2**62}[schedule]
-    monkeypatch.setattr(fast_bucket, "SERIAL_WIDTH", forced)
-    assert fast_bucket.schedule(plan) != schedule
+    forced = {"narrow": 0, "rounds": 2**62}[schedule]
+    monkeypatch.setitem(fast_bucket.NARROW_WIDTH, policy, forced)
+    assert fast_bucket.schedule(plan, policy) != schedule
     assert_identical_stats(
         reference, FAST[policy](trace, config, regions), f"{policy} not {schedule}"
     )

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.cache.config import CacheConfig
+from repro.cache.fast import simulate_lru_fast
 from repro.errors import ValidationError
 from repro.gpu.amortization import amortization_iterations
 from repro.gpu.perf import ideal_time_seconds, model_run
@@ -153,3 +155,19 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * run.stats.accesses
+
+    def test_lru_engine_peak_on_one_block_stays_at_the_dict_loops(self):
+        """A 300K-access random trace on 16 x 16 collapses to ~300K runs
+        in one block.  The per-set dict loop this engine replaced peaked
+        at 7.75x the trace's bytes, all of it in bucketing; the reuse
+        windows must stay within that plus a 3% margin, so their per-run
+        temporaries never set the peak."""
+        trace = np.random.default_rng(3).integers(0, 1 << 16, size=300_000)
+        config = CacheConfig(capacity_bytes=16 * 16 * 32, line_bytes=32, ways=16)
+        tracemalloc.start()
+        try:
+            simulate_lru_fast(trace, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.03 * 7.75 * trace.nbytes

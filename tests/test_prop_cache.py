@@ -1,11 +1,15 @@
 """Property-based tests for the cache simulators (hypothesis)."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import next_use_index, simulate
 from repro.cache.config import CacheConfig
 from repro.cache import compulsory_misses, simulate
+from repro.cache.fast import simulate_lru_blocks
+from tests.oracles.cache import simulate_lru
 
 traces = st.lists(st.integers(0, 30), min_size=0, max_size=300).map(
     lambda xs: np.asarray(xs, dtype=np.int64)
@@ -81,3 +85,21 @@ class TestSimulatorInvariants:
         once = simulate(trace, config)
         twice = simulate(doubled, config)
         assert twice.misses <= 2 * once.misses
+
+
+class TestLruBlocksMatchOracle:
+    @given(traces, configs, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_equal_oracle(self, trace, config, data):
+        """Any trace, cut into blocks anywhere, gives the per-access
+        oracle's counters field by field."""
+        n = trace.size
+        cuts = data.draw(
+            st.lists(st.integers(1, max(1, n - 1)), max_size=8, unique=True).map(sorted)
+            if n > 1
+            else st.just([])
+        )
+        regions = [("low", 0, 8), ("high", 8, 31)]
+        blocks = simulate_lru_blocks(np.split(trace, cuts), config, regions, 31)
+        oracle = simulate_lru(trace, config, regions)
+        assert dataclasses.asdict(blocks) == dataclasses.asdict(oracle)
