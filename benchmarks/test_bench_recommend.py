@@ -22,9 +22,13 @@ from repro import obs
 from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.graph import Graph
 from repro.obs import Instrumentation
-from repro.serve.service import BASELINE_TECHNIQUE, ReorderService, ServeConfig
+from repro.serve.service import (
+    BASELINE_TECHNIQUE,
+    ReorderService,
+    ResolvedMatrix,
+    ServeConfig,
+)
 from repro.sparse.convert import coo_to_csr
-from repro.store import structure_digest
 
 #: Acceptance floor from ISSUE 8.
 MIN_SPEEDUP = 5.0
@@ -35,7 +39,7 @@ KERNEL = "spmv-csr"
 
 def test_bench_recommend_beats_brute_force(tmp_path):
     graph = Graph(coo_to_csr(rmat(scale=SCALE, edge_factor=8, seed=3, directed=False)))
-    digest = structure_digest(graph.adjacency)
+    matrix = ResolvedMatrix.of(graph)
     instr = Instrumentation(enabled=True)
     with obs.using(instr):
         service = ReorderService(
@@ -45,7 +49,7 @@ def test_bench_recommend_beats_brute_force(tmp_path):
         # Predicted path (cold: includes the one community detection
         # plus the pretrained-coefficient load).
         started = time.perf_counter()
-        chosen, recommendation = service._recommend(graph, digest, KERNEL, 100)
+        chosen, recommendation = service._recommend(matrix, KERNEL, 100)
         predicted_seconds = time.perf_counter() - started
         assert recommendation["predicted"] is True
         assert instr.counters.get("serve.compute.eval") == 0
@@ -55,7 +59,7 @@ def test_bench_recommend_beats_brute_force(tmp_path):
         # and every candidate (PR 7's _recommend).
         started = time.perf_counter()
         for technique in (BASELINE_TECHNIQUE,) + service.config.candidates:
-            service._evaluate(graph, digest, technique, KERNEL, "lru")
+            service._evaluate(matrix, technique, KERNEL, "lru")
         brute_seconds = time.perf_counter() - started
         n_candidates = len(service.config.candidates)
         assert instr.counters.get("serve.compute.eval") == n_candidates + 1

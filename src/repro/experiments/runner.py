@@ -9,9 +9,10 @@ plus the matrix-structure metrics (insularity, skew, community stats)
 computed from the RABBIT detection.  Both stages are deterministic, so
 the runner keeps their results in the content-addressed result store
 (:mod:`repro.store`): a cell's ``eval`` entry is keyed by the matrix's
-structure digest, the technique, kernel, policy, platform, schedule
-and mask, so a matrix whose recipe or generator changed misses instead
-of reading the old matrix's numbers.  Permutations are stored too
+digest (its structure, plus its values when they are not all 1), the
+technique, kernel, policy, platform, schedule and mask, so a matrix
+whose recipe or generator changed misses instead of reading the old
+matrix's numbers.  Permutations are stored too
 (``perm``), with their measured reordering seconds in a ``time`` entry
 of their own, the only wall-clock value stored.  Keying a corpus
 matrix means generating it once per runner.  Delete the cache
@@ -62,10 +63,10 @@ from repro.store import (
     ResultStore,
     eval_key,
     eval_payload,
+    matrix_digest,
     metrics_key,
     perm_key,
     perm_payload,
-    structure_digest,
 )
 from repro.trace.kernelspec import KernelSpec
 
@@ -185,14 +186,14 @@ class ExperimentRunner:
     def add_graph(self, name: str, graph: Graph) -> None:
         """Run a generated, non-corpus graph under ``name`` (Fig. 9's
         size sweep).  The name never enters a store key; the graph's
-        structure does."""
+        :func:`~repro.store.matrix_digest` does."""
         self._graphs[name] = graph
         self._digests.pop(name, None)
 
     def digest(self, matrix: str) -> str:
-        """Structure digest of ``matrix``: the root of all its store keys."""
+        """Matrix digest of ``matrix``: the root of all its store keys."""
         if matrix not in self._digests:
-            self._digests[matrix] = structure_digest(self.graph(matrix).adjacency)
+            self._digests[matrix] = matrix_digest(self.graph(matrix).adjacency)
         return self._digests[matrix]
 
     # -- permutations ---------------------------------------------------

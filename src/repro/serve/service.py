@@ -53,6 +53,14 @@ JSON array text, which the body carries as a
 encodes the computed permutation once, and that one text is both the
 stored entry and the body's, so hit and miss bodies cannot differ.
 
+An upload's text is parsed once.  The service remembers, by the
+SHA-256 of each text, the matrix digest and sizes its parse found,
+but not its graph (:data:`MAX_UPLOAD_TEXTS` texts, least recently
+used first out).  A repeated text is answered from that record, and
+its graph is parsed again only when a computation needs it: a store
+miss, or a matrix whose predictor features are not memoized.  The
+``serve.upload.parse`` and ``serve.upload.reuse`` counters show which.
+
 Concurrency: every (structure, technique, kernel, policy) key is
 computed at most once at a time (:class:`SingleFlight`), each stage
 checks the cooperative per-request deadline
@@ -62,11 +70,12 @@ atomic with unique temp names.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,10 +108,10 @@ from repro.store import (
     ResultStore,
     eval_key,
     eval_payload,
+    matrix_digest,
     perm_key,
     perm_payload,
     resolve_store_dir,
-    structure_digest,
 )
 from repro.trace.kernelspec import KernelSpec
 
@@ -145,6 +154,98 @@ ALLOWED_KEYS = frozenset(
 RECOMMEND_KEYS = frozenset(
     ("matrix", "mtx", "kernel", "iterations", "deadline_seconds")
 )
+
+#: Upload texts remembered by the SHA-256 of their UTF-8 bytes, each
+#: with its matrix digest and sizes but never its graph.
+MAX_UPLOAD_TEXTS = 1024
+
+#: Structural feature dicts kept, one per matrix digest.
+MAX_FEATURE_ENTRIES = 256
+
+#: Analytic ideal seconds kept, one per (matrix digest, kernel).
+MAX_IDEAL_ENTRIES = 1024
+
+
+class _LRU:
+    """A thread-safe map that drops its least recently used entries
+    beyond ``capacity``."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Optional[object]:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+def _parse_upload(text: str) -> Graph:
+    """The graph of one ``.mtx`` upload (raises the parser's errors)."""
+    get_obs().counter("serve.upload.parse")
+    coo = read_matrix_market(io.StringIO(text))
+    return Graph(coo_to_csr(coo), directed=not is_symmetric(coo))
+
+
+class ResolvedMatrix:
+    """One request's matrix: its store digest and sizes, and its graph.
+
+    A corpus matrix or a first-seen upload arrives with its graph.  A
+    repeated upload arrives with only its text, which :meth:`graph`
+    parses the first time a computation asks for it, inside a
+    ``serve-load`` span of its own, so a request parses at most once.
+    """
+
+    __slots__ = ("digest", "n_nodes", "nnz", "_graph", "_text")
+
+    def __init__(
+        self,
+        digest: str,
+        n_nodes: int,
+        nnz: int,
+        graph: Optional[Graph] = None,
+        text: Optional[str] = None,
+    ) -> None:
+        self.digest = digest
+        self.n_nodes = n_nodes
+        self.nnz = nnz
+        self._graph = graph
+        self._text = text
+
+    @classmethod
+    def of(cls, graph: Graph) -> "ResolvedMatrix":
+        adjacency = graph.adjacency
+        return cls(matrix_digest(adjacency), graph.n_nodes, adjacency.nnz, graph=graph)
+
+    def graph(self) -> Graph:
+        if self._graph is None:
+            with get_obs().span("serve-load", matrix="upload"):
+                self._graph = _parse_upload(self._text)
+            self._text = None
+        return self._graph
+
+    def body(self, name: Optional[object]) -> Dict[str, object]:
+        """The response body's ``matrix`` object."""
+        return {
+            "name": name,
+            "digest": self.digest,
+            "n_nodes": self.n_nodes,
+            "nnz": self.nnz,
+        }
 
 
 @dataclass(frozen=True)
@@ -234,13 +335,15 @@ class ReorderService:
         self._errors: deque = deque(maxlen=64)
         self._errors_lock = threading.Lock()
         self._flight = SingleFlight()
-        self._graph_lock = threading.Lock()
-        self._corpus_graphs: Dict[str, Tuple[Graph, str]] = {}
-        self._predict_lock = threading.Lock()
+        self._corpus_lock = threading.Lock()
+        self._corpus_matrices: Dict[str, ResolvedMatrix] = {}
+        #: SHA-256 of an upload's text -> (digest, n_nodes, nnz).
+        self._uploads = _LRU(MAX_UPLOAD_TEXTS)
         #: digest -> structural feature dict (one detection per matrix).
-        self._features: Dict[str, Dict[str, float]] = {}
+        self._features = _LRU(MAX_FEATURE_ENTRIES)
         #: (digest, kernel) -> analytic ideal seconds.
-        self._ideal: Dict[Tuple[str, str], float] = {}
+        self._ideal = _LRU(MAX_IDEAL_ENTRIES)
+        self._predict_lock = threading.Lock()
         #: kernel -> effectiveness predictor (pretrained or lazily fit).
         self._predictors: Dict[str, object] = {}
 
@@ -298,16 +401,16 @@ class ReorderService:
         label = f"serve:{name if name is not None else 'upload'}:{technique}"
         with cell_deadline(deadline, label):
             with get_obs().span("serve-load", matrix=name or "upload"):
-                graph, digest = self._resolve_graph(name, mtx)
+                matrix = self._resolve_matrix(name, mtx)
             check_deadline()
             recommendation = None
             if technique == "auto":
                 technique, recommendation = self._recommend(
-                    graph, digest, kernel, iterations
+                    matrix, kernel, iterations
                 )
             try:
                 cell, store_state = self._evaluate(
-                    graph, digest, technique, kernel, policy
+                    matrix, technique, kernel, policy
                 )
             except BreakerOpenError as exc:
                 # Degraded mode: the compute tier is sick, but an
@@ -317,7 +420,7 @@ class ReorderService:
                     raise
                 get_obs().counter("serve.request.degrade")
                 return self._degraded_result(
-                    name, graph, digest, technique, kernel, policy,
+                    name, matrix, technique, kernel, policy,
                     iterations, recommendation, exc,
                 )
 
@@ -325,12 +428,7 @@ class ReorderService:
             "v": WIRE_VERSION,
             "schema": RESPONSE_SCHEMA,
             "degraded": False,
-            "matrix": {
-                "name": name,
-                "digest": digest,
-                "n_nodes": graph.n_nodes,
-                "nnz": graph.adjacency.nnz,
-            },
+            "matrix": matrix.body(name),
             "technique": technique,
             "requested_technique": requested,
             "kernel": kernel,
@@ -349,8 +447,7 @@ class ReorderService:
     def _degraded_result(
         self,
         name: Optional[object],
-        graph: Graph,
-        digest: str,
+        matrix: ResolvedMatrix,
         technique: str,
         kernel: str,
         policy: str,
@@ -376,12 +473,7 @@ class ReorderService:
             "v": WIRE_VERSION,
             "schema": RESPONSE_SCHEMA,
             "degraded": True,
-            "matrix": {
-                "name": name,
-                "digest": digest,
-                "n_nodes": graph.n_nodes,
-                "nnz": graph.adjacency.nnz,
-            },
+            "matrix": matrix.body(name),
             "technique": technique,
             "requested_technique": "auto",
             "kernel": kernel,
@@ -408,31 +500,36 @@ class ReorderService:
 
     # -- matrix resolution ----------------------------------------------
 
-    def _resolve_graph(
+    def _resolve_matrix(
         self, name: Optional[object], mtx: Optional[object]
-    ) -> Tuple[Graph, str]:
+    ) -> ResolvedMatrix:
         if name is not None:
             if not isinstance(name, str):
                 raise ValidationError("'matrix' must be a corpus name string")
-            with self._graph_lock:
-                cached = self._corpus_graphs.get(name)
+            with self._corpus_lock:
+                cached = self._corpus_matrices.get(name)
             if cached is not None:
                 return cached
-            graph = load_graph(name)  # raises CorpusError on unknown names
-            digest = structure_digest(graph.adjacency)
-            with self._graph_lock:
-                self._corpus_graphs[name] = (graph, digest)
-            return graph, digest
+            matrix = ResolvedMatrix.of(load_graph(name))  # CorpusError if unknown
+            with self._corpus_lock:
+                self._corpus_matrices[name] = matrix
+            return matrix
         if not isinstance(mtx, str):
             raise ValidationError("'mtx' must be MatrixMarket text")
         if len(mtx) > self.config.max_upload_bytes:
             raise ValidationError(
                 f"upload exceeds {self.config.max_upload_bytes} bytes"
             )
-        coo = read_matrix_market(io.StringIO(mtx))
-        csr = coo_to_csr(coo)
-        graph = Graph(csr, directed=not is_symmetric(coo))
-        return graph, structure_digest(csr)
+        # A repeated text is answered from what its first parse learned;
+        # its graph is parsed again only if a computation needs it.
+        text_key = hashlib.sha256(mtx.encode("utf-8", "surrogatepass")).hexdigest()
+        known = self._uploads.get(text_key)
+        if known is not None:
+            get_obs().counter("serve.upload.reuse")
+            return ResolvedMatrix(*known, text=mtx)
+        matrix = ResolvedMatrix.of(_parse_upload(mtx))
+        self._uploads.put(text_key, (matrix.digest, matrix.n_nodes, matrix.nnz))
+        return matrix
 
     # -- store access behind its circuit breaker -------------------------
     #
@@ -472,11 +569,11 @@ class ReorderService:
     # -- evaluation (store-backed, coalesced) ---------------------------
 
     def _evaluate(
-        self, graph: Graph, digest: str, technique: str, kernel: str, policy: str
+        self, matrix: ResolvedMatrix, technique: str, kernel: str, policy: str
     ) -> Tuple[Dict[str, object], str]:
         """Evaluated cell (its ``eval`` payload, permutation and
         reordering seconds) plus its store state."""
-        pkey = perm_key(digest, technique)
+        pkey = perm_key(matrix.digest, technique)
         key = eval_key(pkey, kernel, policy, self.platform.name, SCHEDULE, MASK)
         cached = self._stored_cell(key, pkey)
         if cached is not None:
@@ -505,8 +602,9 @@ class ReorderService:
                         "serve-eval", technique=technique, kernel=kernel,
                         policy=policy,
                     ):
+                        graph = matrix.graph()
                         permutation, text, seconds = self._permutation(
-                            graph, digest, technique
+                            graph, matrix.digest, technique
                         )
                         check_deadline()
                         permuted = permute_symmetric(graph.adjacency, permutation)
@@ -590,8 +688,8 @@ class ReorderService:
         """Serve one ``/v1/recommend`` request.
 
         Pure prediction: resolves the matrix, extracts structural
-        features (one community detection, cached per structure
-        digest), and runs the candidate list through the effectiveness
+        features (one community detection, cached per matrix digest),
+        and runs the candidate list through the effectiveness
         predictor.  No permutation is computed, no trace is built, no
         cache is simulated — the ``serve.compute.*`` counters never
         move on this path.
@@ -624,20 +722,13 @@ class ReorderService:
             )
         with cell_deadline(deadline, f"recommend:{name or 'upload'}"):
             with get_obs().span("serve-load", matrix=name or "upload"):
-                graph, digest = self._resolve_graph(name, mtx)
+                matrix = self._resolve_matrix(name, mtx)
             check_deadline()
-            chosen, recommendation = self._recommend(
-                graph, digest, kernel, iterations
-            )
+            chosen, recommendation = self._recommend(matrix, kernel, iterations)
         body: Dict[str, object] = {
             "v": WIRE_VERSION,
             "schema": RESPONSE_SCHEMA,
-            "matrix": {
-                "name": name,
-                "digest": digest,
-                "n_nodes": graph.n_nodes,
-                "nnz": graph.adjacency.nnz,
-            },
+            "matrix": matrix.body(name),
             "kernel": kernel,
             "platform": self.platform.name,
             "iterations": iterations,
@@ -647,11 +738,7 @@ class ReorderService:
         return ServeResult(payload=body, store="predicted")
 
     def _recommend(
-        self,
-        graph: Graph,
-        digest: str,
-        kernel: str,
-        iterations: int,
+        self, matrix: ResolvedMatrix, kernel: str, iterations: int
     ) -> Tuple[str, Dict[str, object]]:
         """Predicted amortization-framed technique choice.
 
@@ -664,17 +751,15 @@ class ReorderService:
         """
         with get_obs().span("serve-recommend", kernel=kernel):
             predictor = self._predictor(kernel)
-            features = self._features_for(graph, digest)
+            features = self._features_for(matrix)
             check_deadline()
-            ideal_key = (digest, kernel)
-            with self._predict_lock:
-                ideal = self._ideal.get(ideal_key)
+            ideal_key = (matrix.digest, kernel)
+            ideal = self._ideal.get(ideal_key)
             if ideal is None:
                 from repro.predict.features import analytic_ideal_seconds
 
-                ideal = analytic_ideal_seconds(graph, kernel, self.platform)
-                with self._predict_lock:
-                    self._ideal[ideal_key] = ideal
+                ideal = analytic_ideal_seconds(matrix.graph(), kernel, self.platform)
+                self._ideal.put(ideal_key, ideal)
             recommendation = recommendation_from_features(
                 predictor,
                 features,
@@ -684,17 +769,16 @@ class ReorderService:
             )
         return recommendation.chosen, recommendation.to_json()
 
-    def _features_for(self, graph: Graph, digest: str) -> Dict[str, float]:
-        with self._predict_lock:
-            cached = self._features.get(digest)
+    def _features_for(self, matrix: ResolvedMatrix) -> Dict[str, float]:
+        cached = self._features.get(matrix.digest)
         if cached is not None:
             return cached
         from repro.predict.features import structural_features
 
-        with get_obs().span("serve-features", digest=digest[:12]):
+        graph = matrix.graph()
+        with get_obs().span("serve-features", digest=matrix.digest[:12]):
             features = structural_features(graph, self.platform)
-        with self._predict_lock:
-            self._features[digest] = features
+        self._features.put(matrix.digest, features)
         return features
 
     def _predictor(self, kernel: str):

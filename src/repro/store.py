@@ -2,15 +2,16 @@
 
 One store holds every result the pipeline keeps: the experiment
 runner's simulated cells and matrix metrics, Fig. 9's size sweep and
-the serve tier's responses.  Keys are derived from the *structure* of
+the serve tier's responses.  Keys are derived from the *content* of
 the CSR matrix — the byte content of ``row_offsets`` and
-``col_indices`` plus the shape (:func:`structure_digest`) — never from
-a corpus name, so two uploads of the same matrix (or an upload that
-duplicates a corpus entry) share entries, and a matrix whose generator
-changed can never hit an entry of the old one.  Four entry kinds live
-under one root:
+``col_indices`` plus the shape (:func:`structure_digest`), and the
+values too unless every value is 1 (:func:`matrix_digest`) — never
+from a corpus name, so two uploads of the same matrix (or an upload
+that duplicates a corpus entry) share entries, and a matrix whose
+generator changed can never hit an entry of the old one.  Four entry
+kinds live under one root:
 
-* ``perm``    — key = SHA-256(structure digest | technique):
+* ``perm``    — key = SHA-256(matrix digest | technique):
   the permutation, held as its canonical JSON array text inside a JSON
   string (``"permutation":"[3,0,2,1]"``, see :class:`PermutationText`);
 * ``time``    — the same key as its ``perm`` entry: the measured
@@ -18,7 +19,7 @@ under one root:
 * ``eval``    — key = SHA-256(perm key | kernel | policy | platform |
   schedule | mask): the performance-model block and its perm key
   (:func:`eval_payload`, shared by the runner and the serve tier);
-* ``metrics`` — key = SHA-256(structure digest): the structure metrics
+* ``metrics`` — key = SHA-256(matrix digest): the structure metrics
   under RABBIT detection.
 
 Every kind but ``time`` is a pure function of its key, so two cold
@@ -100,9 +101,10 @@ def resolve_store_dir(store_dir: Optional[str] = None) -> str:
 def structure_digest(csr) -> str:
     """SHA-256 of a CSR matrix's structure (shape + offsets + indices).
 
-    Values are deliberately excluded: every reordering technique and
-    every kernel trace in this pipeline depends only on the sparsity
-    structure, so matrices differing solely in values share entries.
+    Values are excluded: matrices differing solely in values share this
+    digest.  The kernel traces depend only on the structure, but RABBIT,
+    RABBIT++ and Louvain weigh edges by value, so store keys start from
+    :func:`matrix_digest`, which adds the values of a weighted matrix.
     The digest names the structure, not the store layout, so its own
     version tag stays ``v1`` whatever :data:`STORE_VERSION` is.
     """
@@ -110,6 +112,24 @@ def structure_digest(csr) -> str:
     h.update(f"csr-structure-v1|{csr.n_rows}|{csr.n_cols}|".encode())
     h.update(np.ascontiguousarray(csr.row_offsets, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(csr.col_indices, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def matrix_digest(csr) -> str:
+    """The digest every store key of a matrix derives from.
+
+    A pattern matrix (every stored value 1, as in every corpus matrix)
+    is keyed by its :func:`structure_digest`.  Any other matrix is keyed
+    by the SHA-256 of that digest and its values' bytes, because the
+    weighted techniques order it differently.
+    """
+    digest = structure_digest(csr)
+    values = np.ascontiguousarray(csr.values, dtype=np.float64)
+    if np.all(values == 1):
+        return digest
+    h = hashlib.sha256()
+    h.update(f"csr-values-v1|{digest}|".encode())
+    h.update(values.tobytes())
     return h.hexdigest()
 
 

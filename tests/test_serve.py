@@ -5,6 +5,7 @@ store hits, deadline 504s that don't kill the server)."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import socket
@@ -13,6 +14,7 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,18 +24,20 @@ from repro import obs
 from repro.errors import (
     BreakerOpenError,
     CorpusError,
+    FormatError,
     OverloadedError,
     ValidationError,
 )
 from repro.graphs.corpus import load_graph, load_matrix
 from repro.graphs.io import write_matrix_market
-from repro.obs import Instrumentation
+from repro.obs import FakeClock, Instrumentation, MemorySink
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
     install_injector,
     reset_faults,
 )
+from repro.serve import service as service_module
 from repro.serve.admission import Admission
 from repro.serve.bench import bench_payload, wait_for_server, zipf_trace
 from repro.serve.breaker import CircuitBreaker
@@ -41,6 +45,7 @@ from repro.serve.client import ClientResponse, ServeClient, idempotency_key
 from repro.serve.coalesce import SingleFlight
 from repro.serve.httpd import make_server, render_body
 from repro.serve.service import ReorderService, ServeConfig
+from repro.sparse.coo import COOMatrix
 from repro.store import (
     PermutationText,
     ResultStore,
@@ -334,6 +339,156 @@ def test_upload_shares_store_entry_with_corpus_matrix(service, tmp_path):
         np.asarray(uploaded.payload["permutation"]),
         np.asarray(named.payload["permutation"]),
     )
+
+
+# -- the upload map ------------------------------------------------------
+
+
+def _mtx_text(matrix: str = "test-comm", comment: str = "") -> str:
+    text = io.StringIO()
+    write_matrix_market(load_matrix(matrix), text, comment=comment)
+    return text.getvalue()
+
+
+def _count_reads(monkeypatch, limit=None):
+    """Wrap the service's ``.mtx`` reader; it fails the test past
+    ``limit`` calls.  Returns the current span id of every call."""
+    real = service_module.read_matrix_market
+    calls = []
+
+    def reader(source):
+        calls.append(obs.get_obs().current_span_id())
+        if limit is not None and len(calls) > limit:
+            raise AssertionError("an upload text already seen was parsed again")
+        return real(source)
+
+    monkeypatch.setattr(service_module, "read_matrix_market", reader)
+    return calls
+
+
+#: A JSON string can carry a lone surrogate; the text must still hash.
+@pytest.mark.parametrize("comment", ["", "x\ud800y"])
+def test_repeated_upload_does_not_parse(service, instr, monkeypatch, comment):
+    calls = _count_reads(monkeypatch, limit=1)
+    request = {"mtx": _mtx_text(comment=comment), "technique": "degsort"}
+    first = service.handle(request)
+    second = service.handle(request)
+    assert (first.store, second.store) == ("miss", "hit")
+    assert len(calls) == 1
+    assert render_body(second.payload) == render_body(first.payload)
+    assert instr.counters.get("serve.upload.parse") == 1
+    assert instr.counters.get("serve.upload.reuse") == 1
+
+
+def test_malformed_upload_raises_the_same_error_and_is_not_remembered(service):
+    mtx = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.0\n2 x 1.0\n"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FormatError) as caught:
+            service.handle({"mtx": mtx, "technique": "degsort"})
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert ":4:" in messages[0]
+    assert len(service._uploads) == 0
+
+
+def test_oversized_upload_is_rejected_before_hashing(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an oversized upload was hashed")
+
+    monkeypatch.setattr(service_module, "hashlib", SimpleNamespace(sha256=refuse))
+    service = ReorderService(
+        ServeConfig(profile="test", store_dir=str(tmp_path / "store"), max_upload_bytes=64)
+    )
+    with pytest.raises(ValidationError, match="exceeds 64 bytes"):
+        service.handle({"mtx": _mtx_text(), "technique": "degsort"})
+
+
+def test_repeat_that_misses_parses_once_inside_a_load_span(tmp_path, monkeypatch):
+    calls = _count_reads(monkeypatch)
+    text = _mtx_text()
+    instrumentation = Instrumentation(sink=MemorySink(), clock=FakeClock(), enabled=True)
+    with obs.using(instrumentation):
+        service = ReorderService(
+            ServeConfig(profile="test", store_dir=str(tmp_path / "shared"))
+        )
+        service.handle({"mtx": text, "technique": "degsort"})
+        del calls[:]
+        repeat = service.handle({"mtx": text, "technique": "rabbit"})
+        fresh = ReorderService(
+            ServeConfig(profile="test", store_dir=str(tmp_path / "fresh"))
+        ).handle({"mtx": text, "technique": "rabbit"})
+    assert repeat.store == "miss"
+    spans = {
+        span["span_id"]: span for span in instrumentation.sink.by_kind("span")
+    }
+    # The repeat's one parse, then the fresh service's first sight.
+    assert len(calls) == 2
+    parse_span = spans[calls[0]]
+    assert parse_span["name"] == "serve-load"
+    assert spans[parse_span["parent_id"]]["name"] == "serve-eval"
+    assert render_body(repeat.payload) == render_body(fresh.payload)
+
+
+def test_recommend_on_a_memoized_repeat_does_not_parse(service, instr, monkeypatch):
+    calls = _count_reads(monkeypatch, limit=1)
+    request = {"mtx": _mtx_text(), "iterations": 50}
+    first = service.handle_recommend(request)
+    second = service.handle_recommend(request)
+    assert len(calls) == 1
+    assert render_body(second.payload) == render_body(first.payload)
+
+
+def test_upload_map_evicts_the_least_recently_used_text(tmp_path, instr, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_UPLOAD_TEXTS", 2)
+    service = ReorderService(
+        ServeConfig(profile="test", store_dir=str(tmp_path / "store"))
+    )
+    texts = {name: _mtx_text(comment=name) for name in "abc"}
+
+    def upload(name):
+        service.handle({"mtx": texts[name], "technique": "degsort"})
+        counts = instr.counters
+        return counts.get("serve.upload.parse"), counts.get("serve.upload.reuse")
+
+    assert upload("a") == (1, 0)
+    assert upload("b") == (2, 0)
+    assert upload("a") == (2, 1)  # "a" is now the most recently used
+    assert upload("c") == (3, 1)  # evicts "b"
+    assert upload("a") == (3, 2)
+    assert upload("b") == (4, 2)
+    assert len(service._uploads) == 2
+
+
+def _weighted_social_texts():
+    """test-social's text, and the same structure under symmetric weights."""
+    coo = load_matrix("test-social")
+    low, high = np.minimum(coo.rows, coo.cols), np.maximum(coo.rows, coo.cols)
+    weights = 1 + ((low * 7919 + high * 104729) % 97) / 10
+    weighted = COOMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, weights)
+    texts = []
+    for matrix in (coo, weighted):
+        text = io.StringIO()
+        write_matrix_market(matrix, text)
+        texts.append(text.getvalue())
+    return texts
+
+
+@pytest.mark.parametrize("technique", ["rabbit", "rabbit++", "louvain"])
+def test_weighted_upload_never_hits_the_pattern_entry(tmp_path, technique):
+    pattern, weighted = _weighted_social_texts()
+    with obs.using(Instrumentation(enabled=True, clock=FakeClock())):
+        shared = ReorderService(
+            ServeConfig(profile="test", store_dir=str(tmp_path / "shared"))
+        )
+        first = shared.handle({"mtx": pattern, "technique": technique})
+        second = shared.handle({"mtx": weighted, "technique": technique})
+        fresh = ReorderService(
+            ServeConfig(profile="test", store_dir=str(tmp_path / "fresh"))
+        ).handle({"mtx": weighted, "technique": technique})
+    assert second.store == "miss"
+    assert second.payload["matrix"]["digest"] != first.payload["matrix"]["digest"]
+    assert render_body(second.payload) == render_body(fresh.payload)
 
 
 def test_auto_recommendation_is_predicted_and_amortization_framed(service, instr):

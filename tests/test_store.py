@@ -1,8 +1,9 @@
 """The result store as the runner, Fig. 9 and the serve tier share it.
 
-Keys derive from matrix structure, so a sweep's deterministic entries
-are the same bytes wherever it runs, a changed recipe misses, and a
-cell the runner stored is a serve-tier hit.
+Keys derive from matrix content (the structure, and the values of a
+weighted matrix), so a sweep's deterministic entries are the same bytes
+wherever it runs, a changed recipe or a reweighted matrix misses, and
+a cell the runner stored is a serve-tier hit.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ from repro.experiments import fig3, fig6, fig9
 from repro.experiments.runner import ExperimentRunner
 from repro.graphs import corpus
 from repro.graphs.generators import erdos_renyi
+from repro.graphs.graph import Graph
 from repro.obs import Instrumentation, using
 from repro.serve.service import ReorderService, ServeConfig
-from repro.store import DETERMINISTIC_KINDS, KINDS, ResultStore
+from repro.sparse.coo import COOMatrix
+from repro.store import (
+    DETERMINISTIC_KINDS,
+    KINDS,
+    ResultStore,
+    matrix_digest,
+    structure_digest,
+)
 
 
 def store_files(root, kinds=KINDS):
@@ -105,3 +114,41 @@ def test_runner_cell_is_a_serve_hit_and_back(tmp_path, kernel):
     assert served.payload["model"] == {
         field: getattr(replay, field) for field in served.payload["model"]
     }
+
+
+def _weighted_social():
+    """test-social, and the same structure under symmetric weights."""
+    coo = corpus.load_matrix("test-social")
+    low, high = np.minimum(coo.rows, coo.cols), np.maximum(coo.rows, coo.cols)
+    weights = 1 + ((low * 7919 + high * 104729) % 97) / 10
+    weighted = COOMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, weights)
+    return Graph.from_coo(coo), Graph.from_coo(weighted)
+
+
+def test_matrix_digest_adds_values_only_when_they_are_not_all_one():
+    pattern, weighted = _weighted_social()
+    assert matrix_digest(pattern.adjacency) == structure_digest(pattern.adjacency)
+    assert structure_digest(weighted.adjacency) == structure_digest(pattern.adjacency)
+    assert matrix_digest(weighted.adjacency) != matrix_digest(pattern.adjacency)
+    for name in corpus.corpus_names("test"):
+        adjacency = corpus.load_graph(name).adjacency
+        assert matrix_digest(adjacency) == structure_digest(adjacency)
+
+
+@pytest.mark.parametrize("technique", ["rabbit", "rabbit++", "louvain"])
+def test_weighted_graph_never_reads_the_pattern_graphs_entries(tmp_path, technique):
+    pattern, weighted = _weighted_social()
+    shared = ExperimentRunner(profile="test", cache_dir=str(tmp_path / "shared"))
+    shared.add_graph("pattern", pattern)
+    shared.add_graph("weighted", weighted)
+    shared.run("pattern", technique)
+    fresh = ExperimentRunner(profile="test", cache_dir=str(tmp_path / "fresh"))
+    fresh.add_graph("weighted", weighted)
+    assert np.array_equal(
+        shared.permutation("weighted", technique).permutation,
+        fresh.permutation("weighted", technique).permutation,
+    )
+    got, want = shared.run("weighted", technique), fresh.run("weighted", technique)
+    assert dataclasses.replace(got, reorder_seconds=0.0) == dataclasses.replace(
+        want, reorder_seconds=0.0
+    )
