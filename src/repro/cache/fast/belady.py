@@ -38,7 +38,13 @@ from typing import Optional
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import BucketPlan, bucket_trace, compact_line_ids, schedule
+from repro.cache.fast.bucket import (
+    BucketPlan,
+    bucket_trace,
+    compact_line_ids,
+    round_order,
+    schedule,
+)
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
 
@@ -168,8 +174,9 @@ def _belady_rounds(plan: BucketPlan, run_future: np.ndarray, n_sets: int, ways: 
     reused = np.zeros(n_sets * ways, dtype=bool)
     occupancy = np.zeros(n_sets, dtype=np.int64)
     way_of_line = np.full(table_size, -1, dtype=np.int64)
-    col_starts = plan.set_offsets[plan.set_rank]
-    row_base = plan.set_rank * ways
+    set_rank, active = round_order(plan)
+    col_starts = plan.set_offsets[set_rank]
+    row_base = set_rank * ways
     way_range = np.arange(ways)
 
     miss_positions = np.empty(ids.size, dtype=np.int64)
@@ -177,7 +184,7 @@ def _belady_rounds(plan: BucketPlan, run_future: np.ndarray, n_sets: int, ways: 
     evictions = 0
     dead_evictions = 0
     for r in range(plan.rounds):
-        n_active = int(plan.active[r + 1])
+        n_active = int(active[r + 1])
         idx = col_starts[:n_active] + r
         line = ids[idx]
         future = run_future[idx]
@@ -194,7 +201,7 @@ def _belady_rounds(plan: BucketPlan, run_future: np.ndarray, n_sets: int, ways: 
         miss_positions[n_miss:n_miss + miss_row.size] = pos_first[miss_idx]
         n_miss += miss_row.size
         miss_base = base[miss_row]
-        miss_sets = plan.set_rank[:n_active][miss_row]
+        miss_sets = set_rank[:n_active][miss_row]
         occupied = occupancy[miss_sets]
         filling = occupied < ways
         if filling.any():

@@ -45,7 +45,7 @@ NARROW_WIDTH = {"lru": 1024, "belady": 64}
 
 
 class BucketPlan(NamedTuple):
-    """Per-run arrays (natural set order) plus the round schedule."""
+    """Per-run arrays (natural set order) plus the round count."""
 
     #: line id of each collapsed run
     lines: np.ndarray
@@ -58,10 +58,6 @@ class BucketPlan(NamedTuple):
     multi: np.ndarray
     #: start offset of each set's runs within the bucketed arrays
     set_offsets: np.ndarray
-    #: set ids ranked by descending run count (active-prefix order)
-    set_rank: np.ndarray
-    #: active[k] = number of sets with at least k runs
-    active: np.ndarray
     #: number of rounds (max runs in any one set)
     rounds: int
 
@@ -113,14 +109,23 @@ def bucket_trace(trace: np.ndarray, n_sets: int, *, run_ends: bool = False) -> B
     counts = np.bincount(bucketed_sets[idx_start], minlength=n_sets)
     offsets = np.zeros(n_sets, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
+    rounds = int(counts.max()) if n_runs else 0
+    return BucketPlan(lines, pos_first, pos_last, multi, offsets, rounds)
+
+
+def round_order(plan: BucketPlan) -> "tuple[np.ndarray, np.ndarray]":
+    """The rounds schedule's active prefix: ``(set_rank, active)``.
+
+    ``set_rank`` lists set ids by descending run count; ``active[k]`` is
+    the number of sets with at least ``k`` runs.  Only the rounds
+    engines read it, so narrow plans never build it.
+    """
+    counts = np.diff(plan.set_offsets, append=plan.lines.size)
     set_rank = np.argsort(-counts, kind="stable")
     counts_ranked = counts[set_rank]
-    rounds = int(counts_ranked[0]) if n_runs else 0
-    hist = np.bincount(counts_ranked[counts_ranked > 0], minlength=rounds + 2)
+    hist = np.bincount(counts_ranked[counts_ranked > 0], minlength=plan.rounds + 2)
     active = np.cumsum(hist[::-1])[::-1]
-    return BucketPlan(
-        lines, pos_first, pos_last, multi, offsets, set_rank, active, rounds
-    )
+    return set_rank, active
 
 
 def schedule(plan: BucketPlan, policy: str) -> str:

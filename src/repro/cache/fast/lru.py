@@ -47,7 +47,13 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import BucketPlan, bucket_trace, compact_line_ids, schedule
+from repro.cache.fast.bucket import (
+    BucketPlan,
+    bucket_trace,
+    compact_line_ids,
+    round_order,
+    schedule,
+)
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
 from repro.errors import ValidationError
@@ -314,8 +320,9 @@ class _RoundSets:
         pos_first = plan.pos_first
         multi = plan.multi
         tags, age, reused, way_of_line = self.tags, self.age, self.reused, self.way_of_line
-        col_starts = plan.set_offsets[plan.set_rank]
-        row_base = plan.set_rank * self.ways
+        set_rank, active = round_order(plan)
+        col_starts = plan.set_offsets[set_rank]
+        row_base = set_rank * self.ways
         way_range = np.arange(self.ways)
 
         miss_positions = np.empty(ids.size, dtype=np.int64)
@@ -324,7 +331,7 @@ class _RoundSets:
         dead_evictions = 0
         for r in range(plan.rounds):
             stamp = self.played + r
-            n_active = int(plan.active[r + 1])
+            n_active = int(active[r + 1])
             idx = col_starts[:n_active] + r
             line = ids[idx]
             way = way_of_line[line]

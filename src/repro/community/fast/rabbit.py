@@ -31,23 +31,28 @@ Deferred folding reproduces the reference's dict semantics exactly:
 
 Performance notes, each preserving bit-identity:
 
-- Rows are materialized lazily: until a node's row changes, it lives
-  only as a slice bound into the cleaned CSR (self-loops removed,
-  duplicate columns collapsed in storage order — exactly the dicts the
-  reference builds).  A row that does change becomes a mutable
-  ``[keys, weights, length, pristine]`` buffer grown geometrically;
-  ``pristine`` records that the keys are unique (a compacted store
-  with no appends since), which lets the next visit skip the stage-1
-  fold.
-- Short pristine rows (the bulk of a power-law visit order) skip numpy
-  entirely: below ``_SCALAR_MAX`` entries the visit runs the
-  reference's own dict algorithm — identical IEEE operations in
-  identical order produce identical bits — and rows whose keys are all
-  still live roots skip even the dict building, scanning gains
-  straight off the key/weight lists.
+- Rows are materialized lazily: until a loser's row is appended to a
+  node's row, it lives only as a slice bound into the cleaned CSR
+  (self-loops removed, duplicate columns collapsed in storage order —
+  exactly the dicts the reference builds), whose unique keys need no
+  stage-1 fold.  An appended-to row becomes a mutable ``[keys,
+  weights, length, ...]`` buffer grown geometrically.  Each node is
+  visited once, and after its visit it is absorbed or never visited
+  again, so its row is never read again: a visit stores nothing back
+  (the reference's rewrite of a non-merging root's dict has no reader
+  either).
+- Row length alone picks the path.  A row of at most ``DICT_MAX``
+  entries, base plus appends, skips numpy entirely and runs the
+  reference's own dict passes — an exact-key fold of the base and its
+  appends in merge order, then resolution to roots in that dict's
+  order — so identical IEEE operations in identical order produce
+  identical bits.  Untouched CSR rows skip the fold, and those whose
+  keys are all still live roots skip the dict building too, scanning
+  gains straight off the key/weight lists.  Only longer rows pay the
+  vectorized path's fixed cost of a few dozen numpy calls.
 - The union-find forest is kept twice: an ndarray ``parent`` for batch
   gathers in the vectorized path and a plain-list mirror for the
-  scalar path (numpy scalar indexing costs ~10x a list index).  The
+  dict path (numpy scalar indexing costs ~10x a list index).  The
   mirrors only need *root-equivalence*, not pointer-equality — path
   compression never changes which root a chain reaches — so each path
   compresses its own copy freely and only structural merge writes
@@ -63,15 +68,18 @@ import numpy as np
 from repro.community.assignment import CommunityAssignment
 from repro.community.dendrogram import Dendrogram
 
-#: Pristine rows with at most this many entries are folded with plain
-#: dicts; larger or appended-to rows use the vectorized fold.
-_SCALAR_MAX = 64
+#: Rows with at most this many entries (base plus appends) take the
+#: reference's dict passes; longer rows take the vectorized fold.  A
+#: dict visit costs ~0.7 us per entry, a vectorized one ~25 us plus
+#: ~0.1 us per entry.  Timed visit by visit on both paths (2-core
+#: Xeon), the cheaper path switches between 48 and 96 entries on mesh,
+#: social, web, circuit and block-model graphs, and near 40 on the
+#: hub-heavy ``rmat(15, 16)``, whose detection a cut of 64 slows by 2%
+#: and one of 128 by 11%; untouched and appended-to rows cross alike.
+DICT_MAX = 48
 
 #: Globally path-compress the union-find forest after this many merges.
 _COMPACT_EVERY = 4096
-
-_EMPTY_KEYS = np.empty(0, dtype=np.int64)
-_EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 
 
 def find_roots(parent: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -169,9 +177,10 @@ class _Folder:
 def rabbit_communities_fast(undirected):
     """Array-backed incremental aggregation on an undirected graph.
 
-    Takes the already-symmetrized graph (built by the dispatching
-    wrapper) and returns the same :class:`RabbitResult` the reference
-    produces, bit for bit.
+    Takes the already-symmetrized graph (as
+    :func:`repro.community.rabbit.rabbit_communities` builds it) and
+    returns the same :class:`RabbitResult` the reference produces, bit
+    for bit.
     """
     from repro.community.rabbit import RabbitResult  # deferred: cycle
 
@@ -199,22 +208,24 @@ def rabbit_communities_fast(undirected):
     indices, values, bounds = _cleaned_csr(adjacency, row_of_entry)
     parent = np.arange(n, dtype=np.int64)
     # fragments[v] is None while v's row is still its untouched CSR
-    # slice; once it changes it becomes a mutable 6-slot buffer
-    #     [keys, weights, length, pristine, pending_keys, pending_weights]
+    # slice; once a loser's row is appended to it, it becomes a mutable
+    # 6-slot buffer
+    #     [keys, weights, length, pending_keys, pending_weights, v]
     # where ``keys``/``weights`` are ndarrays holding the first
     # ``length`` entries (or None while the base is still the CSR
-    # slice) and the pending lists hold scalar-path appends not yet
+    # slice) and the pending lists hold dict-path appends not yet
     # flushed into the arrays (list.extend is ~10x cheaper than a
-    # numpy slice-write per short append).  Merged nodes keep None too
-    # (their rows are never read — the parent guard skips them first).
+    # numpy slice-write per short append).  A row is read only at its
+    # node's one visit, so visits store nothing back.
     fragments: list = [None] * n
 
-    # Plain-Python mirrors for the scalar path; see module docstring.
+    # Plain-Python mirrors for the dict path; see module docstring.
     bounds_list = bounds.tolist()
     degree_list = degree.tolist()
     parent_list = parent.tolist()
 
     visit_list = np.argsort(degree, kind="stable").tolist()
+    dict_max = DICT_MAX
     gain_scale = 2.0 / total_weight
     folder = _Folder(n)
     count_nonzero = np.count_nonzero
@@ -236,7 +247,7 @@ def rabbit_communities_fast(undirected):
         order), so the flushed buffer is the same concatenation the
         reference's eager merges accumulate over.
         """
-        pending_keys = target[4]
+        pending_keys = target[3]
         count = len(pending_keys)
         length = target[2]
         new_len = length + count
@@ -244,7 +255,7 @@ def rabbit_communities_fast(undirected):
         if keys_buf is None:
             # Base still the CSR slice (kept implicit while appends
             # were pure list extends); copy it with headroom.
-            ws = bounds_list[target[6]]
+            ws = bounds_list[target[5]]
             we = ws + length
             capacity = new_len + extra + (new_len >> 1) + 8
             keys_buf = np.empty(capacity, dtype=np.int64)
@@ -263,22 +274,20 @@ def rabbit_communities_fast(undirected):
             target[1] = grown_weights
         if count:
             keys_buf[length:new_len] = pending_keys
-            target[1][length:new_len] = target[5]
+            target[1][length:new_len] = target[4]
             target[2] = new_len
             pending_keys.clear()
-            target[5].clear()
+            target[4].clear()
 
     def append_array(winner, kept_keys, kept_weights, count):
         """Copy a loser's kept entries onto the winner's row buffer."""
         target = fragments[winner]
         if target is None:
             target = [None, None, bounds_list[winner + 1] - bounds_list[winner],
-                      False, [], [], winner]
+                      [], [], winner]
             fragments[winner] = target
-        elif target[4]:
+        elif target[3]:
             flush_pending(target, count)
-        else:
-            target[3] = False
         length = target[2]
         new_len = length + count
         keys_buf = target[0]
@@ -306,109 +315,87 @@ def rabbit_communities_fast(undirected):
             start = bounds_list[v]
             end = bounds_list[v + 1]
             total_len = end - start
-            pristine = True
         else:
-            total_len = row[2] + len(row[4])
-            pristine = row[3]
+            total_len = row[2] + len(row[3])
         if total_len == 0:
             continue
 
-        if pristine and total_len <= _SCALAR_MAX:
-            # ---- scalar path: the reference algorithm verbatim --
-            # Only pristine (unique-keyed) rows come here;
-            # appended-to rows are mostly stale keys, and the
-            # vectorized batch find resolves those far faster than
-            # per-key chains.
+        if total_len <= dict_max:
+            # ---- dict path: the reference algorithm verbatim ------
             if row is None:
-                first_keys = indices[start:end].tolist()
-                first_weights = values[start:end].tolist()
+                keys = indices[start:end].tolist()
+                weights = values[start:end].tolist()
             else:
-                first_keys = row[0].tolist()
-                first_weights = row[1].tolist()
+                length = row[2]
+                if row[0] is None:
+                    start = bounds_list[v]
+                    keys = indices[start:start + length].tolist()
+                    weights = values[start:start + length].tolist()
+                else:
+                    keys = row[0][:length].tolist()
+                    weights = row[1][:length].tolist()
+                if row[3]:
+                    keys += row[3]
+                    weights += row[4]
             deg_v = degree_list[v]
-            winner = -1
-            best_gain = 0.0
-            for root, weight in zip(first_keys, first_weights):
-                if parent_list[root] != root:
-                    break
-                gain = gain_scale * (
-                    weight - deg_v * degree_list[root] / total_weight
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    winner = root
+            candidates = None
+            if row is None:
+                # A CSR row's keys are unique: the stage-1 fold is the
+                # identity.
+                entries = zip(keys, weights)
+                winner = -1
+                best_gain = 0.0
+                for root, weight in zip(keys, weights):
+                    if parent_list[root] != root:
+                        break
+                    gain = gain_scale * (
+                        weight - deg_v * degree_list[root] / total_weight
+                    )
+                    if gain > best_gain:
+                        best_gain = gain
+                        winner = root
+                else:
+                    # Every key was a live root (and != v: CSR rows have
+                    # no self-loops) — the row is its own resolution and
+                    # the gains scanned above are final.
+                    if winner < 0:
+                        continue
+                    candidates = entries
             else:
-                # Every key was a live root (and != v: initial rows
-                # have no self-loops, stored rows dropped their own
-                # root while it was still v's) — the row needs no
-                # rewrite and the gains scanned above are final.
+                # Stage 1, the reference's merge-time accumulation:
+                # fold the base and its appends by exact key, in merge
+                # order.
+                folded: dict = {}
+                for key, weight in zip(keys, weights):
+                    folded[key] = folded.get(key, 0.0) + weight
+                entries = folded.items()
+            if candidates is None:
+                # Stage 2: resolve to roots in the row's dict order.
+                resolved: dict = {}
+                for key, weight in entries:
+                    root = key
+                    while parent_list[root] != root:  # path-halving find
+                        parent_list[root] = parent_list[parent_list[root]]
+                        root = parent_list[root]
+                    if root != v:
+                        resolved[root] = resolved.get(root, 0.0) + weight
+                if not resolved:
+                    continue
+                winner = -1
+                best_gain = 0.0
+                for root, weight in resolved.items():
+                    gain = gain_scale * (
+                        weight - deg_v * degree_list[root] / total_weight
+                    )
+                    if gain > best_gain:
+                        best_gain = gain
+                        winner = root
                 if winner < 0:
                     continue
-                kept_keys = []
-                kept_weights = []
-                for root, weight in zip(first_keys, first_weights):
-                    if root != winner:
-                        kept_keys.append(root)
-                        kept_weights.append(weight)
-                if kept_keys:
-                    target = fragments[winner]
-                    if target is None:
-                        fragments[winner] = [
-                            None, None,
-                            bounds_list[winner + 1] - bounds_list[winner],
-                            False, kept_keys, kept_weights, winner,
-                        ]
-                    else:
-                        target[4].extend(kept_keys)
-                        target[5].extend(kept_weights)
-                        target[3] = False
-                parent[v] = winner
-                parent_list[v] = winner
-                merged_degree = degree_list[winner] + degree_list[v]
-                degree_list[winner] = merged_degree
-                degree[winner] = merged_degree
-                children[winner].append(v)
-                losers.append(v)
-                fragments[v] = None
-                n_merges += 1
-                continue
-            # Some key was stale (partial gains above are discarded
-            # and recomputed).  A pristine row's keys are unique, so
-            # the stage-1 exact-key fold is the identity: resolve
-            # straight off the lists in input order, exactly the
-            # dict iteration the reference performs.
-            resolved: dict = {}
-            for key, weight in zip(first_keys, first_weights):
-                root = key
-                while parent_list[root] != root:  # path-halving find
-                    parent_list[root] = parent_list[parent_list[root]]
-                    root = parent_list[root]
-                if root != v:
-                    resolved[root] = resolved.get(root, 0.0) + weight
-            if not resolved:
-                fragments[v] = [_EMPTY_KEYS, _EMPTY_WEIGHTS, 0, True, [], [], v]
-                continue
-            deg_v = degree_list[v]
-            winner = -1
-            best_gain = 0.0
-            for root, weight in resolved.items():
-                gain = gain_scale * (
-                    weight - deg_v * degree_list[root] / total_weight
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    winner = root
-            if winner < 0:
-                size = len(resolved)
-                fragments[v] = [
-                    np.fromiter(resolved.keys(), np.int64, size),
-                    np.fromiter(resolved.values(), np.float64, size),
-                    size, True, [], [], v,
-                ]
-                continue
+                candidates = resolved.items()
             kept_keys = []
             kept_weights = []
-            for root, weight in resolved.items():
+            for root, weight in candidates:
                 if root != winner:
                     kept_keys.append(root)
                     kept_weights.append(weight)
@@ -418,32 +405,22 @@ def rabbit_communities_fast(undirected):
                     fragments[winner] = [
                         None, None,
                         bounds_list[winner + 1] - bounds_list[winner],
-                        False, kept_keys, kept_weights, winner,
+                        kept_keys, kept_weights, winner,
                     ]
                 else:
-                    target[4].extend(kept_keys)
-                    target[5].extend(kept_weights)
-                    target[3] = False
+                    target[3].extend(kept_keys)
+                    target[4].extend(kept_weights)
         else:
             # ---- vectorized path --------------------------------
             if row is None:
                 keys = indices[start:end]
                 weights = values[start:end]
-                compacted = False
-            elif pristine:
-                # Pristine buffers are exact-size (compacted stores
-                # are never over-allocated) and unique-keyed, so
-                # the stage-1 fold would be the identity.
-                keys = row[0]
-                weights = row[1]
-                compacted = False
             else:
-                if row[4]:
+                if row[3]:
                     flush_pending(row, 0)
                 keys, weights = folder.fold(
                     row[0][:total_len], row[1][:total_len]
                 )
-                compacted = True
             roots = parent[keys]
             if count_nonzero(roots == keys) != keys.size:
                 depth = 1
@@ -465,12 +442,8 @@ def rabbit_communities_fast(undirected):
                     roots = roots[external]
                     weights = weights[external]
                 if roots.size == 0:
-                    fragments[v] = [roots, weights, 0, True, [], [], v]
                     continue
                 roots, weights = folder.fold(roots, weights)
-                compacted = True
-            if compacted:
-                fragments[v] = [roots, weights, roots.size, True, [], [], v]
             # In-place gain chain: multiply is commutative bitwise
             # and the list-mirror degree holds the same values, so
             # these are the reference's IEEE ops in order.
@@ -491,19 +464,7 @@ def rabbit_communities_fast(undirected):
                 if kept.size:
                     append_array(winner, kept, weights[external], kept.size)
 
-            # ---- merge bookkeeping (reference `_merge`) ---------
-            parent[v] = winner
-            parent_list[v] = winner
-            merged_degree = degree_list[winner] + degree_list[v]
-            degree_list[winner] = merged_degree
-            degree[winner] = merged_degree
-            children[winner].append(v)
-            losers.append(v)
-            fragments[v] = None
-            n_merges += 1
-            continue
-
-        # ---- merge bookkeeping for the scalar dict path ---------
+        # ---- merge bookkeeping (reference `_merge`) -------------
         parent[v] = winner
         parent_list[v] = winner
         merged_degree = degree_list[winner] + degree_list[v]

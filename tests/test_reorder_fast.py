@@ -5,9 +5,10 @@ permutations to its per-node loop oracle
 (:data:`tests.oracles.reorder.ORACLES`) on every graph, the tiny
 and degenerate ones included: the engines are the only product path, so
 nothing else keeps a technique's output from drifting.  The suite
-crosses those techniques with seeded corpus generators and structural
-edge cases, checks the RABBIT detector under rabbit and rabbit++
-against its oracle, and pins the cached transpose GOrder reads.
+crosses those techniques with seeded corpus generators, weighted
+graphs and structural edge cases, checks the RABBIT detector against
+its oracle with its rows split by length and with every row forced down
+each of its two paths, and pins the cached transpose GOrder reads.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.community.fast import rabbit as fast_rabbit
 from repro.community.rabbit import rabbit_communities
 from repro.graphs.generators.community import dcsbm, star_burst
 from repro.graphs.generators.powerlaw import rmat
@@ -47,6 +49,33 @@ def _disconnected() -> Graph:
     return _graph_from_coo(COOMatrix(8, 8, rows, cols), directed=False)
 
 
+def _weighted(coo: COOMatrix) -> Graph:
+    """``coo`` under symmetric non-integer weights: every entry of the
+    pair ``{i, j}`` weighs ``1 + ((min·7919 + max·104729) mod 97) / 10``,
+    so detection's float sums are no longer exact."""
+    low, high = np.minimum(coo.rows, coo.cols), np.maximum(coo.rows, coo.cols)
+    weights = 1 + ((low * 7919 + high * 104729) % 97) / 10
+    return _graph_from_coo(COOMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, weights))
+
+
+def _fold_order_k4() -> Graph:
+    """K4 whose detection turns on one float association.
+
+    Visits run 1, 0, 3, 2.  Node 1 merges into 2, then node 0 into 3,
+    which appends ``{2: 0.1 + 0.2}`` to node 3's row ``{0: 0.3, 1: 0.1,
+    2: 0.2}``.  Folding that row by exact key first (the reference's
+    merge-time accumulation) gives root 2 the weight ``0.1 + (0.2 +
+    (0.1 + 0.2)) = 0.6``, whose gain is not positive, so node 3 stays a
+    root and node 2 later merges into it.  Resolving the unfolded row
+    sums ``(0.1 + 0.2) + (0.1 + 0.2) = 0.6000000000000001`` instead, and
+    node 3 merges into 2: same labels, different dendrogram.
+    """
+    edges = {(0, 1): 0.1, (0, 2): 0.2, (0, 3): 0.3, (1, 2): 0.3, (1, 3): 0.1, (2, 3): 0.2}
+    rows = [u for u, v in edges]
+    cols = [v for u, v in edges]
+    return _graph_from_coo(COOMatrix(4, 4, rows, cols, list(edges.values())), directed=False)
+
+
 GRAPHS = {
     "rmat10": lambda: _graph_from_coo(rmat(10, 8, seed=7)),
     "rmat9-dense": lambda: _graph_from_coo(rmat(9, 24, seed=11)),
@@ -59,6 +88,11 @@ GRAPHS = {
     "empty": _empty_graph,
     "single": _single_node,
     "disconnected": _disconnected,
+    "rmat10-weighted": lambda: _weighted(rmat(10, 8, seed=7)),
+    "dcsbm-hubs-weighted": lambda: _weighted(
+        dcsbm(384, 6, 10.0, 0.3, theta_exponent=0.9, seed=5)
+    ),
+    "fold-order-k4": _fold_order_k4,
 }
 
 
@@ -96,15 +130,28 @@ class TestTechniqueDifferential:
         assert stats["oracle"] == stats["fast"]
 
 
+def assert_same_detection(graph):
+    ref = oracle_detection(graph)
+    fast = rabbit_communities(graph)
+    assert np.array_equal(ref.assignment.labels, fast.assignment.labels)
+    assert ref.n_merges == fast.n_merges
+    assert np.array_equal(ref.dendrogram.ordering(), fast.dendrogram.ordering())
+
+
 class TestDetectorDifferential:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_rabbit_detection(self, graphs, graph_name):
-        graph = graphs[graph_name]
-        ref = oracle_detection(graph)
-        fast = rabbit_communities(graph)
-        assert np.array_equal(ref.assignment.labels, fast.assignment.labels)
-        assert ref.n_merges == fast.n_merges
-        assert np.array_equal(ref.dendrogram.ordering(), fast.dendrogram.ordering())
+        assert_same_detection(graphs[graph_name])
+
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    @pytest.mark.parametrize(
+        "dict_max", [pytest.param(0, id="numpy"), pytest.param(2**62, id="dict")]
+    )
+    def test_rabbit_detection_on_one_path(self, graphs, graph_name, dict_max, monkeypatch):
+        """Every row takes the vectorized fold, then every row the dict
+        passes: each path alone must reproduce the oracle."""
+        monkeypatch.setattr(fast_rabbit, "DICT_MAX", dict_max)
+        assert_same_detection(graphs[graph_name])
 
 
 class TestInAdjacencyCache:
