@@ -2,10 +2,10 @@
 
 :func:`simulate` replays one trace on its policy's bucketed engine in
 :mod:`repro.cache.fast` — one engine per policy, whatever the input.
-Each engine picks its narrow or rounds schedule from the plan's width
-(:func:`repro.cache.fast.bucket.schedule`): LRU's narrow schedule is
-the reuse-window replay, Belady's a serial per-set loop.  Both
-schedules produce bit-identical :class:`~repro.cache.stats.CacheStats`.
+LRU decides every plan's hits from reuse windows; Belady picks its
+serial or rounds schedule from the plan's width
+(:func:`repro.cache.fast.belady.schedule`).  Both Belady schedules
+produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 
 A :class:`KernelTrace` reaches the LRU engine block by block
 (:func:`repro.cache.fast.lru.simulate_lru_blocks`), so a lazily built
@@ -63,7 +63,7 @@ def simulate(
             lines = trace.lines if kernel_trace else trace
             stats = simulate_belady_fast(lines, config, regions)
         elif kernel_trace:
-            stats = simulate_lru_blocks(trace.blocks(), config, regions, trace.line_space)
+            stats = simulate_lru_blocks(trace.blocks(), config, regions)
         else:
             stats = simulate_lru_fast(trace, config, regions)
         if span is not None:

@@ -2,12 +2,11 @@
 
 The product simulators behind :func:`repro.cache.simulate`, one per
 policy: the trace is grouped by cache set and same-line runs collapse
-to one access, so no loop runs per access.  Both engines replay wide
-plans in numpy lockstep rounds.  Narrow plans (few busy sets) take
-LRU's reuse windows, which decide a whole block's hits in numpy from
-LRU's stack property, or Belady's serial loop over each set's runs.
-One width rule, :func:`repro.cache.fast.bucket.schedule`, picks the
-schedule for both, each policy with its own measured width.
+to one access, so no loop runs per access.  LRU decides every plan's
+hits from reuse windows, in numpy from LRU's stack property.  Belady
+replays wide plans in numpy lockstep rounds and narrow plans (few busy
+sets) in a serial loop over each set's runs; its width rule,
+:func:`repro.cache.fast.belady.schedule`, picks between them.
 Identical ``CacheStats`` (bit-for-bit, including dead-line and
 per-region miss counters) to the per-access LRU and Belady loops in
 ``tests/oracles/cache.py``, and faster on realistic traces

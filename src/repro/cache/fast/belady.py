@@ -8,14 +8,18 @@ RABBIT++ ordered matrices.
 
 The offline next-use index (:func:`next_use_index`) is computed
 vectorially (lexsort by line then position).  The bucketed trace (see
-:mod:`repro.cache.fast.bucket`) then replays on the schedule
-:func:`repro.cache.fast.bucket.schedule` picks, the same width rule as
-LRU with Belady's own width:
+:mod:`repro.cache.fast.bucket`) then replays on one of two schedules,
+picked by the plan's width (:func:`schedule`):
 
-* **rounds** — lockstep numpy rounds over per-way next-use stamps
-  instead of LRU's ages;
-* **narrow** — each set's runs in a serial Python loop, with a dict of
-  resident lines and a lazy max-heap of ``(-next_use, line)`` entries.
+* **serial** — each set's runs in a Python loop, with a dict of
+  resident lines and a lazy max-heap of ``(-next_use, line)`` entries;
+* **rounds** — the per-set replays advance in lockstep, one numpy step
+  per round over all active sets, with per-way next-use stamps and a
+  presence table mapping line id to its way.  Sets are ranked by
+  descending run count, so round ``r`` touches the contiguous prefix of
+  sets whose count exceeds ``r``.  A round costs a fixed ~20 numpy
+  calls however few sets it touches, so narrow plans take the serial
+  loop.
 
 In both, the victim in a full set is the resident line with the
 farthest next use, ties broken toward the smallest line id — the order
@@ -38,17 +42,16 @@ from typing import Optional
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import (
-    BucketPlan,
-    bucket_trace,
-    compact_line_ids,
-    round_order,
-    schedule,
-)
+from repro.cache.fast.bucket import BucketPlan, bucket_trace
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: The average runs per round below which the serial loop, at a few
+#: heap operations per run, beats the rounds (crossover measured near
+#: 64 on the profile L2s' spmv-csr traces).
+SERIAL_WIDTH = 64
 
 
 def next_use_index(trace: np.ndarray) -> np.ndarray:
@@ -83,7 +86,7 @@ def simulate_belady_fast(
         # Next use *after* a collapsed run is the next use of its last
         # access; the in-run accesses are guaranteed hits either way.
         run_future = next_use_index(trace)[plan.pos_last]
-        if schedule(plan, "belady") == "narrow":
+        if schedule(plan) == "serial":
             result = _belady_serial(plan, run_future, config.ways)
         else:
             result = _belady_rounds(plan, run_future, config.n_sets, config.ways)
@@ -100,6 +103,11 @@ def simulate_belady_fast(
     )
     stats.check_consistency()
     return stats
+
+
+def schedule(plan: BucketPlan) -> str:
+    """``"serial"`` or ``"rounds"``: the schedule ``plan`` replays on."""
+    return "serial" if plan.lines.size < SERIAL_WIDTH * plan.rounds else "rounds"
 
 
 def _belady_serial(plan: BucketPlan, run_future: np.ndarray, ways: int):
@@ -249,3 +257,34 @@ def _belady_rounds(plan: BucketPlan, run_future: np.ndarray, n_sets: int, ways: 
             way_of_line[line_in[replace]] = victim[replace]
     dead_at_end = int(np.count_nonzero((tags >= 0) & ~reused))
     return evictions, dead_evictions, dead_at_end, miss_positions[:n_miss]
+
+
+def round_order(plan: BucketPlan) -> "tuple[np.ndarray, np.ndarray]":
+    """The rounds schedule's active prefix: ``(set_rank, active)``.
+
+    ``set_rank`` lists set ids by descending run count; ``active[k]`` is
+    the number of sets with at least ``k`` runs.
+    """
+    counts = np.diff(plan.set_offsets, append=plan.lines.size)
+    set_rank = np.argsort(-counts, kind="stable")
+    counts_ranked = counts[set_rank]
+    hist = np.bincount(counts_ranked[counts_ranked > 0], minlength=plan.rounds + 2)
+    active = np.cumsum(hist[::-1])[::-1]
+    return set_rank, active
+
+
+def compact_line_ids(lines: np.ndarray) -> "tuple[np.ndarray, int]":
+    """Map line ids to a dense non-negative range for table indexing.
+
+    Returns ``(ids, table_size)``.  The cheap path subtracts the
+    minimum; when the id range is much larger than the trace (sparse
+    address spaces) the ids are densified with ``np.unique``, whose
+    sorted output preserves the line-id order that the tie-break
+    compares.
+    """
+    lo = int(lines.min())
+    span = int(lines.max()) - lo + 1
+    if span <= max(1 << 20, 8 * lines.size):
+        return lines - lo, span
+    uniq, ids = np.unique(lines, return_inverse=True)
+    return ids, int(uniq.size)

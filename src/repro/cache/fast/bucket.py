@@ -1,25 +1,18 @@
 """Trace bucketing for the vectorized simulators.
 
 Set-associative replacement is sequential *within* a set but
-independent *across* sets, so the trace is grouped by cache set and
-replayed in rounds: round ``r`` performs the ``r``-th access of every
-set that still has one, each round a handful of numpy array
-operations over the active sets.  Narrow plans take each engine's
-narrow schedule instead (LRU's reuse windows, Belady's serial loop);
-:func:`schedule` is the one width rule both engines use, each with its
-own measured width.  Two observations make the rounds fast:
+independent *across* sets, so both engines first group the trace by
+cache set (:func:`bucket_trace`) and then replay each set's sub-trace:
+LRU from reuse windows (:mod:`repro.cache.fast.lru`), Belady serially
+or in lockstep rounds (:mod:`repro.cache.fast.belady`).
 
-* **Run collapse.**  Within one set's sub-trace, consecutive accesses
-  to the same line are guaranteed hits under both LRU and Belady (no
-  other access to the set intervenes, so the line cannot have been
-  evicted).  Each run is replayed as a single access carrying its
-  original first position (the only position that can miss) and a
-  ``multi`` flag (the line was re-referenced, for dead-line
-  accounting).  Real kernel traces collapse ~5-10x.
-
-* **Active-prefix schedule.**  Sets are ranked by descending run
-  count, so round ``r`` touches the contiguous prefix of sets whose
-  count exceeds ``r`` — no masking, no compaction per round.
+Within one set's sub-trace, consecutive accesses to the same line are
+guaranteed hits under both LRU and Belady (no other access to the set
+intervenes, so the line cannot have been evicted).  Each such run is
+replayed as a single access carrying its original first position (the
+only position that can miss) and a ``multi`` flag (the line was
+re-referenced, for dead-line accounting).  Real kernel traces collapse
+~5-10x.
 
 The group-by-set step is a stable counting sort implemented as one
 ``np.sort`` over packed ``(set_id << shift) | position`` keys, which
@@ -31,17 +24,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-#: Per policy, the average runs per round below which the engine's
-#: narrow schedule beats the rounds loop, whose rounds cost a fixed ~20
-#: numpy calls however many sets they touch.  Belady's narrow schedule
-#: is a serial loop at a few heap operations per run (crossover measured
-#: near 64 on the profile L2s' spmv-csr traces).  LRU's decides a
-#: whole block in a fixed number of numpy passes: on SpGEMM, SpMV and
-#: SpMM-256 traces over 32 to 12288 sets (16 ways, 2-core Xeon) it won
-#: up to 830 runs per round and lost from 2234; a uniform random trace
-#: whose lines nearly fit the cache (long hit windows) lost from 493.
-NARROW_WIDTH = {"lru": 1024, "belady": 64}
 
 
 class BucketPlan(NamedTuple):
@@ -111,42 +93,3 @@ def bucket_trace(trace: np.ndarray, n_sets: int, *, run_ends: bool = False) -> B
     np.cumsum(counts[:-1], out=offsets[1:])
     rounds = int(counts.max()) if n_runs else 0
     return BucketPlan(lines, pos_first, pos_last, multi, offsets, rounds)
-
-
-def round_order(plan: BucketPlan) -> "tuple[np.ndarray, np.ndarray]":
-    """The rounds schedule's active prefix: ``(set_rank, active)``.
-
-    ``set_rank`` lists set ids by descending run count; ``active[k]`` is
-    the number of sets with at least ``k`` runs.  Only the rounds
-    engines read it, so narrow plans never build it.
-    """
-    counts = np.diff(plan.set_offsets, append=plan.lines.size)
-    set_rank = np.argsort(-counts, kind="stable")
-    counts_ranked = counts[set_rank]
-    hist = np.bincount(counts_ranked[counts_ranked > 0], minlength=plan.rounds + 2)
-    active = np.cumsum(hist[::-1])[::-1]
-    return set_rank, active
-
-
-def schedule(plan: BucketPlan, policy: str) -> str:
-    """``"narrow"`` or ``"rounds"``: the schedule ``policy``'s engine
-    replays ``plan`` on."""
-    narrow = plan.lines.size < NARROW_WIDTH[policy] * plan.rounds
-    return "narrow" if narrow else "rounds"
-
-
-def compact_line_ids(lines: np.ndarray) -> "tuple[np.ndarray, int]":
-    """Map line ids to a dense non-negative range for table indexing.
-
-    Returns ``(ids, table_size)``.  The cheap path subtracts the
-    minimum; when the id range is much larger than the trace (sparse
-    address spaces) the ids are densified with ``np.unique``, whose
-    sorted output preserves the line-id order that Belady's tie-break
-    compares.
-    """
-    lo = int(lines.min())
-    span = int(lines.max()) - lo + 1
-    if span <= max(1 << 20, 8 * lines.size):
-        return lines - lo, span
-    uniq, ids = np.unique(lines, return_inverse=True)
-    return ids, int(uniq.size)

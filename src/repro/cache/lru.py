@@ -51,7 +51,7 @@ def compulsory_misses(trace: np.ndarray) -> int:
     Marks a boolean table over ``[min, max]``; when that span is much
     larger than the trace (sparse address spaces) it counts the
     distinct values of the sorted trace instead, with the same bound
-    as :func:`repro.cache.fast.bucket.compact_line_ids`.
+    as :func:`repro.cache.fast.belady.compact_line_ids`.
     """
     trace = np.asarray(trace, dtype=np.int64)
     if trace.size == 0:

@@ -6,16 +6,17 @@ the bucketed engines in ``repro.cache.fast``; the resulting
 ``CacheStats`` must be equal field-by-field (dataclass equality covers
 accesses, hits, misses, evictions, dead-line counters and the
 per-region miss split).  The geometry grid includes the direct-mapped
-(``ways=1``) and fully-associative (``n_sets=1``) edge cases.  Both
-engines have two schedules, a narrow one (LRU's reuse windows,
-Belady's serial per-set loop) and lockstep rounds for wide plans; the
-grid's random traces take the narrow ones, Belady's 512-set geometry
-keeps its rounds loop covered, and ``test_schedule_crossover`` pins
-which side each policy takes and forces the other.  ``test_lru_blocks``
-replays the LRU traces split into blocks, on both schedules, and
-requires the oracle's counters too; ``test_lru_reuse_windows`` does the
-same for reuse windows of 10^4 runs cut while the carried LRU stacks
-are still filling.
+(``ways=1``) and fully-associative (``n_sets=1``) edge cases.  LRU has
+one replay, from reuse windows; ``test_lru_wide_plan`` and the real
+kernel traces on 4096 x 4 hold it to the oracle on plans wider than
+1024 runs per round.  Belady has two schedules, a serial per-set loop
+and lockstep rounds for wide plans; the grid's random traces take the
+serial one, Belady's 512-set geometry keeps its rounds loop covered,
+and ``test_schedule_crossover`` pins which side each plan takes and
+forces the other.  ``test_lru_blocks`` replays the LRU traces split
+into blocks and requires the oracle's counters too;
+``test_lru_reuse_windows`` does the same for reuse windows of 10^4
+runs cut while the carried LRU stacks are still filling.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, simulate
+from repro.cache.fast import belady as fast_belady
 from repro.cache.fast import bucket as fast_bucket
 from repro.cache.fast import simulate_belady_fast, simulate_lru_blocks, simulate_lru_fast
 from repro.gpu.specs import scaled_platform
@@ -120,31 +122,24 @@ def block_cuts(rng, trace: np.ndarray):
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 @pytest.mark.parametrize("style", ["uniform", "hot", "stream"])
-def test_lru_blocks(geometry, style, monkeypatch):
+def test_lru_blocks(geometry, style):
     """``test_random_traces``' LRU traces, replayed in blocks that carry
-    the cache state across each cut, match the per-access oracle on
-    both schedules.  One-set caches skip the forced rounds schedule: it
-    replays one run per round there, and ``test_schedule_crossover``
-    already forces it on a narrow plan."""
+    the cache state across each cut, match the per-access oracle."""
     n_sets, ways = geometry
     config = config_for(n_sets, ways)
     rng = np.random.default_rng(hash_name(f"lru-{n_sets}-{ways}-{style}"))
     cut_rng = np.random.default_rng(hash_name(f"cuts-{n_sets}-{ways}-{style}"))
-    schedules = {"narrow": 2**62, "rounds": 0} if n_sets > 1 else {"narrow": 2**62}
     for n in (0, 1, 2, ways, 4 * n_sets * ways, 5000):
         trace = random_trace(rng, style, n)
         regions = [("low", 0, max(1, n // 8)), ("mid", max(1, n // 8), n + 1)]
         reference = simulate_lru(trace, config, regions)
-        line_space = int(trace.max()) + 1 if n else 0
         for cuts in block_cuts(cut_rng, trace):
             blocks = np.split(trace, cuts)
-            for schedule, width in schedules.items():
-                monkeypatch.setitem(fast_bucket.NARROW_WIDTH, "lru", width)
-                assert_identical_stats(
-                    reference,
-                    simulate_lru_blocks(blocks, config, regions, line_space),
-                    f"{schedule} {n_sets}x{ways} {style} n={n} in {len(blocks)} blocks",
-                )
+            assert_identical_stats(
+                reference,
+                simulate_lru_blocks(blocks, config, regions),
+                f"{n_sets}x{ways} {style} n={n} in {len(blocks)} blocks",
+            )
 
 
 #: Runs between the two uses of each reused line in ``reuse_window_trace``.
@@ -199,7 +194,7 @@ def test_lru_reuse_windows(geometry, base):
     for cuts in ([], [early], [early, *inside, trace.size - 1]):
         assert_identical_stats(
             reference,
-            simulate_lru_blocks(np.split(trace, cuts), config, regions, base + 2**20),
+            simulate_lru_blocks(np.split(trace, cuts), config, regions),
             f"{n_sets}x{ways} base={base} cuts={cuts}",
         )
 
@@ -215,17 +210,28 @@ def test_sparse_line_ids(policy):
     assert_identical_stats(reference, fast, f"{policy} sparse ids")
 
 
+#: Wider than any plan the reuse windows took while LRU also had a
+#: rounds schedule: it replayed plans of 1024 or more runs per round.
+OLD_ROUNDS_WIDTH = 1024
+
+
 @pytest.mark.parametrize("policy", ["lru", "belady"])
 @pytest.mark.parametrize(
     "kernel", ["spmv-csr", "spmv-coo", "spmm-csr-4", "spgemm-csr"]
 )
 @pytest.mark.parametrize("matrix", ["test-comm", "test-rmat"])
 def test_real_kernel_traces(policy, kernel, matrix):
-    """Real kernel traces with region splits, on two cache geometries."""
+    """Real kernel traces with region splits, on three cache geometries.
+
+    On 4096 x 4, test-comm's plans average more than 1024 runs per
+    round (1,216 for spmv-csr, 1,600 for spmm-csr-4), LRU's widest
+    plans here; every plan there takes Belady's rounds.  test-rmat's
+    spmv-csr trace touches only 994 lines, so its plan cannot be as
+    wide."""
     graph = load_graph(matrix)
     platform = scaled_platform("test")
     trace = KernelSpec.parse(kernel).build_trace(graph.adjacency, platform)
-    for n_sets, ways in [(4, 16), (64, 16)]:
+    for n_sets, ways in [(4, 16), (64, 16), (4096, 4)]:
         config = config_for(n_sets, ways, line_bytes=platform.line_bytes)
         reference = REFERENCE[policy](trace.lines, config, trace.regions)
         fast = FAST[policy](trace.lines, config, trace.regions)
@@ -233,24 +239,42 @@ def test_real_kernel_traces(policy, kernel, matrix):
             reference, fast, f"{policy} {kernel} {matrix} {n_sets}x{ways}"
         )
         assert reference.region_misses  # the split actually exercised
+    plan = fast_bucket.bucket_trace(trace.lines, 4096)
+    assert fast_belady.schedule(plan) == "rounds"
+    if matrix == "test-comm":
+        assert plan.lines.size > OLD_ROUNDS_WIDTH * plan.rounds
+
+
+def test_lru_wide_plan():
+    """A 20K-access uniform trace on 4096 x 4 averages more than 1024
+    runs per round and matches the oracle, whole and in blocks."""
+    config = config_for(4096, 4)
+    rng = np.random.default_rng(7)
+    trace = rng.integers(0, 1 << 16, size=20000)
+    regions = [("low", 0, 1 << 14), ("mid", 1 << 14, 3 << 14)]
+    plan = fast_bucket.bucket_trace(trace, config.n_sets)
+    assert plan.lines.size > OLD_ROUNDS_WIDTH * plan.rounds
+    reference = simulate_lru(trace, config, regions)
+    for cuts in ([], [1, 5000, 5001, 12345]):
+        assert_identical_stats(
+            reference,
+            simulate_lru_blocks(np.split(trace, cuts), config, regions),
+            f"4096x4 uniform cuts={cuts}",
+        )
 
 
 @pytest.mark.parametrize(
-    "policy, geometry, schedule",
+    "geometry, schedule",
     [
-        pytest.param("lru", (512, 4), "narrow", id="geometry0-windows-lru"),
-        pytest.param("lru", (4096, 4), "rounds", id="geometry1-rounds-lru"),
-        pytest.param("belady", (4, 4), "narrow", id="geometry0-serial-belady"),
-        pytest.param("belady", (512, 4), "rounds", id="geometry1-rounds-belady"),
+        pytest.param((4, 4), "serial", id="geometry0-serial-belady"),
+        pytest.param((512, 4), "rounds", id="geometry1-rounds-belady"),
     ],
 )
-def test_schedule_crossover(policy, geometry, schedule, monkeypatch):
-    """Each policy replays a narrow plan on its narrow schedule and a
-    wide one in rounds, and both agree with the oracle.  LRU's reuse
-    windows take plans far wider than Belady's serial loop.
-
-    Each geometry is also replayed with the policy's width forced to
-    the other schedule, so both schedules are checked on both sides.
+def test_schedule_crossover(geometry, schedule, monkeypatch):
+    """Belady replays a narrow plan on its serial loop and a wide one in
+    rounds, and both agree with the oracle.  Each geometry is also
+    replayed with Belady's width forced to the other schedule, so both
+    schedules are checked on both sides.
     """
     n_sets, ways = geometry
     config = config_for(n_sets, ways)
@@ -258,16 +282,16 @@ def test_schedule_crossover(policy, geometry, schedule, monkeypatch):
     trace = rng.integers(0, 1 << 16, size=20000)
     regions = [("low", 0, 1 << 14), ("mid", 1 << 14, 3 << 14)]
     plan = fast_bucket.bucket_trace(trace, n_sets)
-    assert fast_bucket.schedule(plan, policy) == schedule
-    reference = REFERENCE[policy](trace, config, regions)
+    assert fast_belady.schedule(plan) == schedule
+    reference = simulate_belady(trace, config, regions)
     assert_identical_stats(
-        reference, FAST[policy](trace, config, regions), f"{policy} {schedule}"
+        reference, simulate_belady_fast(trace, config, regions), f"belady {schedule}"
     )
-    forced = {"narrow": 0, "rounds": 2**62}[schedule]
-    monkeypatch.setitem(fast_bucket.NARROW_WIDTH, policy, forced)
-    assert fast_bucket.schedule(plan, policy) != schedule
+    forced = {"serial": 0, "rounds": 2**62}[schedule]
+    monkeypatch.setattr(fast_belady, "SERIAL_WIDTH", forced)
+    assert fast_belady.schedule(plan) != schedule
     assert_identical_stats(
-        reference, FAST[policy](trace, config, regions), f"{policy} not {schedule}"
+        reference, simulate_belady_fast(trace, config, regions), f"belady not {schedule}"
     )
 
 

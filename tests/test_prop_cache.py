@@ -100,6 +100,6 @@ class TestLruBlocksMatchOracle:
             else st.just([])
         )
         regions = [("low", 0, 8), ("high", 8, 31)]
-        blocks = simulate_lru_blocks(np.split(trace, cuts), config, regions, 31)
+        blocks = simulate_lru_blocks(np.split(trace, cuts), config, regions)
         oracle = simulate_lru(trace, config, regions)
         assert dataclasses.asdict(blocks) == dataclasses.asdict(oracle)
