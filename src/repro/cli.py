@@ -12,7 +12,6 @@ Examples::
     repro cache-stats
     repro doctor
     repro run-all --jobs 4 --retries 2 --cell-timeout 120 --keep-going
-    repro run-all --resume
     repro runs list
     repro trace <run_id> --chrome /tmp/trace.json
     repro serve --profile bench --port 8787 --deadline 30
@@ -48,8 +47,9 @@ from typing import List, Optional
 
 from repro import obs
 from repro.cache import POLICIES
+from repro.errors import SweepArgumentError
 from repro.experiments.report import render_table
-from repro.experiments.run_all import ABLATIONS, DRIVERS, run_experiment, timing_summary
+from repro.experiments.run_all import ABLATIONS, DRIVERS, run_sweep, timing_summary
 from repro.experiments.runner import ExperimentRunner, resolve_cache_dir
 from repro.graphs.corpus import PROFILES, load_matrix, selection_report
 from repro.graphs.io import write_matrix_market
@@ -57,7 +57,6 @@ from repro.obs import (
     Instrumentation,
     JsonlSink,
     NullSink,
-    ProgressReporter,
     TeeSink,
     format_histograms,
     format_span_totals,
@@ -73,6 +72,7 @@ from repro.obs.ledger import (
 )
 from repro.reorder.benchreorder import SCALE_GRAPH
 from repro.reorder.registry import available_techniques
+from repro.resilience import RetryPolicy
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -611,7 +611,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help="retry transiently-failed cells up to N times with "
-        "exponential backoff (default: 0, fail on first error)",
+        "exponential backoff (default: 0, fail on first error; "
+        "needs --jobs > 1)",
     )
     parser.add_argument(
         "--cell-timeout",
@@ -619,7 +620,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget; a cell over budget raises "
-        "CellTimeoutError and is retried like any transient failure",
+        "CellTimeoutError and is retried like any transient failure "
+        "(needs --jobs > 1)",
     )
     parser.add_argument(
         "--keep-going",
@@ -627,12 +629,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         help="record failed cells/drivers in a failure report and finish "
         "the sweep with partial results instead of aborting "
         "(exit code 1 if anything failed permanently)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells already checkpointed in the sweep manifest "
-        "(written next to the memo cache by every sweep)",
     )
 
 
@@ -673,118 +669,58 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # The whole sweep runs under one root span: worker processes root
-    # their spans beneath it (TraceContext captures its id at pool
-    # construction), so `repro trace <run_id>` shows every cell span
-    # parented under this experiment span.
-    with get_obs().span("experiment", experiment=args.name, profile=args.profile):
-        return _run_experiment_sweep(args)
-
-
-def _run_experiment_sweep(args: argparse.Namespace) -> int:
-    from repro.resilience import (
-        CellFailure,
-        FailureReport,
-        RetryPolicy,
-        SweepManifest,
-        is_transient,
-    )
-
-    names = sorted(DRIVERS) if args.name == "all" else [args.name]
+    names = list(DRIVERS) if args.name == "all" else [args.name]
     runner = ExperimentRunner(args.profile)
-    jobs = getattr(args, "jobs", 1)
-    retry = RetryPolicy.from_retries(getattr(args, "retries", 0))
-    cell_timeout = getattr(args, "cell_timeout", None)
-    keep_going = getattr(args, "keep_going", False)
-    manifest = SweepManifest.for_sweep(
-        runner.cache_dir, args.profile, resume=getattr(args, "resume", False)
-    )
-    ledger = getattr(args, "_ledger", None)
+    ledger = args._ledger
     if ledger is not None:
-        manifest.add_run_id(ledger.run_id)
         ledger.record(
             "corpus_profile",
-            {"profile": args.profile, "experiments": names},
+            {
+                "profile": args.profile,
+                "experiments": names,
+                "cache_dir": runner.cache_dir,
+            },
         )
-    pending_cell_failures: dict = {}
-    if jobs > 1:
-        from repro.parallel import plan_cells, precompute
 
-        drivers = {n: DRIVERS.get(n) or ABLATIONS[n] for n in names}
-        n_cells = len(plan_cells(drivers, args.profile))
-        cell_progress = ProgressReporter(
-            n_cells, label="precompute", enabled=not args.quiet and n_cells > 0
-        )
-        stats = precompute(
-            drivers,
-            runner,
-            jobs,
-            progress=cell_progress,
-            retry=retry,
-            cell_timeout=cell_timeout,
-            keep_going=keep_going,
-            manifest=manifest,
-        )
-        cell_progress.finish()
-        # Precompute failures are provisional: the in-process driver
-        # replay recomputes any missing cell, so a failure only sticks
-        # if the driver that needs it fails too.
-        pending_cell_failures = {f.label: f for f in stats.failures}
-    progress = ProgressReporter(
-        len(names), label="experiments", enabled=not args.quiet and len(names) > 1
-    )
-    failures = FailureReport()
-    for name in names:
-        try:
-            report = run_experiment(name, profile=args.profile, runner=runner)
-        except Exception as exc:
-            if not keep_going:
-                raise
-            import traceback
-
-            failures.add(
-                CellFailure(
-                    label=f"driver:{name}",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=1,
-                    transient=is_transient(exc),
-                    traceback=traceback.format_exc(),
-                )
-            )
-            progress.update(name)
-            continue
-        manifest.mark_driver(name)
-        if pending_cell_failures:
-            from repro.parallel import driver_plan
-
-            for cell in driver_plan(DRIVERS.get(name) or ABLATIONS[name], args.profile):
-                pending_cell_failures.pop(cell.label(), None)
-        progress.update(name)
+    def print_report(report) -> None:
         print(report.to_text())
-        if getattr(args, "figure", False):
+        if args.figure:
             column = _first_numeric_column(report.rows)
             if column is not None:
                 print()
                 print(report.to_figure(value_column=column))
         print()
-    progress.finish()
-    # Keyed on the explicit log flags, not obs.enabled: the run ledger
-    # enables instrumentation for every sweep, but the stdout timing
-    # dump should stay opt-in.
-    if (args.log_level or args.log_file) and not args.quiet:
-        print("== where the time went ==")
-        print(timing_summary())
-    if keep_going:
-        for failure in pending_cell_failures.values():
-            failures.add(failure)
-        manifest.record_failures(failures)
+
+    # The whole sweep runs under one root span: worker processes root
+    # their spans beneath it (TraceContext captures its id at pool
+    # construction), so `repro trace <run_id>` shows every cell span
+    # parented under this experiment span.
+    with get_obs().span("experiment", experiment=args.name, profile=args.profile):
+        try:
+            failures = run_sweep(
+                names,
+                runner,
+                print_report,
+                jobs=args.jobs,
+                retry=RetryPolicy.from_retries(args.retries),
+                cell_timeout=args.cell_timeout,
+                keep_going=args.keep_going,
+                progress=not args.quiet,
+            )
+        except SweepArgumentError as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
+        # Keyed on the explicit log flags, not obs.enabled: the run ledger
+        # enables instrumentation for every sweep, but the stdout timing
+        # dump should stay opt-in.
+        if (args.log_level or args.log_file) and not args.quiet:
+            print("== where the time went ==")
+            print(timing_summary())
+    if args.keep_going:
         print(failures.summary_text(), file=sys.stderr if failures else sys.stdout)
         if ledger is not None and failures:
             ledger.record("failures", failures.to_json())
-        if failures:
-            return 1
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:

@@ -119,3 +119,13 @@ class SweepFailure(ParallelExecutionError):
     def __init__(self, message: str, report: object = None):
         super().__init__(message)
         self.report = report
+
+
+class SweepArgumentError(ValidationError):
+    """A sweep argument that the sweep's ``jobs`` setting cannot honour.
+
+    Retries and the per-cell timeout act only in the parallel
+    precompute, so a ``jobs=1`` sweep rejects them rather than ignore
+    them.  The CLI reports this as a usage error (exit code 2) and
+    still lets a driver's own errors propagate.
+    """

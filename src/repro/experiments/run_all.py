@@ -1,18 +1,13 @@
-"""Run every experiment driver and collect the reports."""
+"""Run experiment drivers: the one sweep loop (:func:`run_sweep`) behind
+``run_all()``, ``repro experiment`` and ``repro run-all``."""
 
 from __future__ import annotations
 
 import traceback
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ExperimentError
-from repro.resilience import (
-    CellFailure,
-    FailureReport,
-    RetryPolicy,
-    SweepManifest,
-    is_transient,
-)
+from repro.errors import ExperimentError, SweepArgumentError
+from repro.resilience import CellFailure, FailureReport, RetryPolicy, is_transient
 from repro.experiments import (
     correlations,
     corpus_report,
@@ -36,7 +31,7 @@ from repro.experiments import (
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import ProgressReporter, format_span_totals, get_obs, logger
-from repro.parallel import driver_plan, precompute
+from repro.parallel import driver_plan, execute_cells, plan_cells
 
 DRIVERS: Dict[str, Callable[..., ExperimentReport]] = {
     "table1": table1.run,
@@ -65,15 +60,19 @@ ABLATIONS: Dict[str, Callable[..., ExperimentReport]] = {
 }
 
 
-def run_experiment(
-    name: str, profile: str = "full", runner: Optional[ExperimentRunner] = None
-) -> ExperimentReport:
+def _driver(name: str) -> Callable[..., ExperimentReport]:
     try:
-        driver = DRIVERS.get(name) or ABLATIONS[name]
+        return DRIVERS.get(name) or ABLATIONS[name]
     except KeyError:
         raise ExperimentError(
             f"unknown experiment {name!r}; available: {sorted(DRIVERS) + sorted(ABLATIONS)}"
         ) from None
+
+
+def run_experiment(
+    name: str, profile: str = "full", runner: Optional[ExperimentRunner] = None
+) -> ExperimentReport:
+    driver = _driver(name)
     obs = get_obs()
     logger.info("experiment %s: starting (profile=%s)", name, profile)
     with obs.span(f"experiment.{name}", profile=profile) as span:
@@ -86,57 +85,73 @@ def run_experiment(
     return report
 
 
-def run_all(
-    profile: str = "full",
-    progress: Optional[ProgressReporter] = None,
+def run_sweep(
+    names: Sequence[str],
+    runner: ExperimentRunner,
+    on_report: Callable[[ExperimentReport], None],
     jobs: int = 1,
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     keep_going: bool = False,
-    resume: bool = False,
-) -> List[ExperimentReport]:
-    """Run every driver, sharing one runner (and its caches).
+    progress: bool = False,
+) -> FailureReport:
+    """Run the named drivers on ``runner``: the one sweep loop.
 
-    Pass a :class:`ProgressReporter` to get per-driver progress lines;
-    ``None`` keeps the sweep silent (the library default).
+    ``jobs > 1`` first plans every driver's pipeline cells and
+    precomputes them in that many worker processes sharing the
+    runner's store (see :mod:`repro.parallel`); the drivers then run
+    in-process, in order, as store hits, and each finished report goes
+    to ``on_report``.  The store is the sweep's only record of finished
+    work: a killed sweep is resumed by running it again against the
+    same store, which skips every stored cell.
 
-    ``jobs > 1`` first precomputes every driver's pipeline cells in
-    that many worker processes sharing the on-disk memo (see
-    :mod:`repro.parallel`), then runs the drivers in-process as memo
-    hits; ``jobs=1`` is exactly the historical sequential path.
+    ``retry`` and ``cell_timeout`` govern the precompute (see
+    :func:`repro.parallel.execute_cells`), so with ``jobs <= 1`` they
+    raise :class:`~repro.errors.SweepArgumentError` naming the flag
+    instead of doing nothing.  With ``keep_going=True`` a failing
+    driver is recorded instead of aborting the drivers after it.
+    ``progress`` prints per-cell and per-driver progress lines to
+    stderr.
 
-    Resilience: the sweep checkpoints completed cells and drivers to a
-    versioned manifest next to the memo cache, so ``resume=True``
-    skips work a killed sweep already finished.  ``retry`` and
-    ``cell_timeout`` govern the precompute phase (see
-    :func:`repro.parallel.execute_cells`); with ``keep_going=True`` a
-    failing driver is recorded in a :class:`FailureReport` (logged
-    loudly at the end, persisted in the manifest) instead of aborting
-    the remaining drivers, and the partial report list is returned.
+    Returns the :class:`FailureReport` of every driver that failed and
+    every precompute failure whose driver failed too (the driver
+    replay recomputes a missing cell, so a precompute failure alone
+    is not final).  Without ``keep_going`` it is always empty: the
+    first failure raises.
     """
-    runner = ExperimentRunner(profile)
-    manifest = SweepManifest.for_sweep(runner.cache_dir, profile, resume=resume)
-    pending_cell_failures = {}
+    if jobs <= 1 and retry is not None and retry.max_attempts > 1:
+        raise SweepArgumentError(
+            "--retries needs --jobs > 1: only the parallel precompute retries cells"
+        )
+    if jobs <= 1 and cell_timeout is not None:
+        raise SweepArgumentError(
+            "--cell-timeout needs --jobs > 1: only the parallel precompute times cells"
+        )
+    drivers = {name: _driver(name) for name in names}
+    pending_cell_failures: Dict[str, CellFailure] = {}
     if jobs > 1:
-        stats = precompute(
-            DRIVERS,
+        cells = plan_cells(drivers, runner.profile)
+        cell_progress = ProgressReporter(
+            len(cells), label="precompute", enabled=progress and bool(cells)
+        )
+        stats = execute_cells(
+            cells,
             runner,
             jobs,
+            progress=cell_progress,
             retry=retry,
             cell_timeout=cell_timeout,
             keep_going=keep_going,
-            manifest=manifest,
         )
-        # Provisional: the in-process driver replay recomputes any
-        # missing cell, so a precompute failure only sticks if the
-        # driver that needs the cell fails too.
-        if stats is not None:
-            pending_cell_failures = {f.label: f for f in stats.failures}
-    reports = []
+        cell_progress.finish()
+        pending_cell_failures = {f.label: f for f in stats.failures}
+    driver_progress = ProgressReporter(
+        len(drivers), label="experiments", enabled=progress and len(drivers) > 1
+    )
     failures = FailureReport()
-    for name in DRIVERS:
+    for name, driver in drivers.items():
         try:
-            reports.append(run_experiment(name, profile=profile, runner=runner))
+            report = run_experiment(name, profile=runner.profile, runner=runner)
         except Exception as exc:
             if not keep_going:
                 raise
@@ -152,21 +167,43 @@ def run_all(
                 )
             )
             logger.error("driver %s failed (continuing): %s", name, exc)
-            continue
-        manifest.mark_driver(name)
-        if pending_cell_failures:
-            for cell in driver_plan(DRIVERS[name], profile):
-                pending_cell_failures.pop(cell.label(), None)
-        if progress is not None:
-            progress.update(name)
-    if progress is not None:
-        progress.finish()
+        else:
+            if pending_cell_failures:
+                for cell in driver_plan(driver, runner.profile):
+                    pending_cell_failures.pop(cell.label(), None)
+            on_report(report)
+        driver_progress.update(name)
+    driver_progress.finish()
     for failure in pending_cell_failures.values():
         failures.add(failure)
-    if failures:
-        manifest.record_failures(failures)
-        logger.error("%s", failures.summary_text())
-    return reports
+    return failures
+
+
+def run_all(
+    profile: str = "full",
+    progress: bool = False,
+    jobs: int = 1,
+    retry: Optional[RetryPolicy] = None,
+    cell_timeout: Optional[float] = None,
+    keep_going: bool = False,
+) -> Tuple[List[ExperimentReport], FailureReport]:
+    """Run every paper driver through :func:`run_sweep` on one runner.
+
+    Returns the reports of the drivers that finished and the sweep's
+    :class:`FailureReport` (non-empty only under ``keep_going``).
+    """
+    reports: List[ExperimentReport] = []
+    failures = run_sweep(
+        list(DRIVERS),
+        ExperimentRunner(profile),
+        reports.append,
+        jobs=jobs,
+        retry=retry,
+        cell_timeout=cell_timeout,
+        keep_going=keep_going,
+        progress=progress,
+    )
+    return reports, failures
 
 
 def timing_summary() -> str:

@@ -8,11 +8,12 @@ drivers will request (:mod:`~repro.parallel.planner`), precomputes
 them in ``N`` worker
 processes sharing that on-disk store (:mod:`~repro.parallel.executor`),
 and merges worker-side observability back into the parent — after
-which the drivers themselves replay the sweep as pure store hits.
+which the drivers themselves replay the sweep as store hits.
 
-Entry points: ``run_all(jobs=N)``, ``repro run-all --jobs N`` and
-``repro experiment <name> --jobs N``; ``jobs=1`` preserves the
-in-process sequential path exactly.
+The sweep loop (:func:`repro.experiments.run_all.run_sweep`, behind
+``run_all(jobs=N)``, ``repro run-all --jobs N`` and ``repro experiment
+<name> --jobs N``) precomputes only when ``N > 1``; ``jobs=1`` runs the
+drivers in-process without touching this package.
 """
 
 from repro.parallel.cells import (
@@ -28,7 +29,6 @@ from repro.parallel.executor import (
     RunnerConfig,
     TraceContext,
     execute_cells,
-    precompute,
 )
 from repro.parallel.planner import driver_plan, plan_cells
 from repro.parallel.pool import map_in_pool
@@ -46,6 +46,5 @@ __all__ = [
     "map_in_pool",
     "metrics_cell",
     "plan_cells",
-    "precompute",
     "run_cell",
 ]

@@ -12,8 +12,9 @@ entries to the sequential path.
 
 De-duplication happens *before* submission (:func:`dedupe_cells`), so
 no two workers ever simulate the same store key; cells whose entry
-already exists are skipped entirely (keying a cell generates its
-matrix, so the parent loads each planned matrix once).  Cells sharing
+already exists are skipped entirely.  Keying a cell generates its
+matrix on the sweep's own runner, which the drivers then run on, so
+the parent loads each planned matrix once.  Cells sharing
 a ``(matrix, technique)`` pair are grouped into one worker task: the
 group computes its permutation once and stores it, instead of two
 workers racing to compute the same one (spans show reordering at ~50%
@@ -29,10 +30,10 @@ strict mode (the default) any permanent failure raises
 :class:`~repro.errors.SweepFailure`; under ``keep_going`` it is
 recorded in the stats' :class:`~repro.resilience.FailureReport` and the
 sweep completes with partial results.  A retried group replays its
-already-finished cells as store hits, so progress is never lost.
-Completed cell labels are checkpointed to the optional
-:class:`~repro.resilience.SweepManifest` as they finish, enabling
-``--resume`` after a kill.
+already-finished cells as store hits, so progress is never lost.  The
+store is the only record of finished work: a sweep that was killed is
+resumed by running it again against the same store, which skips every
+cell whose entry exists.
 
 Observability: each worker runs its cell under a private, enabled
 :class:`Instrumentation` and ships its full counter snapshot
@@ -65,7 +66,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CorpusError, SweepFailure, ValidationError
 from repro.experiments.runner import ExperimentRunner
@@ -80,12 +81,10 @@ from repro.obs import (
     using,
 )
 from repro.parallel.cells import METRICS, Cell, dedupe_cells
-from repro.parallel.planner import plan_cells
 from repro.resilience import (
     CellFailure,
     FailureReport,
     RetryPolicy,
-    SweepManifest,
     cell_deadline,
     fault_point,
     is_transient,
@@ -374,32 +373,34 @@ def _run_cell_with_retry(
 
 def execute_cells(
     cells: List[Cell],
-    config: RunnerConfig,
+    runner: ExperimentRunner,
     jobs: int,
     worker_clock: Optional[Clock] = None,
     progress: Optional[ProgressReporter] = None,
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     keep_going: bool = False,
-    manifest: Optional[SweepManifest] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ParallelStats:
-    """Precompute ``cells`` into the shared store with ``jobs`` workers.
+    """Precompute ``cells`` into ``runner``'s store with ``jobs`` workers.
 
-    ``jobs <= 1`` executes in-process (no pool, no spawning) — the same
-    code path a sequential driver run would take.  ``worker_clock``
-    injects a deterministic clock into the workers and the parent's
-    keying pass (tests use a :class:`~repro.obs.FakeClock` so span
-    durations, and the reordering seconds of ``time`` entries, are the
-    same across process counts).
+    ``runner`` keys the cells, so the matrices it generates to key them
+    stay loaded for the drivers that run on it afterwards; workers
+    build runners of their own from its :class:`RunnerConfig`.
+    ``jobs=1`` executes the cells in-process (no pool, no spawning) on
+    a runner built the way a worker builds one, which makes it the
+    reference the pool is tested against; a ``--jobs 1`` sweep never
+    calls this.  ``worker_clock`` injects a deterministic clock into
+    the workers and the parent's keying pass (tests use a
+    :class:`~repro.obs.FakeClock` so span durations, and the reordering
+    seconds of ``time`` entries, are the same across process counts).
 
     Failure handling: transient failures retry up to
     ``retry.max_attempts`` total attempts (default: 1, i.e. no
     retries); a permanent failure raises :class:`SweepFailure` naming
     the cell — or, with ``keep_going=True``, is recorded in
     ``stats.failures`` while the rest of the sweep completes.  Either
-    way no cell is ever silently dropped.  ``manifest`` checkpoints
-    completed cell labels for ``--resume``; ``sleep`` is injectable so
+    way no cell is ever silently dropped.  ``sleep`` is injectable so
     tests assert backoff without waiting.
     """
     if jobs < 1:
@@ -409,7 +410,7 @@ def execute_cells(
     obs = get_obs()
     stats = ParallelStats(planned=len(cells), jobs=jobs)
 
-    if not config.use_cache:
+    if not runner.use_cache:
         # Workers could not share results through the store; running the
         # pool would simulate everything and throw it away.
         logger.warning(
@@ -419,36 +420,27 @@ def execute_cells(
         return stats
 
     pending = []
-    already_done: List[str] = []
-    # Keying a cell generates its matrix.  Those loads run on a runner
-    # of their own and are measured like in-process cells, so jobs=1
-    # and the pool record the same spans.
-    keys = config.make_runner()
+    # Keying a cell generates its matrix.  Those loads are measured
+    # like in-process cells, so jobs=1 and the pool record the same
+    # spans.
     with using(Instrumentation(clock=worker_clock, enabled=True)) as instr:
         for cell in cells:
-            label = cell.label()
-            if manifest is not None and label in manifest.completed_cells:
+            if _is_stored(runner, cell):
                 stats.skipped += 1
-                obs.counter("resilience.cells_resumed")
-            elif _is_stored(keys, cell):
-                stats.skipped += 1
-                already_done.append(label)
             else:
                 pending.append(cell)
     _merge_into(obs, instr)
-    if manifest is not None and already_done:
-        manifest.mark_cells(already_done)
     obs.counter("parallel.cells.planned", stats.planned)
     obs.counter("parallel.cells.skipped", stats.skipped)
     if not pending:
         return stats
 
     if jobs == 1:
-        runner = config.make_runner()
+        worker = RunnerConfig.from_runner(runner).make_runner()
         with using(Instrumentation(clock=worker_clock, enabled=True)) as instr:
             for cell in pending:
                 failure = _run_cell_with_retry(
-                    runner, cell, retry, cell_timeout, sleep
+                    worker, cell, retry, cell_timeout, sleep
                 )
                 if failure is not None:
                     stats.failed += 1
@@ -464,41 +456,40 @@ def execute_cells(
                         break
                     continue
                 stats.executed += 1
-                if manifest is not None:
-                    manifest.mark_cell(cell.label())
                 if progress is not None:
                     progress.update(cell.label())
         _merge_into(obs, instr)
-        obs.counter("parallel.cells.executed", stats.executed)
-        _finish(stats, keep_going, manifest)
-        return stats
-
-    _execute_pool(
-        pending,
-        config,
-        jobs,
-        worker_clock,
-        progress,
-        retry,
-        cell_timeout,
-        keep_going,
-        manifest,
-        sleep,
-        stats,
-    )
+    else:
+        _execute_pool(
+            pending,
+            runner,
+            jobs,
+            worker_clock,
+            progress,
+            retry,
+            cell_timeout,
+            keep_going,
+            sleep,
+            stats,
+        )
     obs.counter("parallel.cells.executed", stats.executed)
-    _finish(stats, keep_going, manifest)
+    logger.info(
+        "parallel precompute done: %d executed, %d already stored, "
+        "%d retried, %d failed, %d planned",
+        stats.executed,
+        stats.skipped,
+        stats.retried,
+        stats.failed,
+        stats.planned,
+    )
+    _finish(stats, keep_going)
     return stats
 
 
-def _finish(
-    stats: ParallelStats, keep_going: bool, manifest: Optional[SweepManifest]
-) -> None:
-    """Common sweep epilogue: persist failures, then raise or summarize."""
+def _finish(stats: ParallelStats, keep_going: bool) -> None:
+    """Common sweep epilogue: raise or summarize the failures."""
     if not stats.failures:
         return
-    if manifest is not None:
-        manifest.record_failures(stats.failures)
     if not keep_going:
         first = stats.failures.failures[0]
         raise SweepFailure(
@@ -511,20 +502,20 @@ def _finish(
 
 def _execute_pool(
     pending: List[Cell],
-    config: RunnerConfig,
+    runner: ExperimentRunner,
     jobs: int,
     worker_clock: Optional[Clock],
     progress: Optional[ProgressReporter],
     retry: RetryPolicy,
     cell_timeout: Optional[float],
     keep_going: bool,
-    manifest: Optional[SweepManifest],
     sleep: Callable[[float], None],
     stats: ParallelStats,
 ) -> None:
     """Pool execution in retry rounds: a broken pool is rebuilt, failed
     groups re-enter the next round until their attempt budget runs out."""
     obs = get_obs()
+    config = RunnerConfig.from_runner(runner)
     trace = TraceContext.from_obs(obs)
     context = multiprocessing.get_context("spawn")
     remaining = _group_cells(pending)
@@ -568,7 +559,7 @@ def _execute_pool(
                     done, snapshot, spans = future.result()
                 except BaseException as exc:
                     requeue = _handle_group_failure(
-                        group, exc, attempts, retry, keep_going, stats, config
+                        group, exc, attempts, retry, keep_going, stats, runner
                     )
                     if requeue is None:
                         abort = True
@@ -582,8 +573,6 @@ def _execute_pool(
                 fresh = [label for label in done if label not in completed]
                 completed.update(fresh)
                 stats.executed += len(fresh)
-                if manifest is not None:
-                    manifest.mark_cells(fresh)
                 if progress is not None:
                     for label in fresh:
                         progress.update(label)
@@ -598,7 +587,7 @@ def _handle_group_failure(
     retry: RetryPolicy,
     keep_going: bool,
     stats: ParallelStats,
-    config: RunnerConfig,
+    runner: ExperimentRunner,
 ) -> Optional[List[Tuple[Cell, ...]]]:
     """Classify one failed group; return groups to requeue, or ``None``
     to abort the sweep (strict mode, permanent failure recorded)."""
@@ -657,7 +646,6 @@ def _handle_group_failure(
         return []
     # Unknown failing cell with the budget exhausted: record every cell
     # of the group that never reached the store, so none vanish silently.
-    runner = config.make_runner()
     for cell in group:
         if cell.label() == label:
             continue
@@ -676,42 +664,3 @@ def _handle_group_failure(
             obs.counter("resilience.cells_failed")
     return []
 
-
-def precompute(
-    drivers: Mapping[str, Callable[..., object]],
-    runner: ExperimentRunner,
-    jobs: int,
-    worker_clock: Optional[Clock] = None,
-    progress: Optional[ProgressReporter] = None,
-    retry: Optional[RetryPolicy] = None,
-    cell_timeout: Optional[float] = None,
-    keep_going: bool = False,
-    manifest: Optional[SweepManifest] = None,
-) -> ParallelStats:
-    """Plan every driver's cells and execute them with ``jobs`` workers.
-
-    After this returns, running the drivers against ``runner`` (or any
-    runner sharing its store directory) replays the sweep as store hits.
-    """
-    cells = plan_cells(drivers, runner.profile)
-    stats = execute_cells(
-        cells,
-        RunnerConfig.from_runner(runner),
-        jobs,
-        worker_clock=worker_clock,
-        progress=progress,
-        retry=retry,
-        cell_timeout=cell_timeout,
-        keep_going=keep_going,
-        manifest=manifest,
-    )
-    logger.info(
-        "parallel precompute done: %d executed, %d already memoized, "
-        "%d retried, %d failed, %d planned",
-        stats.executed,
-        stats.skipped,
-        stats.retried,
-        stats.failed,
-        stats.planned,
-    )
-    return stats

@@ -2,16 +2,18 @@
 
 A full-profile reproduction sweep is a long multi-process job; this
 package is what lets it survive crashed workers, wall-clock blowups,
-corrupted store entries and outright kills:
+corrupted store entries and outright kills.  A killed sweep needs no
+checkpoint of its own: every finished cell is an entry in the result
+store, so running the same command again against the same store skips
+them and computes only the rest.
 
 * **retry/timeout policy** (:class:`RetryPolicy`, :func:`cell_deadline`,
   :func:`is_transient`) — transient failures retry with exponential
-  backoff, deterministic ones fail fast;
+  backoff, deterministic ones fail fast; both act in the parallel
+  precompute, so a sweep rejects them at ``jobs=1``;
 * **graceful degradation** (:class:`FailureReport`) — under
   ``--keep-going`` failed cells are recorded, not fatal, and the sweep
-  ends with a loud summary;
-* **checkpoint/resume** (:class:`SweepManifest`) — completed cells are
-  journaled next to the result store so ``--resume`` skips finished work;
+  returns the report, which the CLI prints and keeps in the run ledger;
 * **cache integrity** (:mod:`repro.resilience.integrity`) — result-store
   entries carry a schema-version + checksum envelope; damaged entries
   are quarantined to ``<root>/quarantine/`` and recomputed;
@@ -23,7 +25,6 @@ Observability: ``resilience.retries``, ``resilience.quarantined``,
 ``resilience.cells_failed`` (and friends) count every recovery action.
 """
 
-from repro.resilience.checkpoint import MANIFEST_NAME, MANIFEST_VERSION, SweepManifest
 from repro.resilience.failures import CellFailure, FailureReport
 from repro.resilience.faults import (
     ENV_VAR,
@@ -65,11 +66,8 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "LegacyCacheEntry",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
     "RetryPolicy",
     "SCHEMA_VERSION",
-    "SweepManifest",
     "cell_deadline",
     "check_deadline",
     "current_deadline",

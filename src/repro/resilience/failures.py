@@ -2,8 +2,7 @@
 
 Under ``--keep-going`` a sweep records every permanently-failed cell in
 a :class:`FailureReport` instead of aborting; the report renders a loud
-end-of-run summary and serializes to JSON so the sweep manifest can
-persist it.  The invariant the report exists to uphold: **no code path
+end-of-run summary and serializes to JSON for the run ledger.  The invariant the report exists to uphold: **no code path
 silently drops a cell** — a cell either completes or appears here.
 """
 
@@ -26,10 +25,6 @@ class CellFailure:
 
     def to_json(self) -> Dict[str, object]:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "CellFailure":
-        return cls(**payload)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -71,12 +66,3 @@ class FailureReport:
 
     def to_json(self) -> Dict[str, object]:
         return {"failures": [failure.to_json() for failure in self.failures]}
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "FailureReport":
-        return cls(
-            failures=[
-                CellFailure.from_json(item)  # type: ignore[arg-type]
-                for item in payload.get("failures", [])
-            ]
-        )

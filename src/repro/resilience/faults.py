@@ -1,6 +1,6 @@
 """Deterministic fault injection for the experiment stack.
 
-The resilience machinery (retries, quarantine, keep-going, resume) is
+The resilience machinery (retries, quarantine, keep-going) is
 only trustworthy if its failure paths are exercised — so the runner and
 executor expose named *fault sites*, and a :class:`FaultPlan` describes
 exactly which faults to fire at them.  Production code calls

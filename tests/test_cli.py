@@ -296,7 +296,7 @@ class TestResilienceCli:
         with pytest.raises(SystemExit):
             main(["experiment", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--retries", "--cell-timeout", "--keep-going", "--resume"):
+        for flag in ("--retries", "--cell-timeout", "--keep-going"):
             assert flag in out
 
     def test_experiment_with_resilience_flags(self, tmp_path, capsys, monkeypatch):
@@ -308,22 +308,51 @@ class TestResilienceCli:
             ]
         ) == 0
         assert "fig3" in capsys.readouterr().out
-        manifest = tmp_path / "memo" / "sweep-manifest.json"
-        assert manifest.exists()
 
-    def test_resume_reuses_manifest(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flag, value", [("--retries", "2"), ("--cell-timeout", "0.0001")]
+    )
+    def test_precompute_flags_need_jobs(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        """Only the pool precompute reads these flags, so a --jobs 1
+        sweep rejects them as a usage error instead of ignoring them."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
         assert main(
-            ["--quiet", "experiment", "fig3", "--profile", "test", "--jobs", "2"]
-        ) == 0
-        capsys.readouterr()
+            ["--no-ledger", "experiment", "fig2", "--profile", "test", flag, value]
+        ) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "--jobs > 1" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "memo").exists()
+
+    def test_keep_going_records_driver_failure(self, tmp_path, capsys, monkeypatch):
+        import repro.cli as cli
+        import repro.experiments.run_all as run_all_module
+        from repro.experiments import fig3
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
+
+        def exploding_driver(profile="test", runner=None):
+            raise RuntimeError("driver blew up")
+
+        drivers = {"boom": exploding_driver, "fig3": fig3.run}
+        monkeypatch.setattr(run_all_module, "DRIVERS", drivers)
+        monkeypatch.setattr(cli, "DRIVERS", drivers)
+        runs_dir = tmp_path / "ledger"
         assert main(
-            [
-                "--quiet", "experiment", "fig3", "--profile", "test",
-                "--jobs", "2", "--resume",
-            ]
-        ) == 0
-        assert "fig3" in capsys.readouterr().out
+            ["--quiet", "--runs-dir", str(runs_dir), "run-all", "--profile", "test",
+             "--keep-going"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "fig3" in captured.out
+        assert "FAILED driver:boom: RuntimeError: driver blew up" in captured.err
+        (run_dir,) = runs_dir.iterdir()
+        ledger = json.loads((run_dir / "manifest.json").read_text())
+        assert [f["label"] for f in ledger["failures"]["failures"]] == ["driver:boom"]
+        assert ledger["counters"]["resilience.drivers_failed"] == 1
+        assert ledger["exit_code"] == 1
 
 
 class TestScaleBenchCli:

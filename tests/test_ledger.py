@@ -259,15 +259,18 @@ class TestRunsCli:
         assert main(["--runs-dir", str(tmp_path), "runs", "list"]) == 0
         assert main(["--runs-dir", str(tmp_path), "runs", "show"]) == 2
 
-    def test_sweep_manifest_records_run_id(self, tmp_path, monkeypatch):
-        from repro.resilience import SweepManifest
-
+    def test_sweep_ledger_names_its_store(self, tmp_path, monkeypatch):
+        """Each sweep's ledger names the result store it read and filled."""
         cache = str(tmp_path / "memo")
         monkeypatch.setenv("REPRO_CACHE_DIR", cache)
         runs_dir = str(tmp_path / "ledger")
         assert main(["--runs-dir", runs_dir, "experiment", "table1",
                      "--profile", "test"]) == 0
-        run_id = os.listdir(runs_dir)[0]
-        manifest = SweepManifest.load(cache, "test")
-        assert manifest is not None
-        assert run_id in manifest.run_ids
+        (run_id,) = os.listdir(runs_dir)
+        with open(os.path.join(runs_dir, run_id, "manifest.json")) as handle:
+            manifest = json.load(handle)
+        assert manifest["corpus_profile"] == {
+            "profile": "test",
+            "experiments": ["table1"],
+            "cache_dir": cache,
+        }

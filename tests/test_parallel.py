@@ -8,6 +8,7 @@ value, so the comparison runs under the real clock; measured
 reordering seconds live in ``time/`` entries, which it leaves out.
 """
 
+import functools
 import os
 
 import pytest
@@ -18,7 +19,7 @@ from repro.experiments.run_all import DRIVERS
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import FakeClock, Instrumentation, using
 from repro.parallel import (
-    RunnerConfig,
+    ParallelStats,
     dedupe_cells,
     driver_plan,
     execute_cells,
@@ -101,7 +102,7 @@ class TestPlanner:
 class TestExecutor:
     def test_rejects_zero_jobs(self, tmp_path):
         with pytest.raises(ValidationError):
-            execute_cells([], RunnerConfig("test", str(tmp_path)), jobs=0)
+            execute_cells([], ExperimentRunner("test", cache_dir=str(tmp_path)), jobs=0)
 
     def test_jobs1_never_builds_a_pool(self, tmp_path, monkeypatch):
         import repro.parallel.executor as executor
@@ -112,7 +113,7 @@ class TestExecutor:
         monkeypatch.setattr(executor, "ProcessPoolExecutor", forbidden)
         stats = execute_cells(
             [metrics_cell("test-mesh")],
-            RunnerConfig("test", str(tmp_path / "memo")),
+            ExperimentRunner("test", cache_dir=str(tmp_path / "memo")),
             jobs=1,
         )
         assert stats.executed == 1
@@ -120,25 +121,27 @@ class TestExecutor:
     def test_use_cache_false_skips_precompute(self, tmp_path):
         stats = execute_cells(
             [metrics_cell("test-mesh")],
-            RunnerConfig("test", str(tmp_path / "memo"), use_cache=False),
+            ExperimentRunner("test", cache_dir=str(tmp_path / "memo"), use_cache=False),
             jobs=2,
         )
         assert stats.executed == 0
         assert not os.path.exists(str(tmp_path / "memo"))
 
     def test_already_memoized_cells_are_skipped(self, tmp_path):
-        config = RunnerConfig("test", str(tmp_path / "memo"))
+        runner = ExperimentRunner("test", cache_dir=str(tmp_path / "memo"))
         cells = [metrics_cell("test-mesh"), run_cell("test-mesh", "original")]
-        first = execute_cells(cells, config, jobs=1)
+        first = execute_cells(cells, runner, jobs=1)
         assert (first.executed, first.skipped) == (2, 0)
-        second = execute_cells(cells, config, jobs=1)
+        second = execute_cells(cells, runner, jobs=1)
         assert (second.executed, second.skipped) == (0, 2)
 
     def test_worker_crash_fails_loudly(self, tmp_path):
         bogus = metrics_cell("no-such-matrix")
         with pytest.raises(ParallelExecutionError, match="no-such-matrix"):
             execute_cells(
-                [bogus], RunnerConfig("test", str(tmp_path / "memo")), jobs=2
+                [bogus],
+                ExperimentRunner("test", cache_dir=str(tmp_path / "memo")),
+                jobs=2,
             )
 
     def test_cells_sharing_permutation_group_into_one_task(self):
@@ -166,7 +169,9 @@ class TestExecutor:
         instr = Instrumentation(enabled=True)
         with using(instr):
             stats = execute_cells(
-                cells, RunnerConfig("test", str(tmp_path / "memo")), jobs=2
+                cells,
+                ExperimentRunner("test", cache_dir=str(tmp_path / "memo")),
+                jobs=2,
             )
         assert stats.executed == 2
         assert instr.span_totals()["reorder"].calls == 1
@@ -180,7 +185,9 @@ class TestExecutor:
         instr = Instrumentation(enabled=True)
         with using(instr):
             stats = execute_cells(
-                cells, RunnerConfig("test", str(tmp_path / "memo")), jobs=2
+                cells,
+                ExperimentRunner("test", cache_dir=str(tmp_path / "memo")),
+                jobs=2,
             )
         assert stats.executed == 3
         assert instr.counters.get("store.eval.miss") == 2
@@ -197,8 +204,8 @@ class TestParallelEquivalence:
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
         seq_dir = str(tmp_path / "seq")
         par_dir = str(tmp_path / "par")
-        execute_cells(cells, RunnerConfig("test", seq_dir), jobs=1)
-        execute_cells(cells, RunnerConfig("test", par_dir), jobs=2)
+        execute_cells(cells, ExperimentRunner("test", cache_dir=seq_dir), jobs=1)
+        execute_cells(cells, ExperimentRunner("test", cache_dir=par_dir), jobs=2)
         seq_files = store_files(seq_dir, DETERMINISTIC_KINDS)
         par_files = store_files(par_dir, DETERMINISTIC_KINDS)
         assert {path.split(os.sep)[0] for path in seq_files} == set(DETERMINISTIC_KINDS)
@@ -211,7 +218,10 @@ class TestParallelEquivalence:
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
         par_dir = str(tmp_path / "par")
         execute_cells(
-            cells, RunnerConfig("test", par_dir), jobs=2, worker_clock=FakeClock()
+            cells,
+            ExperimentRunner("test", cache_dir=par_dir),
+            jobs=2,
+            worker_clock=FakeClock(),
         )
         replay = Instrumentation(enabled=True)
         with using(replay):
@@ -232,28 +242,34 @@ class TestParallelEquivalence:
 
 class TestRunAllJobs:
     def test_run_all_jobs_argument_precomputes(self, tmp_path, monkeypatch):
-        """run_all(jobs=2) wires through to the parallel precompute."""
+        """run_all(jobs=2) precomputes the plan on the drivers' runner."""
         import repro.experiments.run_all as run_all_module
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
         seen = {}
+        real_run = fig3.run
 
-        def fake_precompute(drivers, runner, jobs, **kwargs):
-            seen["drivers"] = set(drivers)
+        def fake_execute_cells(cells, runner, jobs, **kwargs):
+            seen["cells"] = cells
             seen["jobs"] = jobs
-            seen["cache_dir"] = runner.cache_dir
+            seen["runner"] = runner
+            return ParallelStats(planned=len(cells), jobs=jobs)
 
-        monkeypatch.setattr(run_all_module, "precompute", fake_precompute)
-        monkeypatch.setattr(
-            run_all_module, "DRIVERS", {"fig3": fig3.run}
-        )
-        reports = run_all_module.run_all(profile="test", jobs=2)
-        assert seen == {
-            "drivers": {"fig3"},
-            "jobs": 2,
-            "cache_dir": str(tmp_path / "memo"),
-        }
+        # wraps() keeps fig3's module, so the planner still finds its hook.
+        @functools.wraps(real_run)
+        def recording_fig3(profile="test", runner=None):
+            seen["driver_runner"] = runner
+            return real_run(profile=profile, runner=runner)
+
+        monkeypatch.setattr(run_all_module, "execute_cells", fake_execute_cells)
+        monkeypatch.setattr(run_all_module, "DRIVERS", {"fig3": recording_fig3})
+        reports, failures = run_all_module.run_all(profile="test", jobs=2)
+        assert seen["cells"] == plan_cells({"fig3": fig3.run}, "test")
+        assert seen["jobs"] == 2
+        assert seen["runner"].cache_dir == str(tmp_path / "memo")
+        assert seen["driver_runner"] is seen["runner"]
         assert [r.experiment for r in reports] == ["fig3"]
+        assert not failures
 
     def test_run_all_jobs1_skips_precompute(self, tmp_path, monkeypatch):
         import repro.experiments.run_all as run_all_module
@@ -263,9 +279,10 @@ class TestRunAllJobs:
         def forbidden(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("jobs=1 must not touch repro.parallel")
 
-        monkeypatch.setattr(run_all_module, "precompute", forbidden)
+        monkeypatch.setattr(run_all_module, "execute_cells", forbidden)
+        monkeypatch.setattr(run_all_module, "plan_cells", forbidden)
         monkeypatch.setattr(run_all_module, "DRIVERS", {"fig3": fig3.run})
-        reports = run_all_module.run_all(profile="test", jobs=1)
+        reports, _ = run_all_module.run_all(profile="test", jobs=1)
         assert [r.experiment for r in reports] == ["fig3"]
 
 
@@ -286,7 +303,7 @@ class TestParallelTelemetry:
         with using(instr):
             stats = execute_cells(
                 cells,
-                RunnerConfig("test", cache_dir),
+                ExperimentRunner("test", cache_dir=cache_dir),
                 jobs=jobs,
                 worker_clock=FakeClock(tick=1.0),
             )
@@ -324,7 +341,9 @@ class TestParallelTelemetry:
             with using(instr):
                 execute_cells(
                     cells,
-                    RunnerConfig("test", str(tmp_path / f"memo{attempt}")),
+                    ExperimentRunner(
+                        "test", cache_dir=str(tmp_path / f"memo{attempt}")
+                    ),
                     jobs=2,
                     worker_clock=FakeClock(),
                 )

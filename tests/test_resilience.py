@@ -1,10 +1,10 @@
-"""repro.resilience: retries, timeouts, integrity, checkpoint, faults.
+"""repro.resilience: retries, timeouts, integrity, faults.
 
 The acceptance-level scenarios live here too:
 
 * kill-resume equivalence — a sweep interrupted by an injected worker
-  kill and resumed produces memo bytes identical to an uninterrupted
-  run, re-executing only unfinished cells;
+  kill and rerun against the same store produces memo bytes identical
+  to an uninterrupted run, re-executing only unfinished cells;
 * corrupt-cache recovery — with a slice of memo files randomly
   truncated/bit-flipped, a sweep completes, quarantines exactly the
   damaged files, and matches a clean-cache run;
@@ -31,8 +31,8 @@ from repro.errors import (
 )
 from repro.experiments import fig3
 from repro.experiments.runner import ExperimentRunner
-from repro.obs import FakeClock, Instrumentation, using
-from repro.parallel import RunnerConfig, execute_cells, metrics_cell, plan_cells, run_cell
+from repro.obs import FakeClock, Instrumentation, ProgressReporter, using
+from repro.parallel import execute_cells, metrics_cell, plan_cells, run_cell
 from repro.resilience import (
     CellFailure,
     Deadline,
@@ -41,7 +41,6 @@ from repro.resilience import (
     FaultPlan,
     LegacyCacheEntry,
     RetryPolicy,
-    SweepManifest,
     cell_deadline,
     check_deadline,
     current_deadline,
@@ -535,46 +534,6 @@ class TestRunnerCacheRecovery:
         assert instr.counters.get("store.metrics.hit") == 1
 
 
-class TestSweepManifest:
-    def test_roundtrip(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        manifest.mark_cells(["a", "b"])
-        manifest.mark_driver("fig3")
-        loaded = SweepManifest.load(cache, "test")
-        assert loaded.completed_cells == {"a", "b"}
-        assert loaded.completed_drivers == {"fig3"}
-
-    def test_profile_mismatch_ignored(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        SweepManifest.for_sweep(cache, "test").mark_cell("a")
-        assert SweepManifest.load(cache, "bench") is None
-        resumed = SweepManifest.for_sweep(cache, "bench", resume=True)
-        assert resumed.completed_cells == set()
-
-    def test_damaged_manifest_starts_fresh(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        manifest.mark_cell("a")
-        with open(manifest.path, "w", encoding="utf-8") as handle:
-            handle.write("{ damaged")
-        resumed = SweepManifest.for_sweep(cache, "test", resume=True)
-        assert resumed.completed_cells == set()
-        assert os.path.isdir(quarantine_path(cache))
-
-    def test_failures_persisted(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        report = FailureReport()
-        report.add(CellFailure("m/t/k", "TransientError", "boom", 3, True))
-        manifest.record_failures(report)
-        loaded = SweepManifest.load(cache, "test")
-        assert loaded.failures.labels() == ["m/t/k"]
-        # Resuming clears prior failures so they retry.
-        resumed = SweepManifest.for_sweep(cache, "test", resume=True)
-        assert not resumed.failures
-
-
 class TestFaultPlan:
     def test_parse_inline_and_file(self, tmp_path):
         document = {"faults": [{"site": "cell.execute", "action": "raise"}]}
@@ -700,11 +659,11 @@ class TestExecutorRetries:
     """In-process (jobs=1) retry/timeout/keep-going semantics."""
 
     def run_cells(self, tmp_path, cells, **kwargs):
-        config = RunnerConfig("test", str(tmp_path / "memo"))
+        runner = ExperimentRunner("test", cache_dir=str(tmp_path / "memo"))
         sleeps = []
         with using(Instrumentation(enabled=True)) as instr:
             stats = execute_cells(
-                cells, config, jobs=1, sleep=sleeps.append, **kwargs
+                cells, runner, jobs=1, sleep=sleeps.append, **kwargs
             )
         return stats, sleeps, instr
 
@@ -788,33 +747,11 @@ class TestExecutorRetries:
         assert stats.executed == 1
         assert instr.counters.get("resilience.retries") == 1
 
-    def test_manifest_checkpoints_completed_cells(self, tmp_path):
-        cache = str(tmp_path / "memo")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        cells = [metrics_cell("test-mesh"), run_cell("test-mesh", "original")]
-        execute_cells(cells, RunnerConfig("test", cache), jobs=1, manifest=manifest)
-        loaded = SweepManifest.load(cache, "test")
-        assert loaded.completed_cells == {c.label() for c in cells}
-
-    def test_resume_skips_manifest_cells_without_stat(self, tmp_path):
-        cache = str(tmp_path / "memo")
-        cells = [metrics_cell("test-mesh")]
-        manifest = SweepManifest.for_sweep(cache, "test")
-        execute_cells(cells, RunnerConfig("test", cache), jobs=1, manifest=manifest)
-        resumed = SweepManifest.for_sweep(cache, "test", resume=True)
-        with using(Instrumentation(enabled=True)) as instr:
-            stats = execute_cells(
-                cells, RunnerConfig("test", cache), jobs=1, manifest=resumed
-            )
-        assert stats.skipped == 1
-        assert stats.executed == 0
-        assert instr.counters.get("resilience.cells_resumed") == 1
-
 
 class TestKillResumeEquivalence:
-    """Acceptance: interrupted + resumed == uninterrupted, byte for byte."""
+    """Acceptance: interrupted + rerun == uninterrupted, byte for byte."""
 
-    def test_kill_then_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
+    def test_kill_then_resume_matches_uninterrupted(self, tmp_path):
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
         interrupted = str(tmp_path / "interrupted")
         clean = str(tmp_path / "clean")
@@ -826,36 +763,38 @@ class TestKillResumeEquivalence:
             {"faults": [{"site": "cell.execute", "action": "kill",
                          "match": "test-kmer", "times": 99}]}
         )
-        manifest = SweepManifest.for_sweep(interrupted, "test")
+        finished = ProgressReporter(len(cells), enabled=False)
         with pytest.raises(SweepFailure):
             execute_cells(
                 cells,
-                RunnerConfig("test", interrupted),
+                ExperimentRunner("test", cache_dir=interrupted),
                 jobs=1,
                 worker_clock=FakeClock(),
-                manifest=manifest,
+                progress=finished,
             )
-        done_before = set(SweepManifest.load(interrupted, "test").completed_cells)
-        assert 0 < len(done_before) < len(cells)
+        done_before = finished.done
+        assert 0 < done_before < len(cells)
 
-        # Phase 2: faults cleared, resume. Only unfinished cells run.
+        # Phase 2: faults cleared, the same sweep again on the same
+        # store.  Only unfinished cells run.
         reset_faults()
-        resumed = SweepManifest.for_sweep(interrupted, "test", resume=True)
         with using(Instrumentation(enabled=True)) as instr:
             stats = execute_cells(
                 cells,
-                RunnerConfig("test", interrupted),
+                ExperimentRunner("test", cache_dir=interrupted),
                 jobs=1,
                 worker_clock=FakeClock(),
-                manifest=resumed,
             )
-        assert stats.skipped == len(done_before)
-        assert stats.executed == len(cells) - len(done_before)
-        assert instr.counters.get("resilience.cells_resumed") == len(done_before)
+        assert stats.skipped == done_before
+        assert stats.executed == len(cells) - done_before
+        assert instr.counters.get("parallel.cells.skipped") == done_before
 
         # Uninterrupted reference run.
         execute_cells(
-            cells, RunnerConfig("test", clean), jobs=1, worker_clock=FakeClock()
+            cells,
+            ExperimentRunner("test", cache_dir=clean),
+            jobs=1,
+            worker_clock=FakeClock(),
         )
         assert store_files(interrupted) == store_files(clean)
 
@@ -866,8 +805,12 @@ class TestCorruptCacheRecovery:
     def test_sweep_completes_over_randomly_damaged_cache(self, tmp_path):
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
         cache = str(tmp_path / "memo")
-        config = RunnerConfig("test", cache)
-        execute_cells(cells, config, jobs=1, worker_clock=FakeClock())
+        execute_cells(
+            cells,
+            ExperimentRunner("test", cache_dir=cache),
+            jobs=1,
+            worker_clock=FakeClock(),
+        )
         clean_bytes = store_files(cache)
 
         rng = random.Random(42)
@@ -927,7 +870,7 @@ class TestWorkerCrashRecovery:
         with using(Instrumentation(enabled=True)) as instr:
             stats = execute_cells(
                 cells,
-                RunnerConfig("test", par_dir),
+                ExperimentRunner("test", cache_dir=par_dir),
                 jobs=2,
                 worker_clock=FakeClock(),
                 retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0),
@@ -941,7 +884,10 @@ class TestWorkerCrashRecovery:
         monkeypatch.delenv("REPRO_FAULT_PLAN")
         reset_faults()
         execute_cells(
-            cells, RunnerConfig("test", seq_dir), jobs=1, worker_clock=FakeClock()
+            cells,
+            ExperimentRunner("test", cache_dir=seq_dir),
+            jobs=1,
+            worker_clock=FakeClock(),
         )
         assert store_files(par_dir) == store_files(seq_dir)
 
@@ -949,7 +895,9 @@ class TestWorkerCrashRecovery:
         bogus = metrics_cell("no-such-matrix")
         with pytest.raises(ParallelExecutionError, match="no-such-matrix"):
             execute_cells(
-                [bogus], RunnerConfig("test", str(tmp_path / "memo")), jobs=2
+                [bogus],
+                ExperimentRunner("test", cache_dir=str(tmp_path / "memo")),
+                jobs=2,
             )
 
 
@@ -967,11 +915,14 @@ class TestRunAllResilience:
             "DRIVERS",
             {"boom": exploding_driver, "fig3": fig3.run},
         )
-        reports = run_all_module.run_all(profile="test", keep_going=True)
+        with using(Instrumentation(enabled=True)) as instr:
+            reports, failures = run_all_module.run_all(
+                profile="test", keep_going=True
+            )
         assert [r.experiment for r in reports] == ["fig3"]
-        manifest = SweepManifest.load(str(tmp_path / "memo"), "test")
-        assert manifest.failures.labels() == ["driver:boom"]
-        assert manifest.completed_drivers == {"fig3"}
+        assert failures.labels() == ["driver:boom"]
+        assert failures.failures[0].error_type == "RuntimeError"
+        assert instr.counters.get("resilience.drivers_failed") == 1
 
     def test_strict_mode_propagates_driver_failure(self, tmp_path, monkeypatch):
         import repro.experiments.run_all as run_all_module
@@ -984,3 +935,26 @@ class TestRunAllResilience:
         monkeypatch.setattr(run_all_module, "DRIVERS", {"boom": exploding_driver})
         with pytest.raises(RuntimeError, match="driver blew up"):
             run_all_module.run_all(profile="test")
+
+    @pytest.mark.parametrize(
+        "kwargs, flag",
+        [
+            ({"retry": RetryPolicy(max_attempts=2)}, "--retries"),
+            ({"cell_timeout": 0.0001}, "--cell-timeout"),
+        ],
+    )
+    def test_precompute_flags_rejected_without_a_pool(
+        self, tmp_path, monkeypatch, kwargs, flag
+    ):
+        """Retries and the cell timeout act only in the pool precompute,
+        so a jobs=1 sweep refuses them before running any driver."""
+        import repro.experiments.run_all as run_all_module
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
+
+        def forbidden(profile="test", runner=None):  # pragma: no cover - guard
+            raise AssertionError("a rejected sweep must not run drivers")
+
+        monkeypatch.setattr(run_all_module, "DRIVERS", {"fig3": forbidden})
+        with pytest.raises(ValidationError, match=flag):
+            run_all_module.run_all(profile="test", jobs=1, **kwargs)
