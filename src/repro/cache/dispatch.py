@@ -9,8 +9,10 @@ produce bit-identical :class:`~repro.cache.stats.CacheStats`.
 
 A :class:`KernelTrace` reaches the LRU engine block by block
 (:func:`repro.cache.fast.lru.simulate_lru_blocks`), so a lazily built
-trace is never whole in memory.  Belady needs next-use distances over
-the whole trace and takes the materialized ``trace.lines``.
+trace is never whole in memory.  The walk is closed when the replay
+ends, even by an exception, so a walk's worker thread never outlives
+the call.  Belady needs next-use distances over the whole trace and
+takes the materialized ``trace.lines``.
 
 The differential tests hold both engines to the per-access loops in
 ``tests/oracles/cache.py``.
@@ -22,6 +24,7 @@ counters.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Optional, Union
 
 import numpy as np
@@ -63,7 +66,8 @@ def simulate(
             lines = trace.lines if kernel_trace else trace
             stats = simulate_belady_fast(lines, config, regions)
         elif kernel_trace:
-            stats = simulate_lru_blocks(trace.blocks(), config, regions)
+            with closing(trace.blocks()) as blocks:
+                stats = simulate_lru_blocks(blocks, config, regions)
         else:
             stats = simulate_lru_fast(trace, config, regions)
         if span is not None:

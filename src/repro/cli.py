@@ -47,7 +47,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.cache import POLICIES
-from repro.errors import SweepArgumentError
+from repro.errors import SweepArgumentError, SweepFailure
 from repro.experiments.report import render_table
 from repro.experiments.run_all import ABLATIONS, DRIVERS, run_sweep, timing_summary
 from repro.experiments.runner import ExperimentRunner, resolve_cache_dir
@@ -710,6 +710,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         except SweepArgumentError as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
+        except SweepFailure as exc:
+            # A cell failed permanently in the precompute: report it as
+            # --keep-going does.  A driver's own exception propagates.
+            print(exc.report.summary_text(), file=sys.stderr)
+            if ledger is not None:
+                ledger.record("failures", exc.report.to_json())
+            return 1
         # Keyed on the explicit log flags, not obs.enabled: the run ledger
         # enables instrumentation for every sweep, but the stdout timing
         # dump should stay opt-in.

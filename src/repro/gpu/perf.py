@@ -17,6 +17,7 @@ ideal time cancels BW, so only the efficiency split matters.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -92,9 +93,10 @@ def model_run(
     touched = np.zeros(trace.line_space, dtype=bool)
 
     def marked_blocks():
-        for block in trace.blocks():
-            touched[block] = True
-            yield block
+        with closing(trace.blocks()) as blocks:
+            for block in blocks:
+                touched[block] = True
+                yield block
 
     stats = simulate(
         dataclasses.replace(trace, blocks=marked_blocks),

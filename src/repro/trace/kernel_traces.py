@@ -19,18 +19,28 @@ A block never starts with the line its predecessor ended on, so the
 concatenated blocks are exactly the collapsed whole trace.  The LRU
 simulator consumes the blocks one by one (:func:`repro.cache.simulate`);
 ``trace.lines`` materializes the concatenation for everything else.
+
+A walk of the SpGEMM trace builds its blocks one ahead, on a worker
+thread, so block k + 1 is built while the simulator replays block k:
+at most three blocks are alive at once (one replayed, one queued, one
+being built).  The ``trace`` spans stay on the consumer's thread and
+time its waits for blocks, so they read the build time the simulation
+did not hide; the worker's own busy seconds go to the
+``trace.block.build_s`` counter.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs import get_obs
+from repro.obs import Instrumentation, get_obs
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.memmap import stream_row_blocks
@@ -49,16 +59,25 @@ SCHEDULES = ("sequential", "interleaved", "clustered")
 
 #: Most accesses (before the collapse) in one lazily built SpGEMM trace
 #: block, and most candidate products in one block of the symbolic
-#: pass.  A single row group above it is its own block.
-BLOCK_ACCESSES = 1 << 20
+#: pass.  A single row group above it is its own block.  2^18 keeps the
+#: three blocks a walk holds at once (2 MB of int64 line IDs each before
+#: the collapse, plus the build's and the bucketing's temporaries) below
+#: what one 2^20 block took, and each block still spans enough numpy
+#: work for the worker's build to overlap the replay.
+BLOCK_ACCESSES = 1 << 18
 
-#: Zero-argument callable yielding a trace's line-ID blocks in order.
+#: Zero-argument callable returning a generator of a trace's line-ID
+#: blocks in order.  Closing the generator releases what the walk holds.
 BlockSource = Callable[[], Iterator[np.ndarray]]
 
 
 def single_block(lines: np.ndarray) -> BlockSource:
     """Block source of a trace that is already one array."""
-    return partial(iter, (lines,))
+    return partial(_yield_one, lines)
+
+
+def _yield_one(lines: np.ndarray) -> Iterator[np.ndarray]:
+    yield lines
 
 
 @dataclass
@@ -541,16 +560,74 @@ class _SpgemmWalk:
         Every group starts with an ``a_row_offsets`` read and ends with
         a C write, in separate regions, so no block starts with the line
         its predecessor ended on: collapsing each block collapses the
-        whole trace.  Each block is built inside its own ``trace`` span,
-        so its cost is charged to trace building even when a simulation
-        pulls it.
+        whole trace.
+
+        One worker thread per walk builds the blocks in order and hands
+        each over through a one-slot queue, so it runs at most one
+        block ahead of the queued one.  Each wait for a block is a
+        ``trace`` span on the consumer's thread: trace building is
+        charged the time the consumer waited, and the worker, which
+        opens no span, adds its busy seconds to the
+        ``trace.block.build_s`` counter.  An exception raised while
+        building a block is raised here, in its place.  Closing or
+        dropping the generator stops and joins the worker.
         """
         obs = get_obs()
-        n_groups = self.group_sizes.size
-        for lo, hi in stream_row_blocks(self.group_offsets, n_groups, BLOCK_ACCESSES):
-            with obs.span("trace", kernel="spgemm-csr"):
+        ranges = list(
+            stream_row_blocks(self.group_offsets, self.group_sizes.size, BLOCK_ACCESSES)
+        )
+        handoff: "queue.Queue[object]" = queue.Queue(maxsize=1)
+        stop = threading.Event()
+        worker = threading.Thread(
+            target=self._build,
+            args=(ranges, handoff, stop, obs),
+            name="spgemm-trace-blocks",
+            daemon=True,
+        )
+        worker.start()
+        try:
+            for _ in ranges:
+                with obs.span("trace", kernel="spgemm-csr"):
+                    block = handoff.get()
+                    if isinstance(block, BaseException):
+                        raise block
+                yield block
+        finally:
+            stop.set()
+            # The worker checks ``stop`` between hand-overs, so it makes
+            # at most one more; emptying the slot lets that one through
+            # instead of blocking it forever.
+            try:
+                handoff.get_nowait()
+            except queue.Empty:
+                pass
+            worker.join()
+
+    def _build(
+        self,
+        ranges: Sequence[Tuple[int, int]],
+        handoff: "queue.Queue[object]",
+        stop: threading.Event,
+        obs: Instrumentation,
+    ) -> None:
+        """Worker: build each group range's collapsed block, hand it over.
+
+        A failed build hands over its exception instead and ends the
+        walk; even a ``BaseException`` goes to the consumer, which
+        raises it, because a worker that died silently would leave the
+        consumer waiting forever.
+        """
+        for lo, hi in ranges:
+            if stop.is_set():
+                return
+            start = obs.clock.now()
+            try:
                 block = _collapse(self._accesses(lo, hi))
-            yield block
+            except BaseException as exc:
+                handoff.put(exc)
+                return
+            obs.counter("trace.block.build_s", obs.clock.now() - start)
+            handoff.put(block)
 
     def _accesses(self, lo: int, hi: int) -> np.ndarray:
         """The uncollapsed accesses of groups ``[lo, hi)``."""

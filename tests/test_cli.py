@@ -327,6 +327,30 @@ class TestResilienceCli:
         assert captured.out == ""
         assert not (tmp_path / "memo").exists()
 
+    def test_strict_sweep_failure_prints_report_not_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Without --keep-going a permanently failed cell still ends in
+        the failure report: exit 1, the cell named on stderr, and a
+        ledger whose status is failed and which records the failure."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
+        runs_dir = tmp_path / "ledger"
+        assert main(
+            ["--quiet", "--runs-dir", str(runs_dir), "experiment", "fig2",
+             "--profile", "test", "--jobs", "2", "--cell-timeout", "0.0001"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        (run_dir,) = runs_dir.iterdir()
+        ledger = json.loads((run_dir / "manifest.json").read_text())
+        assert ledger["status"] == "failed"
+        assert ledger["exit_code"] == 1
+        failures = ledger["failures"]["failures"]
+        assert failures
+        for failure in failures:
+            assert failure["error_type"] == "CellTimeoutError"
+            assert f"FAILED {failure['label']}: CellTimeoutError" in captured.err
+
     def test_keep_going_records_driver_failure(self, tmp_path, capsys, monkeypatch):
         import repro.cli as cli
         import repro.experiments.run_all as run_all_module

@@ -1,10 +1,15 @@
 """SpGEMM (Gustavson CSR x CSR) workload: structure vs scipy, trace
-invariants, the blocked trace vs the monolithic oracle, the
-cluster-wise schedule win, and pipeline integration."""
+invariants, the blocked trace vs the monolithic oracle, the walk's
+block-building worker thread, the cluster-wise schedule win, and
+pipeline integration."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.gpu.perf import model_run
 from repro.gpu.specs import scaled_platform
 from repro.graphs.corpus import corpus_names
+from repro.obs import Instrumentation, MemorySink, using
 from repro.predict.features import analytic_compulsory_bytes
 from repro.sparse.csr import CSRMatrix
 from repro.trace import kernel_traces
@@ -208,6 +214,190 @@ class TestBlocks:
         blocked, reference = model_run(trace, platform), model_run(whole, platform)
         assert blocked.stats == reference.stats
         assert blocked.compulsory_bytes == reference.compulsory_bytes
+
+
+class BuildFailed(Exception):
+    """Raised by a patched block build."""
+
+
+def bounded(call, seconds: float = 60.0):
+    """Run ``call`` on a thread joined with a timeout, so a walk that
+    deadlocks fails the test instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # handed back to the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the walk did not finish in {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
+
+
+def count_builds(monkeypatch, fail_at=None):
+    """Count ``_SpgemmWalk._accesses`` calls; raise on call ``fail_at``
+    (0-based) when given."""
+    calls = []
+    build = kernel_traces._SpgemmWalk._accesses
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        if len(calls) - 1 == fail_at:
+            raise BuildFailed(f"block {fail_at}")
+        return build(self, lo, hi)
+
+    monkeypatch.setattr(kernel_traces._SpgemmWalk, "_accesses", counted)
+    return calls
+
+
+class TestBlockWorker:
+    """Each walk builds its blocks one ahead on a worker thread."""
+
+    @pytest.fixture
+    def kmer(self, monkeypatch):
+        monkeypatch.setattr(kernel_traces, "BLOCK_ACCESSES", 97)
+        return load_graph("test-kmer").adjacency
+
+    def test_build_error_reaches_consumer_after_earlier_blocks(self, kmer, monkeypatch):
+        before = set(threading.enumerate())
+        calls = count_builds(monkeypatch, fail_at=3)
+        taken = []
+
+        def consume():
+            for block in spgemm_csr_trace(kmer).blocks():
+                taken.append(block)
+
+        with pytest.raises(BuildFailed, match="block 3"):
+            bounded(consume)
+        assert len(taken) == 3
+        assert len(calls) == 4  # the worker stops at the failed build
+        assert set(threading.enumerate()) <= before
+
+    def test_close_joins_worker_and_next_walk_is_whole(self, kmer, monkeypatch):
+        before = set(threading.enumerate())
+        trace = spgemm_csr_trace(kmer)
+        calls = count_builds(monkeypatch)
+
+        def first_then_close():
+            walk = trace.blocks()
+            first = next(walk)
+            # Let the worker fill the slot and block handing over the next.
+            deadline = time.monotonic() + 10.0
+            while len(calls) < 3 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            walk.close()
+            return first
+
+        first = bounded(first_then_close)
+        assert set(threading.enumerate()) <= before
+        lines = bounded(lambda: np.concatenate(list(trace.blocks())))
+        reference = oracle.spgemm_csr_trace(kmer).lines
+        assert np.array_equal(lines, reference)
+        assert np.array_equal(first, reference[: first.size])
+        assert set(threading.enumerate()) <= before
+
+    def test_producer_runs_at_most_one_block_ahead_of_the_queue(self, kmer, monkeypatch):
+        calls = count_builds(monkeypatch)
+
+        def consume():
+            walk = spgemm_csr_trace(kmer).blocks()
+            seen = []
+            try:
+                for taken in range(1, 9):
+                    next(walk)
+                    # Give the worker time to run as far ahead as it can.
+                    time.sleep(0.02)
+                    seen.append((taken, len(calls)))
+            finally:
+                walk.close()
+            return seen
+
+        seen = bounded(consume)
+        assert all(built <= taken + 2 for taken, built in seen), seen
+        # It does run ahead: the queued block and the one being built.
+        assert any(built == taken + 2 for taken, built in seen), seen
+
+    def test_spans_stay_on_the_consumer_thread(self, kmer):
+        platform = scaled_platform("test")
+        trace = spgemm_csr_trace(kmer)
+        n_blocks = sum(1 for _ in trace.blocks())
+        assert n_blocks > 10
+        sink = MemorySink()
+        instr = Instrumentation(sink=sink, enabled=True)
+
+        def run():
+            with using(instr), instr.span("root") as root:
+                model_run(trace, platform)
+            return threading.get_ident(), root
+
+        consumer, root = bounded(run)
+        spans = sink.by_kind("span")
+        assert {span["tid"] for span in spans} == {consumer}
+        assert sum(span["name"] == "trace" for span in spans) == n_blocks
+        # Self times sum to the root's duration only if every span nests
+        # on one thread; a span opened on the worker would be a root.
+        children = {}
+        for span in spans:
+            if span["parent_id"] is not None:
+                children[span["parent_id"]] = children.get(span["parent_id"], 0.0) + span["seconds"]
+        self_total = sum(span["seconds"] - children.get(span["span_id"], 0.0) for span in spans)
+        assert math.isclose(self_total, root.seconds, rel_tol=1e-9, abs_tol=1e-9)
+        assert [span for span in spans if span["parent_id"] is None] == [spans[-1]]
+        assert instr.counters.get("trace.block.build_s") > 0
+
+    def test_concurrent_walks_under_fast_thread_switching(self, kmer):
+        """Four walks of one trace at once (eight threads on two cores),
+        switching threads every 10 us: each walk yields the oracle's
+        trace and every consumer-side span is counted."""
+        trace = spgemm_csr_trace(kmer)
+        reference = oracle.spgemm_csr_trace(kmer).lines
+        n_blocks = sum(1 for _ in trace.blocks())
+        instr = Instrumentation(enabled=True)
+        before = set(threading.enumerate())
+        results = [None] * 4
+
+        def walk(i):
+            results[i] = np.concatenate(list(trace.blocks()))
+
+        def walk_all():
+            threads = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with using(instr):
+                bounded(walk_all)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(lines, reference) for lines in results)
+        assert instr.span_totals()["trace"].calls == 4 * n_blocks
+        assert instr.counters.histogram("trace").count == 4 * n_blocks
+        assert set(threading.enumerate()) <= before
+
+    def test_model_run_joins_worker_when_the_replay_raises(self, kmer, monkeypatch):
+        import repro.cache.dispatch as dispatch
+
+        def replay_one_then_fail(blocks, config, regions):
+            next(iter(blocks))
+            raise BuildFailed("replay failed")
+
+        monkeypatch.setattr(dispatch, "simulate_lru_blocks", replay_one_then_fail)
+        before = set(threading.enumerate())
+        trace = spgemm_csr_trace(kmer)
+        with pytest.raises(BuildFailed, match="replay failed"):
+            bounded(lambda: model_run(trace, scaled_platform("test")))
+        # The exception (and its traceback) is still alive here.
+        assert set(threading.enumerate()) <= before
 
 
 class TestPipeline:
