@@ -10,7 +10,7 @@ needs:
 * community detection — Rabbit-style incremental aggregation and
   Louvain (:mod:`repro.community`);
 * the reordering techniques: RANDOM/ORIGINAL, DEGSORT, DBG, HUBSORT,
-  HUBCLUSTER, GORDER, RCM, SLASHBURN, RABBIT and the paper's RABBIT++
+  GORDER, RCM, LOUVAIN, BOBA, RABBIT and the paper's RABBIT++
   (:mod:`repro.reorder`);
 * a trace-driven L2 cache simulator with LRU and Belady replacement
   (:mod:`repro.cache`, :mod:`repro.trace`);

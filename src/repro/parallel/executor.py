@@ -62,9 +62,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -249,6 +251,7 @@ def _group_cells(cells: List[Cell]) -> List[Tuple[Cell, ...]]:
 
 def _run_group(
     cells: Tuple[Cell, ...],
+    marker: str,
 ) -> Tuple[List[str], Dict[str, Dict[str, object]], Dict[str, Tuple[int, float]]]:
     """Worker entry point: simulate one cell group into the shared store.
 
@@ -262,6 +265,10 @@ def _run_group(
     raises :class:`_CellFailure` carrying its label and transient
     classification; on a retried group the already-memoized cells
     replay as cache hits.
+
+    The file ``marker`` exists while the group runs: a worker that dies
+    leaves it behind, which tells the parent this group was started
+    when the pool broke (see :func:`_execute_pool`).
     """
     runner: ExperimentRunner = _WORKER["runner"]  # type: ignore[assignment]
     timeout: Optional[float] = _WORKER.get("timeout")  # type: ignore[assignment]
@@ -280,6 +287,7 @@ def _run_group(
     )
     instr.gauge("parallel.group_cells", len(cells))
     done: List[str] = []
+    open(marker, "w").close()
     try:
         with using(instr):
             for cell in cells:
@@ -299,6 +307,7 @@ def _run_group(
                 done.append(cell.label())
     finally:
         instr.close()
+        os.remove(marker)
     snapshot = instr.counters.snapshot()
     spans = {
         name: (total.calls, total.seconds)
@@ -513,7 +522,14 @@ def _execute_pool(
     stats: ParallelStats,
 ) -> None:
     """Pool execution in retry rounds: a broken pool is rebuilt, failed
-    groups re-enter the next round until their attempt budget runs out."""
+    groups re-enter the next round until their attempt budget runs out.
+
+    A broken pool fails every outstanding future, started or not.  Only
+    the groups whose worker had started them (their marker file is left
+    in the round's directory) are charged an attempt; the others are
+    resubmitted free.  A round that broke before any group left a marker
+    charges every failed group, so a pool that cannot run anything still
+    exhausts the budget.  The next round runs the free groups first."""
     obs = get_obs()
     config = RunnerConfig.from_runner(runner)
     trace = TraceContext.from_obs(obs)
@@ -542,42 +558,63 @@ def _execute_pool(
         round_groups = remaining
         remaining = []
         abort = False
-        # Spawned workers re-import repro; keep the pool no wider than
-        # the work list so tiny sweeps don't pay for idle interpreters.
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(round_groups)),
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(config, worker_clock, cell_timeout, trace),
-        ) as pool:
-            futures = {
-                pool.submit(_run_group, group): group for group in round_groups
-            }
-            for future in as_completed(futures):
-                group = futures[future]
-                try:
-                    done, snapshot, spans = future.result()
-                except BaseException as exc:
-                    requeue = _handle_group_failure(
-                        group, exc, attempts, retry, keep_going, stats, runner
-                    )
-                    if requeue is None:
-                        abort = True
-                        for other in futures:
-                            other.cancel()
-                        break
-                    remaining.extend(requeue)
-                    continue
-                obs.merge_counter_snapshot(snapshot)
-                obs.merge_span_totals(spans)
-                fresh = [label for label in done if label not in completed]
-                completed.update(fresh)
-                stats.executed += len(fresh)
-                if progress is not None:
-                    for label in fresh:
-                        progress.update(label)
+        broken: Dict[int, BaseException] = {}
+        with tempfile.TemporaryDirectory(prefix="repro-round-") as markers:
+            # Spawned workers re-import repro; keep the pool no wider than
+            # the work list so tiny sweeps don't pay for idle interpreters.
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(round_groups)),
+                mp_context=context,
+                initializer=_init_worker,
+                initargs=(config, worker_clock, cell_timeout, trace),
+            ) as pool:
+                futures = {
+                    pool.submit(_run_group, group, os.path.join(markers, str(index))): index
+                    for index, group in enumerate(round_groups)
+                }
+                for future in as_completed(futures):
+                    index = futures[future]
+                    group = round_groups[index]
+                    try:
+                        done, snapshot, spans = future.result()
+                    except BrokenProcessPool as exc:
+                        broken[index] = exc
+                        continue
+                    except BaseException as exc:
+                        requeue = _handle_group_failure(
+                            group, exc, attempts, retry, keep_going, stats, runner
+                        )
+                        if requeue is None:
+                            abort = True
+                            for other in futures:
+                                other.cancel()
+                            break
+                        remaining.extend(requeue)
+                        continue
+                    obs.merge_counter_snapshot(snapshot)
+                    obs.merge_span_totals(spans)
+                    fresh = [label for label in done if label not in completed]
+                    completed.update(fresh)
+                    stats.executed += len(fresh)
+                    if progress is not None:
+                        for label in fresh:
+                            progress.update(label)
+            # The pool has shut down, so every marker left now belongs
+            # to a group whose worker died or was stopped mid-group.
+            started = {int(name) for name in os.listdir(markers)}
         if abort:
             return
+        charged = (started & broken.keys()) or set(broken)
+        # The free groups go first, so a group that broke the pool does
+        # not break it again before they have run.
+        remaining[:0] = [round_groups[index] for index in sorted(broken.keys() - charged)]
+        for index in sorted(charged):
+            requeue = _handle_group_failure(
+                round_groups[index], broken[index], attempts, retry, keep_going, stats, runner
+            )
+            if requeue is None:
+                return
+            remaining.extend(requeue)
 
 
 def _handle_group_failure(
@@ -600,8 +637,8 @@ def _handle_group_failure(
         message = exc.detail
         tb = exc.tb
     else:
-        # The worker died (BrokenProcessPool), was cancelled alongside
-        # a broken pool, or hit an unpicklable error: we cannot know
+        # The worker died (BrokenProcessPool) or the group was running
+        # when another worker's death broke the pool: we cannot know
         # which cell was at fault, so the whole group is retried.
         transient = True
         label = group[0].label()

@@ -124,8 +124,6 @@ def analytic_compulsory_bytes(
         return (2 * n + (n + 1) + 2 * nnz) * element_bytes
     if spec.kind == "spmv-coo":
         return (2 * n + 3 * nnz) * element_bytes
-    if spec.kind == "spmv-csc":
-        return (2 * n + (csr.n_cols + 1) + 2 * nnz) * element_bytes
     if spec.kind == "spmm-csr":
         return ((n + 1) + 2 * nnz + 2 * n * spec.k) * element_bytes
     if spec.kind == "spgemm-csr":

@@ -6,24 +6,25 @@ characterized by the paper:
 
 * ORIGINAL / RANDOM — baselines (Section IV-A);
 * DEGSORT, DBG — degree-based (power-law leveraging);
-* HUBSORT, HUBCLUSTER — hub-packing variants (prior work, reused as
-  RABBIT++ building blocks);
+* HUBSORT — hub packing (prior work, reused as a RABBIT++ building
+  block);
 * GORDER — window locality-score maximization;
 * RABBIT — community-based (dendrogram DFS);
 * RABBIT++ — the paper's contribution: RABBIT + insular-node grouping +
   hub grouping, plus the full Table II design space;
-* RCM, SLASHBURN — additional orderings the paper references.
+* RCM — the bandwidth-minimizing ordering the paper references;
+* LOUVAIN, BOBA — a detector ablation and a lightweight bucket ordering
+  from related work.
 """
 
 from repro.reorder.base import ReorderingTechnique, TimedReordering, reorder_with_timing
 from repro.reorder.boba import BobaOrder
 from repro.reorder.simple import OriginalOrder, RandomOrder
-from repro.reorder.degree import DBG, DegSort, HubCluster, HubSort
+from repro.reorder.degree import DBG, DegSort, HubSort
 from repro.reorder.gorder import GOrder
-from repro.reorder.rabbit import RabbitOrder, RabbitShardedOrder
+from repro.reorder.rabbit import RabbitOrder
 from repro.reorder.rabbitpp import HubPolicy, RabbitPlusPlus
 from repro.reorder.rcm import ReverseCuthillMcKee
-from repro.reorder.slashburn import SlashBurn
 from repro.reorder.registry import (
     available_techniques,
     make_technique,
@@ -35,18 +36,15 @@ __all__ = [
     "DBG",
     "DegSort",
     "GOrder",
-    "HubCluster",
     "HubPolicy",
     "HubSort",
     "OriginalOrder",
     "PAPER_TECHNIQUES",
     "RabbitOrder",
-    "RabbitShardedOrder",
     "RabbitPlusPlus",
     "RandomOrder",
     "ReorderingTechnique",
     "ReverseCuthillMcKee",
-    "SlashBurn",
     "TimedReordering",
     "available_techniques",
     "make_technique",

@@ -1,6 +1,6 @@
 """Degree-based reordering techniques (paper Section IV-A).
 
-All four techniques here exploit skewed (power-law) degree
+All three techniques here exploit skewed (power-law) degree
 distributions by packing highly-connected vertices into few cache
 lines.  Following the paper (and the prior work it cites), the degree
 used is the *in-degree*, because push-style kernels such as SpMV gather
@@ -12,7 +12,6 @@ through incoming references.
   inside each bucket* so any pre-existing locality survives.
 * HUBSORT — hubs (degree > average) first in descending degree order,
   non-hubs keep their relative order.
-* HUBCLUSTER — hubs first in their original relative order.
 """
 
 from __future__ import annotations
@@ -82,17 +81,6 @@ class HubSort(ReorderingTechnique):
         hub_visit = hub_ids[np.argsort(-degrees[hub_ids], kind="stable")]
         non_hub_visit = np.flatnonzero(~hubs)
         return stable_order_to_permutation(np.concatenate([hub_visit, non_hub_visit]))
-
-
-class HubCluster(ReorderingTechnique):
-    """Hubs first in original relative order; others keep order."""
-
-    name = "hubcluster"
-
-    def _compute(self, graph: Graph) -> np.ndarray:
-        hubs = hub_mask(graph)
-        visit = np.concatenate([np.flatnonzero(hubs), np.flatnonzero(~hubs)])
-        return stable_order_to_permutation(visit)
 
 
 def hub_mask(graph: Graph, degrees: np.ndarray = None) -> np.ndarray:

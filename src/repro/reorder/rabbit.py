@@ -22,31 +22,3 @@ class RabbitOrder(ReorderingTechnique):
 
     def _compute(self, graph: Graph) -> np.ndarray:
         return detect(graph).ordering
-
-
-class RabbitShardedOrder(ReorderingTechnique):
-    """RABBIT ordering from two-level sharded detection.
-
-    Same dendrogram-DFS placement as :class:`RabbitOrder`, but the
-    detection phase runs :func:`~repro.community.sharded.
-    sharded_rabbit_communities` — local Rabbit per vertex-range shard
-    (optionally across processes) stitched by a coarse pass.  The
-    permutation is a pure function of ``(graph, n_shards)``;
-    ``jobs`` never changes it.
-    """
-
-    name = "rabbit-sharded"
-
-    def __init__(self, n_shards: int = 4, jobs: int = 1) -> None:
-        self.n_shards = int(n_shards)
-        self.jobs = int(jobs)
-
-    def _compute(self, graph: Graph) -> np.ndarray:
-        # Deferred import: repro.community.sharded imports the pool
-        # lazily but lives below this module in the import graph.
-        from repro.community.sharded import sharded_rabbit_communities
-
-        result = sharded_rabbit_communities(
-            graph, n_shards=self.n_shards, jobs=self.jobs
-        )
-        return result.dendrogram.ordering()

@@ -11,16 +11,13 @@ from typing import Callable, Dict, List
 from repro.errors import ValidationError
 from repro.reorder.base import ReorderingTechnique
 from repro.reorder.boba import BobaOrder
-from repro.reorder.bisection import RecursiveBisection
-from repro.reorder.degree import DBG, DegSort, HubCluster, HubSort
+from repro.reorder.degree import DBG, DegSort, HubSort
 from repro.reorder.gorder import GOrder
 from repro.reorder.louvain_order import LouvainOrder
-from repro.reorder.rabbit import RabbitOrder, RabbitShardedOrder
+from repro.reorder.rabbit import RabbitOrder
 from repro.reorder.rabbitpp import HubPolicy, RabbitPlusPlus
 from repro.reorder.rcm import ReverseCuthillMcKee
 from repro.reorder.simple import OriginalOrder, RandomOrder
-from repro.reorder.slashburn import SlashBurn
-from repro.reorder.traversal import BFSOrder, DFSOrder
 
 #: The six orderings of the paper's Figure 2, in presentation order,
 #: plus the proposed RABBIT++.
@@ -40,16 +37,10 @@ _FACTORIES: Dict[str, Callable[[], ReorderingTechnique]] = {
     "degsort": DegSort,
     "dbg": DBG,
     "hubsort": HubSort,
-    "hubcluster": HubCluster,
     "gorder": GOrder,
     "louvain": LouvainOrder,
-    "bfs": BFSOrder,
-    "dfs": DFSOrder,
-    "bisection": RecursiveBisection,
     "rcm": ReverseCuthillMcKee,
-    "slashburn": SlashBurn,
     "rabbit": RabbitOrder,
-    "rabbit-sharded": RabbitShardedOrder,
     "boba": BobaOrder,
     "rabbit++": RabbitPlusPlus,
     "rabbit+insular": lambda: RabbitPlusPlus(

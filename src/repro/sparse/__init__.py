@@ -9,7 +9,6 @@ through the column-index array.
 """
 
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csc import CSCMatrix, coo_to_csc, csc_to_coo, spmv_csc
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.kernels import spmm_csr, spmv_coo, spmv_csr, spmv_csr_tiled
@@ -33,12 +32,9 @@ from repro.sparse.permute import permute_symmetric
 
 __all__ = [
     "COOMatrix",
-    "CSCMatrix",
     "CSRMatrix",
     "coo_chunks_from_csr",
-    "coo_to_csc",
     "coo_to_csr",
-    "csc_to_coo",
     "csr_from_coo_chunks",
     "csr_to_coo",
     "drop_self_loops",
@@ -50,7 +46,6 @@ __all__ = [
     "restrict_to_nodes",
     "spmm_csr",
     "spmv_coo",
-    "spmv_csc",
     "spmv_csr",
     "spmv_csr_tiled",
     "stream_row_blocks",

@@ -18,7 +18,6 @@ from repro.trace.kernel_traces import (
     spgemm_csr_trace,
     spmm_csr_trace,
     spmv_coo_trace,
-    spmv_csc_trace,
     spmv_csr_trace,
 )
 from repro.trace.kernelspec import KernelSpec, kernel_kinds, register_kernel
@@ -35,7 +34,6 @@ __all__ = [
     "spgemm_csr_trace",
     "spmm_csr_trace",
     "spmv_coo_trace",
-    "spmv_csc_trace",
     "spmv_csr_trace",
     "spmv_csr_tiled_trace",
 ]

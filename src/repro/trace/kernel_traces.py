@@ -257,66 +257,6 @@ def spmv_coo_trace(
     )
 
 
-def spmv_csc_trace(
-    matrix: "object",
-    element_bytes: int = 4,
-    line_bytes: int = 32,
-) -> KernelTrace:
-    """Trace of scatter-style ``y = A @ x`` with A in CSC format.
-
-    Column-major traversal: ``col_offsets``, ``row_indices``, ``values``
-    and the input vector all stream; the *output* vector is the
-    irregular side (``y[row_indices[i]] += ...``).  The irregular
-    region is therefore ``y`` — the pull/push mirror image of the CSR
-    trace.
-    """
-    from repro.sparse.csc import CSCMatrix
-
-    if not isinstance(matrix, CSCMatrix):
-        raise ValidationError(f"spmv_csc_trace requires a CSCMatrix, got {type(matrix).__name__}")
-    n = matrix.n_rows
-    nnz = matrix.nnz
-    space = AddressSpace(line_bytes)
-    co = space.allocate("col_offsets", matrix.n_cols + 1, element_bytes)
-    rows_region = space.allocate("rows", max(1, nnz), element_bytes)
-    values = space.allocate("values", max(1, nnz), element_bytes)
-    x = space.allocate("x", matrix.n_cols, element_bytes)
-    y = space.allocate("y", max(1, n), element_bytes)
-
-    degrees = np.diff(matrix.col_offsets)
-    seg_lengths = 2 + 3 * degrees  # col offset + x read + per entry triple
-    seg_offsets = np.zeros(matrix.n_cols + 1, dtype=np.int64)
-    np.cumsum(seg_lengths, out=seg_offsets[1:])
-    out = np.empty(int(seg_offsets[-1]), dtype=np.int64)
-
-    columns = np.arange(matrix.n_cols, dtype=np.int64)
-    out[seg_offsets[:-1]] = co.lines_of(columns)
-    out[seg_offsets[:-1] + 1] = x.lines_of(columns)
-
-    if nnz:
-        col_of_entry = np.repeat(columns, degrees)
-        local = _local_indices(degrees)
-        base = seg_offsets[col_of_entry] + 2 + 3 * local
-        entries = np.arange(nnz, dtype=np.int64)
-        out[base] = rows_region.lines_of(entries)
-        out[base + 1] = values.lines_of(entries)
-        out[base + 2] = y.lines_of(matrix.row_indices)
-
-    analytic = (2 * n + (matrix.n_cols + 1) + 2 * nnz) * element_bytes
-    return KernelTrace(
-        kernel="spmv-csc",
-        blocks=single_block(_collapse(out)),
-        regions=space.region_bounds(),
-        n_rows=n,
-        nnz=nnz,
-        n_irregular=nnz,
-        irregular_regions=("y",),
-        line_bytes=line_bytes,
-        element_bytes=element_bytes,
-        analytic_compulsory_bytes=analytic,
-    )
-
-
 def spmm_csr_trace(
     matrix: CSRMatrix,
     k: int,

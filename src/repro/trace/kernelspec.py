@@ -29,7 +29,6 @@ from repro.trace.kernel_traces import (
     spgemm_csr_trace,
     spmm_csr_trace,
     spmv_coo_trace,
-    spmv_csc_trace,
     spmv_csr_trace,
 )
 
@@ -155,10 +154,6 @@ def _build_spmv_coo(matrix, k, line_bytes, element_bytes, schedule, n_partitions
     return spmv_coo_trace(coo, element_bytes=element_bytes, line_bytes=line_bytes)
 
 
-def _build_spmv_csc(matrix, k, line_bytes, element_bytes, schedule, n_partitions):
-    return spmv_csc_trace(matrix, element_bytes=element_bytes, line_bytes=line_bytes)
-
-
 def _build_spmm_csr(matrix, k, line_bytes, element_bytes, schedule, n_partitions):
     return spmm_csr_trace(matrix, k=k, element_bytes=element_bytes, line_bytes=line_bytes)
 
@@ -175,6 +170,5 @@ def _build_spgemm_csr(matrix, k, line_bytes, element_bytes, schedule, n_partitio
 
 register_kernel("spmv-csr", _build_spmv_csr)
 register_kernel("spmv-coo", _build_spmv_coo)
-register_kernel("spmv-csc", _build_spmv_csc)
 register_kernel("spmm-csr", _build_spmm_csr, parametric=True)
 register_kernel("spgemm-csr", _build_spgemm_csr)

@@ -13,8 +13,6 @@ from repro.community.sharded import (
 from repro.errors import ValidationError
 from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.graph import Graph
-from repro.reorder.base import check_permutation
-from repro.reorder.rabbit import RabbitShardedOrder
 
 
 def rmat_graph(scale=9, edge_factor=8, seed=11):
@@ -103,29 +101,3 @@ class TestShardedDetection:
             sharded_rabbit_communities(figure1_graph, n_shards=0)
         with pytest.raises(ValidationError):
             sharded_rabbit_communities(figure1_graph, n_shards=2, jobs=0)
-
-
-class TestRabbitShardedOrder:
-    def test_registry_builds_it(self):
-        from repro.reorder.registry import make_technique
-
-        technique = make_technique("rabbit-sharded")
-        assert isinstance(technique, RabbitShardedOrder)
-
-    def test_produces_valid_permutation(self):
-        graph = rmat_graph()
-        perm = RabbitShardedOrder(n_shards=3).compute(graph)
-        check_permutation(perm, graph.n_nodes)
-
-    def test_single_shard_equals_rabbit_order(self, figure1_graph):
-        from repro.reorder.rabbit import RabbitOrder
-
-        sharded = RabbitShardedOrder(n_shards=1).compute(figure1_graph)
-        plain = RabbitOrder().compute(figure1_graph)
-        assert np.array_equal(sharded, plain)
-
-    def test_jobs_invariant_permutation(self):
-        graph = rmat_graph(scale=8)
-        serial = RabbitShardedOrder(n_shards=4, jobs=1).compute(graph)
-        pooled = RabbitShardedOrder(n_shards=4, jobs=2).compute(graph)
-        assert np.array_equal(serial, pooled)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csc import coo_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.kernels import spmv_coo, spmv_csr
 from repro.sparse.ops import (
@@ -81,14 +80,6 @@ class TestCanonicalOrder:
         csr = coo_to_csr(coo)
         assert np.array_equal(csr.col_indices, coo.cols[order])
         assert np.array_equal(csr.values, coo.values[order])
-
-    @given(crowded_coo_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_coo_to_csc_is_column_major_lexsort(self, coo):
-        order = np.lexsort((coo.rows, coo.cols))
-        csc = coo_to_csc(coo)
-        assert np.array_equal(csc.row_indices, coo.rows[order])
-        assert np.array_equal(csc.values, coo.values[order])
 
     @given(crowded_coo_matrices())
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,11 @@
-"""Degree-based techniques: DEGSORT, DBG, HUBSORT, HUBCLUSTER."""
+"""Degree-based techniques: DEGSORT, DBG, HUBSORT."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.reorder.degree import DBG, DegSort, HubCluster, HubSort, hub_mask
+from repro.reorder.degree import DBG, DegSort, HubSort, hub_mask
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
 
@@ -93,21 +93,12 @@ class TestHubSort:
         positions = [perm[v] for v in non_hubs]
         assert positions == sorted(positions)
 
-
-class TestHubCluster:
-    def test_hubs_first_original_order(self):
-        graph = skewed_graph()
-        perm = HubCluster().compute(graph)
-        assert perm[0] == 0 and perm[1] == 1
-
-    def test_differs_from_hubsort_when_hub_order_reversed(self):
-        # Build graph where hub 0 has smaller degree than hub 1.
+    def test_hubs_sorted_when_hub_order_reversed(self):
+        # Hub 0 has a smaller in-degree than hub 1.
         edges = [(2, 1), (3, 1), (4, 1), (5, 1), (2, 0), (3, 0), (4, 0)]
         graph = Graph(
             coo_to_csr(COOMatrix(6, 6, [u for u, _ in edges], [v for _, v in edges])),
             directed=True,
         )
-        hubsort = HubSort().compute(graph)
-        hubcluster = HubCluster().compute(graph)
-        assert hubsort[1] == 0  # highest degree first
-        assert hubcluster[0] == 0  # original order kept
+        perm = HubSort().compute(graph)
+        assert perm[1] == 0  # highest degree first

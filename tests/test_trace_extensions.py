@@ -1,4 +1,4 @@
-"""Traces for the extension kernels: CSC scatter and tiled SpMV."""
+"""Traces for the tiled SpMV extension kernel."""
 
 import numpy as np
 import pytest
@@ -8,47 +8,14 @@ from repro.cache import compulsory_misses, simulate
 from repro.errors import ValidationError
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csc import coo_to_csc
 from repro.sparse.kernels import spmv_csr, spmv_csr_tiled
-from repro.trace.kernel_traces import spmv_csc_trace, spmv_csr_trace
+from repro.trace.kernel_traces import spmv_csr_trace
 from repro.trace.tiled import spmv_csr_tiled_trace
 
 
 def random_coo(n, nnz, seed=0):
     rng = np.random.default_rng(seed)
     return COOMatrix(n, n, rng.integers(0, n, nnz), rng.integers(0, n, nnz))
-
-
-class TestCscTrace:
-    def test_irregular_region_is_y(self):
-        csc = coo_to_csc(random_coo(64, 256, seed=1))
-        trace = spmv_csc_trace(csc)
-        assert trace.irregular_regions == ("y",)
-        assert trace.kernel == "spmv-csc"
-
-    def test_rejects_csr(self):
-        csr = coo_to_csr(random_coo(16, 32, seed=2))
-        with pytest.raises(ValidationError):
-            spmv_csc_trace(csr)
-
-    def test_no_consecutive_duplicates(self):
-        csc = coo_to_csc(random_coo(64, 256, seed=3))
-        trace = spmv_csc_trace(csc)
-        assert not np.any(trace.lines[1:] == trace.lines[:-1])
-
-    def test_x_streams_in_csc(self):
-        """In scatter-style SpMV, the x region sees only compulsory
-        misses even with a tiny cache (it is read column-major)."""
-        csc = coo_to_csc(random_coo(256, 1024, seed=4))
-        trace = spmv_csc_trace(csc)
-        config = CacheConfig(capacity_bytes=1024, line_bytes=32, ways=4)
-        stats = simulate(trace.lines, config, regions=trace.regions)
-        x_region = [r for r in trace.regions if r[0] == "x"][0]
-        x_lines = x_region[2] - x_region[1]
-        # Near-compulsory: each x line spans 8 columns and can very
-        # occasionally be evicted between two of them under the tiny
-        # cache, so allow a small overshoot above the line count.
-        assert stats.region_misses["x"] <= 1.2 * x_lines
 
 
 class TestTiledKernel:
