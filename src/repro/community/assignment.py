@@ -7,6 +7,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
+from repro.sparse.coo import sorted_unique
 
 
 class CommunityAssignment:
@@ -39,7 +40,7 @@ class CommunityAssignment:
         """Number of distinct labels."""
         if self.labels.size == 0:
             return 0
-        return int(np.unique(self.labels).size)
+        return int(sorted_unique(self.labels).size)
 
     def compact(self) -> "CommunityAssignment":
         """Renumber labels to ``0..k-1`` by first appearance."""

@@ -7,7 +7,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, sorted_unique
 
 SeedLike = Union[int, np.random.Generator]
 
@@ -30,7 +30,7 @@ def dedupe_undirected_pairs(
     if lo.size == 0:
         return lo.astype(np.int64), hi.astype(np.int64)
     keys = lo.astype(np.int64) * n + hi.astype(np.int64)
-    unique_keys = np.unique(keys)
+    unique_keys = sorted_unique(keys)
     return unique_keys // n, unique_keys % n
 
 
@@ -50,7 +50,7 @@ def directed_coo(n: int, u: np.ndarray, v: np.ndarray) -> COOMatrix:
     u, v = u[keep], v[keep]
     if u.size:
         keys = u * n + v
-        unique_keys = np.unique(keys)
+        unique_keys = sorted_unique(keys)
         u, v = unique_keys // n, unique_keys % n
     return COOMatrix(n, n, u, v)
 

@@ -23,7 +23,7 @@ from repro.graphs.generators._util import (
     make_rng,
     undirected_coo,
 )
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, sorted_unique
 
 
 def dcsbm(
@@ -108,7 +108,7 @@ def dcsbm(
         hi = np.maximum(u, v)
         keep = lo != hi
         new_keys = lo[keep] * n + hi[keep]
-        keys = np.unique(np.concatenate([keys, new_keys]))
+        keys = sorted_unique(np.concatenate([keys, new_keys]))
     if keys.size > target_edges:
         keys = rng.choice(keys, size=target_edges, replace=False)
     lo = keys // n

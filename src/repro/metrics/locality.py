@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.sparse.coo import sorted_unique
 from repro.sparse.csr import CSRMatrix
 
 
@@ -31,7 +32,7 @@ def hub_cache_footprint_bytes(
     hub_ids = np.asarray(hub_ids, dtype=np.int64)
     if hub_ids.size == 0:
         return 0
-    lines = np.unique(hub_ids * element_bytes // line_bytes)
+    lines = sorted_unique(hub_ids * element_bytes // line_bytes)
     return int(lines.size) * line_bytes
 
 
@@ -80,4 +81,4 @@ def working_set_lines(
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         return 0
-    return int(np.unique(ids * element_bytes // line_bytes).size)
+    return int(sorted_unique(ids * element_bytes // line_bytes).size)

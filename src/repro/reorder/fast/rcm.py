@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.reorder.base import stable_order_to_permutation
+from repro.sparse.coo import sorted_unique
 
 
 def _gather_rows(
@@ -52,7 +53,7 @@ def _bfs_levels_fast(start: int, offsets: np.ndarray, indices: np.ndarray) -> np
         neighbors, _ = _gather_rows(offsets, indices, frontier)
         if neighbors.size == 0:
             break
-        neighbors = np.unique(neighbors)
+        neighbors = sorted_unique(neighbors)
         fresh = neighbors[levels[neighbors] < 0]
         if fresh.size == 0:
             break

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.sparse.coo import COOMatrix, row_major_order
+from repro.sparse.coo import INDEX_DTYPE, COOMatrix, row_major_order
+from repro.sparse.csr import CSRMatrix
 
 
 def transpose(coo: COOMatrix) -> COOMatrix:
@@ -73,4 +74,32 @@ def is_symmetric(coo: COOMatrix) -> bool:
         bool(np.array_equal(merged.rows, merged.cols[order]))
         and bool(np.array_equal(merged.cols, merged.rows[order]))
         and bool(np.allclose(merged.values, merged.values[order]))
+    )
+
+
+def equals_transpose(csr: CSRMatrix) -> bool:
+    """Whether ``csr`` is its own transpose, array for array.
+
+    True exactly when ``coo_to_csr(transpose(csr_to_coo(csr)))`` would
+    return ``csr``'s own three arrays: the same row offsets, the same
+    columns in the same in-row order, and the same values to the bit.
+    Unlike :func:`is_symmetric` there is no tolerance, and entries must
+    already sit in row-major order, so a matrix that passes can stand in
+    for its transpose without changing any result.
+    """
+    if not csr.is_square:
+        return False
+    degrees = np.diff(csr.row_offsets)
+    # Equal in- and out-degrees are necessary, and cheap to compare:
+    # most asymmetric matrices stop here, before the sort.
+    if not np.array_equal(np.bincount(csr.col_indices, minlength=csr.n_cols), degrees):
+        return False
+    rows = np.repeat(np.arange(csr.n_rows, dtype=INDEX_DTYPE), degrees)
+    cols = csr.col_indices
+    order = row_major_order(cols, rows, csr.n_rows)
+    bits = csr.values.view(np.uint64)
+    return (
+        bool(np.array_equal(cols[order], rows))
+        and bool(np.array_equal(rows[order], cols))
+        and bool(np.array_equal(bits[order], bits))
     )

@@ -1,9 +1,12 @@
 """Graph view semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.graphs.generators.community import dcsbm
 from repro.graphs.graph import Graph
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
@@ -60,6 +63,29 @@ class TestUndirectedView:
 
     def test_to_undirected_is_cached(self, two_triangles):
         assert two_triangles.to_undirected() is two_triangles.to_undirected()
+
+    def test_symmetric_graph_views_add_only_new_values(self):
+        """A symmetric graph's views share its CSR: ``to_undirected()``
+        costs the equality check's sort and the doubled values, where
+        symmetrizing peaks at 178 B per stored entry, and
+        ``in_adjacency`` costs nothing, where transposing peaks at 50."""
+        graph = Graph(coo_to_csr(dcsbm(4096, 16, 16.0, mu=0.3, theta_exponent=0.9, seed=1)))
+        nnz = graph.n_edges
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            graph.to_undirected()
+            undirected_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            graph.in_adjacency
+            transpose_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert nnz == 65_484
+        assert undirected_peak <= 32 * nnz, undirected_peak / nnz
+        # Under a byte per entry: interpreter objects, no array.
+        assert transpose_peak < nnz, transpose_peak
 
     def test_repr(self, two_triangles):
         assert "undirected" in repr(two_triangles)

@@ -1,14 +1,18 @@
 """Property-based tests for the sparse substrate (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.graphs.graph import Graph
 from repro.sparse.convert import coo_to_csr, csr_to_coo
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import COOMatrix, sorted_unique
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.kernels import spmv_coo, spmv_csr
 from repro.sparse.ops import (
     drop_self_loops,
+    equals_transpose,
     is_symmetric,
     merge_duplicates,
     symmetrize,
@@ -50,6 +54,53 @@ def crowded_coo_matrices(draw):
     cols = rng.integers(0, n_cols, nnz)
     values = rng.permutation(nnz) + rng.random(nnz)
     return COOMatrix(n_rows, n_cols, rows, cols, values)
+
+
+#: Both zeros are in, so a comparison that misses a sign bit shows.
+WEIGHTS = st.sampled_from([1.0, 2.5, -3.0, 0.0, -0.0])
+
+
+@st.composite
+def square_csrs(draw):
+    """Square CSRs of every kind the self-transpose views tell apart.
+
+    ``simple``: symmetric pattern and weights, no diagonal entry, one
+    entry per coordinate.  ``looped``: the same plus diagonal entries.
+    ``mirrored``: every pair stored both ways, with equal or independent
+    weights, so diagonal entries and repeated coordinates can occur.
+    ``any``: unconstrained.  Rows are shuffled half the time, and the
+    empty matrix (no rows, or no entries) is in range.  Returns the CSR
+    and whether it is ``simple`` with sorted rows.
+    """
+    n = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["simple", "looped", "mirrored", "any"]))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=24)) if n else []
+    if kind in ("simple", "looped"):
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    entries = [(u, v, draw(WEIGHTS)) for u, v in pairs]
+    if kind != "any":
+        same = kind != "mirrored" or draw(st.booleans())
+        entries += [(v, u, w if same else draw(WEIGHTS)) for u, v, w in entries]
+    if kind == "looped" and n:
+        entries += [(u, u, draw(WEIGHTS)) for u in draw(st.sets(node, min_size=1, max_size=3))]
+    rows, cols, values = (list(column) for column in zip(*entries)) if entries else ([], [], [])
+    csr = coo_to_csr(COOMatrix(n, n, rows, cols, values))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        row_of = np.repeat(np.arange(n), csr.row_degrees())
+        order = np.lexsort((rng.random(csr.nnz), row_of))
+        csr = CSRMatrix(n, n, csr.row_offsets, csr.col_indices[order], csr.values[order])
+    return csr, kind == "simple" and csr.has_sorted_rows()
+
+
+def same_arrays(a, b):
+    """All three CSR arrays equal, the values as bits (0.0 != -0.0)."""
+    return (
+        np.array_equal(a.row_offsets, b.row_offsets)
+        and np.array_equal(a.col_indices, b.col_indices)
+        and np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+    )
 
 
 @st.composite
@@ -144,6 +195,50 @@ class TestOpsProperties:
     @settings(max_examples=60, deadline=None)
     def test_transpose_involution(self, coo):
         assert transpose(transpose(coo)) == coo
+
+
+class TestSortedUnique:
+    @given(st.data(), st.sampled_from([np.int32, np.int64]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_np_unique(self, data, dtype):
+        info = np.iinfo(dtype)
+        element = st.integers(-8, 8) | st.integers(int(info.min), int(info.max))
+        values = data.draw(arrays(dtype, st.integers(0, 40), elements=element))
+        before = values.copy()
+        got = sorted_unique(values)
+        expected = np.unique(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(values, before)
+
+
+class TestSelfTransposeViews:
+    """A graph whose CSR is its own transpose shares it with its views;
+    every input gets the arrays the symmetrize and transpose path builds."""
+
+    @given(square_csrs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_transpose_is_the_transpose_path(self, case):
+        csr, _ = case
+        assert equals_transpose(csr) == same_arrays(coo_to_csr(transpose(csr_to_coo(csr))), csr)
+
+    @given(square_csrs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_views_equal_the_symmetrize_and_transpose_path(self, case, directed):
+        csr, shares = case
+        undirected = coo_to_csr(symmetrize(drop_self_loops(csr_to_coo(csr))))
+        transposed = coo_to_csr(transpose(csr_to_coo(csr)))
+        graph = Graph(csr, directed=directed)
+        assert same_arrays(graph.to_undirected().adjacency, undirected)
+        assert same_arrays(graph.in_adjacency, transposed)
+        if shares:
+            view = graph.to_undirected().adjacency
+            assert view.row_offsets is csr.row_offsets
+            assert view.col_indices is csr.col_indices
+            assert graph.in_adjacency is csr
+            for array in (csr.row_offsets, csr.col_indices, csr.values):
+                with pytest.raises(ValueError):
+                    array[:1] = 0
 
 
 class TestPermutationProperties:
