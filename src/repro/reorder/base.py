@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from repro.community.rabbit import detect
+from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.obs import get_obs
 from repro.sparse.permute import check_permutation
@@ -75,3 +77,21 @@ def stable_order_to_permutation(visit_order: np.ndarray) -> np.ndarray:
     perm = np.empty(visit_order.size, dtype=np.int64)
     perm[visit_order] = np.arange(visit_order.size, dtype=np.int64)
     return perm
+
+
+def integer_parameter(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int`` no smaller than ``minimum``.
+
+    Python and NumPy integers pass through :func:`operator.index`;
+    booleans, floats and anything else raise :class:`ValidationError`
+    naming the parameter, so ``window=2.5`` cannot quietly run as 2.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {number}")
+    return number

@@ -36,10 +36,13 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.obs import get_obs
-from repro.reorder.base import ReorderingTechnique, stable_order_to_permutation
+from repro.reorder.base import (
+    ReorderingTechnique,
+    integer_parameter,
+    stable_order_to_permutation,
+)
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.memmap import stream_row_blocks
 
@@ -64,12 +67,8 @@ class BobaOrder(ReorderingTechnique):
     name = "boba"
 
     def __init__(self, n_shards: int = 1, jobs: int = 1) -> None:
-        if n_shards < 1:
-            raise ValidationError(f"n_shards must be positive, got {n_shards}")
-        if jobs < 1:
-            raise ValidationError(f"jobs must be positive, got {jobs}")
-        self.n_shards = int(n_shards)
-        self.jobs = int(jobs)
+        self.n_shards = integer_parameter("n_shards", n_shards, 1)
+        self.jobs = integer_parameter("jobs", jobs, 1)
 
     def _compute(self, graph: Graph) -> np.ndarray:
         with get_obs().span(

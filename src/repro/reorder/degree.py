@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.reorder.base import ReorderingTechnique, stable_order_to_permutation
+from repro.reorder.base import (
+    ReorderingTechnique,
+    integer_parameter,
+    stable_order_to_permutation,
+)
 
 
 def _in_degrees(graph: Graph) -> np.ndarray:
@@ -52,9 +55,7 @@ class DBG(ReorderingTechnique):
 
     def __init__(self, n_buckets: int = 0) -> None:
         """``n_buckets = 0`` means as many power-of-two buckets as needed."""
-        if n_buckets < 0:
-            raise ValidationError(f"n_buckets must be >= 0, got {n_buckets}")
-        self.n_buckets = int(n_buckets)
+        self.n_buckets = integer_parameter("n_buckets", n_buckets, 0)
 
     def _compute(self, graph: Graph) -> np.ndarray:
         degrees = _in_degrees(graph)

@@ -16,7 +16,11 @@ Window-delta application is identical (``np.add.at`` with +/-1 per
 affected occurrence; integer adds commute, so only the multiset of
 targets matters), and the affected-set expansion through capped
 in-neighbor sibling lists is one vectorized CSR gather instead of a
-Python loop.
+Python loop.  The window holds each member's affected set, built once
+when the node is placed, and subtracts that same array when the member
+leaves: the oracle rebuilds it there, so it gathers 2n - window sets
+where this engine gathers n, and the queue never holds more than
+``window`` arrays.
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ def gorder_visit_fast(graph: Graph, window: int, max_expand: Optional[int]) -> n
         return np.concatenate([out_neighbors, in_neighbors, siblings])
 
     visit = np.empty(n, dtype=np.int64)
-    window_queue: deque = deque()
+    # The affected sets of the window's members, oldest first: a member's
+    # set is built once, when it is placed, and subtracted as it leaves.
+    window_sets: deque = deque()
     in_degrees = np.diff(in_offsets)
     seed = int(np.argmax(in_degrees))
 
@@ -87,13 +93,12 @@ def gorder_visit_fast(graph: Graph, window: int, max_expand: Optional[int]) -> n
         key[v] -= _PLACED_OFFSET
         visit[position] = v
 
-        if len(window_queue) == window:
-            z = window_queue.popleft()
-            targets = affected(z)
-            if targets.size:
-                np.subtract.at(key, targets, 1)
-        window_queue.append(v)
+        if len(window_sets) == window:
+            leaving = window_sets.popleft()
+            if leaving.size:
+                np.subtract.at(key, leaving, 1)
         targets = affected(v)
+        window_sets.append(targets)
         if targets.size:
             np.add.at(key, targets, 1)
     return visit

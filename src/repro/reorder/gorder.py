@@ -8,8 +8,11 @@ GOrder (Wei et al., SIGMOD 2016) seeks a permutation maximizing
 where ``S_n(u, v)`` is 1 when u and v are adjacent and ``S_s(u, v)``
 counts their common in-neighbors.  The greedy algorithm places one node
 at a time, always picking the unplaced node with the highest score
-against the current window, maintained incrementally with a lazy
-max-heap.
+against the current window.  Scores are kept incrementally as one
+integer key per node, raised when a node enters the window and lowered
+when it leaves, and an ``argmax`` over the keys picks the next node
+(:mod:`repro.reorder.fast.gorder`); the original's lazy max-heap
+survives only as the test oracle.
 
 Faithful to the original, this is by far the most expensive technique
 here — which is exactly the trade-off the paper's Figure 9 quantifies.
@@ -26,9 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.reorder.base import ReorderingTechnique, stable_order_to_permutation
+from repro.reorder.base import (
+    ReorderingTechnique,
+    integer_parameter,
+    stable_order_to_permutation,
+)
 from repro.reorder.fast.gorder import gorder_visit_fast
 
 
@@ -38,12 +44,10 @@ class GOrder(ReorderingTechnique):
     name = "gorder"
 
     def __init__(self, window: int = 5, max_expand: Optional[int] = 64) -> None:
-        if window < 1:
-            raise ValidationError(f"window must be >= 1, got {window}")
-        if max_expand is not None and max_expand < 1:
-            raise ValidationError(f"max_expand must be >= 1 or None, got {max_expand}")
-        self.window = int(window)
-        self.max_expand = max_expand
+        self.window = integer_parameter("window", window, 1)
+        self.max_expand = (
+            None if max_expand is None else integer_parameter("max_expand", max_expand, 1)
+        )
 
     def _compute(self, graph: Graph) -> np.ndarray:
         if graph.n_nodes == 0:

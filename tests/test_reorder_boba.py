@@ -43,6 +43,17 @@ class TestBobaOrder:
         with pytest.raises(ValidationError):
             BobaOrder(jobs=0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_arguments(self, value):
+        with pytest.raises(ValidationError, match="n_shards"):
+            BobaOrder(n_shards=value)
+        with pytest.raises(ValidationError, match="jobs"):
+            BobaOrder(jobs=value)
+
+    def test_accepts_numpy_integers(self):
+        technique = BobaOrder(n_shards=np.int64(2), jobs=np.int32(1))
+        assert (technique.n_shards, technique.jobs) == (2, 1)
+
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_reference_equals_fast(self, seed):
         graph = rmat_graph(seed=seed)

@@ -72,6 +72,14 @@ class TestDBG:
         with pytest.raises(ValidationError):
             DBG(n_buckets=-1)
 
+    @pytest.mark.parametrize("n_buckets", [2.5, 2.0, True, "2"])
+    def test_non_integer_bucket_count_rejected(self, n_buckets):
+        with pytest.raises(ValidationError, match="n_buckets"):
+            DBG(n_buckets=n_buckets)
+
+    def test_numpy_integer_bucket_count_accepted(self):
+        assert DBG(n_buckets=np.int64(3)).n_buckets == 3
+
 
 class TestHubMask:
     def test_above_average_definition(self):

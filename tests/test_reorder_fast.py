@@ -22,11 +22,12 @@ from repro.graphs.generators.community import dcsbm, star_burst
 from repro.graphs.generators.powerlaw import rmat
 from repro.graphs.generators.random_graphs import erdos_renyi
 from repro.graphs.graph import Graph
+from repro.reorder.gorder import GOrder
 from repro.reorder.registry import make_technique
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
 from repro.sparse.ops import transpose
-from tests.oracles.reorder import ORACLES, oracle_detection
+from tests.oracles.reorder import ORACLES, gorder_reference, oracle_detection
 
 
 def _graph_from_coo(coo: COOMatrix, directed: bool = True) -> Graph:
@@ -109,6 +110,21 @@ class TestTechniqueDifferential:
         oracle = ORACLES[technique](graph)
         fast = make_technique(technique).compute(graph)
         assert fast.dtype == oracle.dtype
+        assert np.array_equal(fast, oracle)
+
+    @pytest.mark.parametrize("max_expand", [1, 4, None])
+    @pytest.mark.parametrize("window", [1, 2, 8, 2048])
+    @pytest.mark.parametrize(
+        "graph_name", ["disconnected", "empty", "rmat10", "single", "star-burst"]
+    )
+    def test_gorder_windows_and_caps(self, graphs, graph_name, window, max_expand):
+        """GOrder off its default window and cap: hubs (star-burst), a
+        directed R-MAT whose in- and out-lists differ, and the degenerate
+        graphs.  No graph here has 2048 nodes, so that window never has
+        a member leave."""
+        graph = graphs[graph_name]
+        oracle = gorder_reference(graph, window, max_expand)
+        fast = GOrder(window=window, max_expand=max_expand).compute(graph)
         assert np.array_equal(fast, oracle)
 
     def test_identical_cache_stats_downstream(self, graphs):

@@ -23,6 +23,21 @@ class TestValidation:
             GOrder(max_expand=0)
         GOrder(max_expand=None)  # allowed
 
+    @pytest.mark.parametrize("window", [2.5, 5.0, True, "5", None])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ValidationError, match="window"):
+            GOrder(window=window)
+
+    @pytest.mark.parametrize("max_expand", [2.5, 64.0, False, "64"])
+    def test_max_expand_must_be_an_integer(self, max_expand):
+        with pytest.raises(ValidationError, match="max_expand"):
+            GOrder(max_expand=max_expand)
+
+    def test_numpy_integers_accepted(self):
+        technique = GOrder(window=np.int64(3), max_expand=np.int32(8))
+        assert (technique.window, technique.max_expand) == (3, 8)
+        assert type(technique.window) is int and type(technique.max_expand) is int
+
 
 class TestBehaviour:
     def test_valid_permutation(self, two_triangles):
@@ -73,3 +88,22 @@ class TestBehaviour:
 
         graph = Graph(coo_to_csr(COOMatrix(5, 5, [0, 1], [1, 0])))
         check_permutation(GOrder().compute(graph), 5)
+
+
+class TestAffectedSets:
+    def test_each_affected_set_is_built_once(self, monkeypatch):
+        """A window member's affected set is built when it is placed and
+        reused when it leaves, so each node's set is gathered once."""
+        from repro.reorder.fast import gorder as fast_gorder
+
+        real_gather = fast_gorder._capped_gather
+        builds = []
+
+        def counting_gather(*args):
+            builds.append(1)
+            return real_gather(*args)
+
+        monkeypatch.setattr(fast_gorder, "_capped_gather", counting_gather)
+        graph = load_graph("test-comm")
+        GOrder().compute(graph)
+        assert len(builds) == graph.n_nodes == 512
