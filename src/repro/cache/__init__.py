@@ -21,7 +21,6 @@ per-access LRU and Belady loops in ``tests/oracles/cache.py``.
 
 from repro.cache.config import CacheConfig
 from repro.cache.dispatch import POLICIES, simulate
-from repro.cache.fast.belady import next_use_index
 from repro.cache.lru import classify_misses, compulsory_misses
 from repro.cache.hierarchy import HierarchyStats, simulate_hierarchy
 from repro.cache.stats import CacheStats
@@ -33,7 +32,6 @@ __all__ = [
     "POLICIES",
     "classify_misses",
     "compulsory_misses",
-    "next_use_index",
     "simulate",
     "simulate_hierarchy",
 ]

@@ -6,10 +6,11 @@ paper uses it to quantify the remaining locality headroom after
 reordering: the LRU-vs-Belady traffic gap is smallest (7.6%) for
 RABBIT++ ordered matrices.
 
-The offline next-use index (:func:`next_use_index`) is computed
-vectorially (lexsort by line then position).  The bucketed trace (see
-:mod:`repro.cache.fast.bucket`) then replays on one of two schedules,
-picked by the plan's width (:func:`schedule`):
+The trace is bucketed as for LRU (see :mod:`repro.cache.fast.bucket`),
+and each run's next use is read off the plan (:func:`run_futures`):
+the first position of its line's next run, which lies in the same set.
+The plan then replays on one of two schedules, picked by its width
+(:func:`schedule`):
 
 * **serial** — each set's runs in a Python loop, with a dict of
   resident lines and a lazy max-heap of ``(-next_use, line)`` entries;
@@ -42,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import BucketPlan, bucket_trace
+from repro.cache.fast.bucket import BucketPlan, bucket_trace, link_lines
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
 
@@ -52,23 +53,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: heap operations per run, beats the rounds (crossover measured near
 #: 64 on the profile L2s' spmv-csr traces).
 SERIAL_WIDTH = 64
-
-
-def next_use_index(trace: np.ndarray) -> np.ndarray:
-    """For every access, the position of the next access to its line.
-
-    Positions with no future access get ``trace.size`` (an "infinite"
-    sentinel larger than any valid position).
-    """
-    trace = np.asarray(trace, dtype=np.int64)
-    n = trace.size
-    next_use = np.full(n, n, dtype=np.int64)
-    if n == 0:
-        return next_use
-    order = np.lexsort((np.arange(n), trace))
-    same_line = trace[order][1:] == trace[order][:-1]
-    next_use[order[:-1][same_line]] = order[1:][same_line]
-    return next_use
 
 
 def simulate_belady_fast(
@@ -82,10 +66,8 @@ def simulate_belady_fast(
         miss_positions = np.empty(0, dtype=np.int64)
         evictions = dead_evictions = dead_at_end = 0
     else:
-        plan = bucket_trace(trace, config.n_sets, run_ends=True)
-        # Next use *after* a collapsed run is the next use of its last
-        # access; the in-run accesses are guaranteed hits either way.
-        run_future = next_use_index(trace)[plan.pos_last]
+        plan = bucket_trace(trace, config.n_sets)
+        run_future = run_futures(plan, int(trace.size))
         if schedule(plan) == "serial":
             result = _belady_serial(plan, run_future, config.ways)
         else:
@@ -103,6 +85,22 @@ def simulate_belady_fast(
     )
     stats.check_consistency()
     return stats
+
+
+def run_futures(plan: BucketPlan, n: int) -> np.ndarray:
+    """Each run's next use: the first position of its line's next run,
+    or ``n`` (past the trace's end) if it has none.
+
+    The next access to a run's line after the run comes after another
+    line in the same set ended the run, so it starts that line's next
+    run there; the in-run accesses are guaranteed hits either way.
+    """
+    n_runs = plan.lines.size
+    index = np.int32 if n_runs < 2**31 else np.int64
+    pos, same = link_lines(plan.lines.astype(np.int64), index)
+    future = np.full(n_runs, n, dtype=np.int64)
+    future[pos[:-1][same]] = plan.pos_first[pos[1:][same]]
+    return future
 
 
 def schedule(plan: BucketPlan) -> str:

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.fast.bucket import bucket_trace
+from repro.cache.fast.bucket import bucket_trace, link_lines
 from repro.cache.lru import RegionBounds, classify_misses
 from repro.cache.stats import CacheStats
 
@@ -159,20 +159,7 @@ class _LruCache:
         key = np.empty(m, dtype=np.int64)
         key[is_run] = lines
         key[carried_pos] = self.stack
-        lo, hi = int(key.min()), int(key.max())
-        shift = max(1, (m - 1).bit_length())
-        if (hi - lo).bit_length() + shift > 63:
-            key = np.unique(key, return_inverse=True)[1].reshape(-1).astype(np.int64)
-            lo = 0
-        # Sorting packed (line, position) keys lines up each line's runs.
-        key -= lo
-        key <<= shift
-        key |= np.arange(m, dtype=index)
-        key.sort()
-        pos = key.astype(index)
-        pos &= (1 << shift) - 1
-        key >>= shift
-        same = key[1:] == key[:-1]
+        pos, same = link_lines(key, index)
         del key
         prev = np.empty(m, dtype=index)
         prev[pos[0]] = -1

@@ -14,7 +14,13 @@ converted via ``tolist`` so the hot loop handles native ints.
 
 Each Belady cache set is a dict of resident lines with their next-use
 time plus a lazy max-heap for eviction; the incoming line is itself an
-eviction candidate, which models Belady's bypass decision.
+eviction candidate, which models Belady's bypass decision.  Its
+next-use times come from :func:`next_use_index`, one lexsort of the
+whole trace.
+
+:func:`bucket_reference` is the oracle for
+:func:`repro.cache.fast.bucket.bucket_trace`: it walks the trace once,
+appending each access to its set's last run or starting a new one.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cache import next_use_index
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyStats
 from repro.cache.lru import RegionBounds, classify_misses
@@ -85,6 +90,44 @@ def simulate_lru(
     )
     stats.check_consistency()
     return stats
+
+
+def bucket_reference(trace: np.ndarray, n_sets: int) -> dict:
+    """The bucket plan of ``trace``, one access at a time: each set's
+    runs of one line in trace order, sets in ascending order."""
+    runs: List[list] = [[] for _ in range(n_sets)]  # [line, first, length]
+    for position, line in enumerate(np.asarray(trace, dtype=np.int64).tolist()):
+        set_runs = runs[line % n_sets]
+        if set_runs and set_runs[-1][0] == line:
+            set_runs[-1][2] += 1
+        else:
+            set_runs.append([line, position, 1])
+    flat = [run for set_runs in runs for run in set_runs]
+    counts = [len(set_runs) for set_runs in runs]
+    return {
+        "lines": [run[0] for run in flat],
+        "pos_first": [run[1] for run in flat],
+        "multi": [run[2] > 1 for run in flat],
+        "set_offsets": [sum(counts[:s]) for s in range(n_sets)],
+        "rounds": max(counts),
+    }
+
+
+def next_use_index(trace: np.ndarray) -> np.ndarray:
+    """For every access, the position of the next access to its line.
+
+    Positions with no future access get ``trace.size`` (an "infinite"
+    sentinel larger than any valid position).
+    """
+    trace = np.asarray(trace, dtype=np.int64)
+    n = trace.size
+    next_use = np.full(n, n, dtype=np.int64)
+    if n == 0:
+        return next_use
+    order = np.lexsort((np.arange(n), trace))
+    same_line = trace[order][1:] == trace[order][:-1]
+    next_use[order[:-1][same_line]] = order[1:][same_line]
+    return next_use
 
 
 def simulate_belady(

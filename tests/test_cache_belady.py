@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cache import next_use_index, simulate
-from repro.cache.config import CacheConfig
 from repro.cache import compulsory_misses, simulate
+from repro.cache.config import CacheConfig
+from tests.oracles.cache import next_use_index
 
 
 def tiny_cache(ways=2, sets=1):

@@ -17,11 +17,15 @@ forces the other.  ``test_lru_blocks`` replays the LRU traces split
 into blocks and requires the oracle's counters too;
 ``test_lru_reuse_windows`` does the same for reuse windows of 10^4
 runs cut while the carried LRU stacks are still filling.
+``test_spgemm_traces_drop_continuations`` replays every test-corpus
+SpGEMM trace, whose bucketing drops most accesses before its sort, and
+``test_compaction_decision`` pins each side of that decision.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,11 +35,11 @@ from repro.cache.fast import belady as fast_belady
 from repro.cache.fast import bucket as fast_bucket
 from repro.cache.fast import simulate_belady_fast, simulate_lru_blocks, simulate_lru_fast
 from repro.gpu.specs import scaled_platform
-from repro.graphs.corpus import hash_name, load_graph
+from repro.graphs.corpus import corpus_names, hash_name, load_graph
 from repro.graphs.generators.powerlaw import rmat
 from repro.sparse.convert import coo_to_csr
 from repro.trace.kernelspec import KernelSpec
-from tests.oracles.cache import simulate_belady, simulate_lru
+from tests.oracles.cache import bucket_reference, simulate_belady, simulate_lru
 
 #: (n_sets, ways) grid: direct-mapped, fully-associative, square, wide.
 GEOMETRIES = [
@@ -311,4 +315,68 @@ def test_dispatch_impls_agree(policy):
             REFERENCE[policy](trace.lines, config, trace.regions),
             simulate(trace, config, policy=policy),
             f"{policy} {trace.lines.size} accesses on {config.n_sets}x{config.ways}",
+        )
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """Whether each bucketing since the fixture was set up dropped its
+    continuations before the sort."""
+    dropped = []
+    drop = fast_bucket.drop_continuations
+
+    def spy(trace, sets):
+        result = drop(trace, sets)
+        dropped.append(result is not None)
+        return result
+
+    monkeypatch.setattr(fast_bucket, "drop_continuations", spy)
+    return dropped
+
+
+@pytest.mark.parametrize("policy", ["lru", "belady"])
+@pytest.mark.parametrize("matrix", corpus_names("test"))
+def test_spgemm_traces_drop_continuations(policy, matrix, compactions):
+    """Every test-corpus spgemm-csr trace on 4 x 16 and 16 x 16 matches
+    the oracle through ``simulate``, and its bucketing dropped
+    continuations: the B-row walk alternates two lines in different
+    sets."""
+    platform = scaled_platform("test")
+    trace = KernelSpec.parse("spgemm-csr").build_trace(load_graph(matrix).adjacency, platform)
+    for n_sets, ways in [(4, 16), (16, 16)]:
+        config = config_for(n_sets, ways, line_bytes=platform.line_bytes)
+        compactions.clear()
+        assert_identical_stats(
+            REFERENCE[policy](trace.lines, config, trace.regions),
+            simulate(trace, config, policy=policy),
+            f"{policy} spgemm-csr {matrix} {n_sets}x{ways}",
+        )
+        assert any(compactions), (matrix, n_sets)
+
+
+@pytest.mark.parametrize("compacts", [True, False], ids=["drops", "keeps"])
+def test_compaction_decision(compacts, compactions):
+    """A 100-access trace on 4 sets drops its continuations when they
+    are at least ``COMPACT_SHARE`` of it and keeps them one short of
+    that; the plan and both policies' counters match the oracles either
+    way.  Two lines in different sets alternating for ``k`` accesses
+    give ``k - 2`` continuations; the padding lines never repeat."""
+    n, n_sets = 100, 4
+    needed = math.ceil(fast_bucket.COMPACT_SHARE * n)
+    alternating = [0, 1] * n
+    head = alternating[: needed + 2 if compacts else needed + 1]
+    trace = np.asarray(head + list(range(2, 2 + n - len(head))), dtype=np.int64)
+
+    plan = fast_bucket.bucket_trace(trace, n_sets)
+    assert compactions == [compacts]
+    reference = bucket_reference(trace, n_sets)
+    assert plan.lines.tolist() == reference["lines"]
+    assert plan.pos_first.tolist() == reference["pos_first"]
+    assert plan.multi.tolist() == reference["multi"]
+    assert plan.set_offsets.tolist() == reference["set_offsets"]
+    assert plan.rounds == reference["rounds"]
+    config = config_for(n_sets, 2)
+    for policy in ("lru", "belady"):
+        assert_identical_stats(
+            REFERENCE[policy](trace, config), FAST[policy](trace, config), policy
         )

@@ -5,11 +5,16 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import next_use_index, simulate
-from repro.cache.config import CacheConfig
 from repro.cache import compulsory_misses, simulate
-from repro.cache.fast import simulate_lru_blocks
-from tests.oracles.cache import simulate_lru
+from repro.cache.config import CacheConfig
+from repro.cache.fast import simulate_belady_fast, simulate_lru_blocks
+from repro.cache.fast.bucket import bucket_trace
+from tests.oracles.cache import (
+    bucket_reference,
+    next_use_index,
+    simulate_belady,
+    simulate_lru,
+)
 
 traces = st.lists(st.integers(0, 30), min_size=0, max_size=300).map(
     lambda xs: np.asarray(xs, dtype=np.int64)
@@ -103,3 +108,52 @@ class TestLruBlocksMatchOracle:
         blocks = simulate_lru_blocks(np.split(trace, cuts), config, regions)
         oracle = simulate_lru(trace, config, regions)
         assert dataclasses.asdict(blocks) == dataclasses.asdict(oracle)
+
+
+@st.composite
+def two_line_streams(draw):
+    """``(n_sets, trace)`` on 1-16 sets: segments that repeat one line
+    (period 1) or alternate two (period 2).  A pair's second line often
+    shares its first's set, where the period-2 continuation rule must
+    not fire."""
+    n_sets = draw(st.integers(1, 16))
+    trace = []
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.integers(0, 40))
+        b = draw(st.integers(0, 40) | st.integers(1, 3).map(lambda k: a + k * n_sets))
+        length = draw(st.integers(1, 24))
+        trace += [a] * length if draw(st.booleans()) else [a, b] * length
+    return n_sets, np.asarray(trace, dtype=np.int64)
+
+
+class TestBucketContinuations:
+    @given(two_line_streams(), st.sampled_from([1, 2, 4]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_plan_and_stats_equal_oracles(self, stream, ways, data):
+        """Whether or not bucketing drops the continuations, the plan is
+        the per-set reference bucketing's, and LRU (whole and cut into
+        blocks) and Belady give the per-access oracles' counters."""
+        n_sets, trace = stream
+        plan = bucket_trace(trace, n_sets)
+        reference = bucket_reference(trace, n_sets)
+        assert plan.lines.tolist() == reference["lines"]
+        assert plan.pos_first.tolist() == reference["pos_first"]
+        assert plan.multi.tolist() == reference["multi"]
+        assert plan.set_offsets.tolist() == reference["set_offsets"]
+        assert plan.rounds == reference["rounds"]
+
+        config = CacheConfig(capacity_bytes=n_sets * ways * 32, line_bytes=32, ways=ways)
+        regions = [("low", 0, 8), ("high", 8, 200)]
+        belady = simulate_belady_fast(trace, config, regions)
+        assert dataclasses.asdict(belady) == dataclasses.asdict(
+            simulate_belady(trace, config, regions)
+        )
+        n = trace.size
+        cuts = data.draw(
+            st.lists(st.integers(1, max(1, n - 1)), max_size=8, unique=True).map(sorted)
+            if n > 1
+            else st.just([])
+        )
+        oracle = dataclasses.asdict(simulate_lru(trace, config, regions))
+        for blocks in ([trace], np.split(trace, cuts)):
+            assert dataclasses.asdict(simulate_lru_blocks(blocks, config, regions)) == oracle
